@@ -174,11 +174,17 @@ topo-baseline:
 # baseline on machine-portable quantities only (simulated consensus times,
 # deterministic message counts — never wall clock), then the README
 # two-process TCP cluster quickstart end to end. The sweep's own KS gate
-# pins the networked consensus-time distribution to the simulator's.
+# pins the networked consensus-time distribution to the simulator's. Last,
+# a race stress of the fabric: ten passes of the cluster and fabric tests,
+# whose dispatch runs on whichever node goroutine blocks last while Close
+# arrives from the context watcher. The TCP tests are skipped there: they
+# do not run the fabric, and on wall clock their outcome is not a function
+# of the seed.
 net-smoke:
 	$(GO) run -race ./cmd/experiments -sweep net-equivalence -smoke \
 		-out BENCH_net.json -baseline BENCH_net_baseline.json
 	./scripts/net_quickstart.sh
+	$(GO) test -race -count=10 -run 'Cluster|Fabric' -skip 'TCP' ./internal/node
 
 # Regenerate the committed node-runtime smoke baseline (run after an
 # intentional change to the node runtime, a protocol rule or the sweep

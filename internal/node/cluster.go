@@ -158,7 +158,9 @@ func (c *collector) snapshot() (done bool, when float64, winner population.Color
 // context cancels the run by closing the network; nodes then exit with
 // ErrStopped semantics. A non-nil error is returned exactly when the
 // locally hosted nodes did not reach consensus (time budget, cancellation,
-// or transport failure), mirroring the simulator's Run contract.
+// or transport failure), mirroring the simulator's Run contract, or when
+// the Network has an Err method that reports a failure after Close: that
+// error comes first, wrapped, even after consensus.
 func Run(ctx context.Context, cfg ClusterConfig) (Result, error) {
 	if cfg.Rule == nil {
 		return Result{}, errors.New("node: ClusterConfig.Rule is nil")
@@ -288,6 +290,13 @@ func Run(ctx context.Context, cfg ClusterConfig) (Result, error) {
 	res.Responses = st.Responses
 	res.Dropped = st.Dropped
 
+	// A transport that failed (a fabric stall) released its nodes, so they
+	// look stopped, or even done; its own error takes precedence.
+	if tn, ok := cfg.Network.(interface{ Err() error }); ok {
+		if err := tn.Err(); err != nil {
+			return res, fmt.Errorf("cluster transport failed at t=%.3f: %w", res.Time, err)
+		}
+	}
 	if !res.Done {
 		if ctx != nil && ctx.Err() != nil {
 			return res, fmt.Errorf("cluster stopped at t=%.3f: %w", res.Time, dynamics.ErrStopped)

@@ -7,17 +7,21 @@
 // consensus without any global view.
 //
 // Two transports ship. The in-process fabric (NewFabric) delivers messages
-// through a conservative virtual-time coordinator: node goroutines block in
-// Sleep/Pull, the coordinator advances the shared clock to the earliest
-// pending event and dispatches exactly one event at a time, so a cluster is
-// bit-deterministic for a fixed seed while still exchanging real
-// request/response messages. Because every node draws unit-rate exponential
-// clock gaps, the superposition of the n local clocks is exactly the
-// simulator's rate-n Poisson process with uniform node choice — which is
-// what the net-equivalence sweep (internal/exp) verifies with a KS gate
-// against the simulator oracle. The TCP mesh (NewTCPMesh) runs the same
-// node loop over length-prefixed frames on real sockets with wall-clock
-// timers, and scales across processes.
+// over a conservative virtual-time event heap with no coordinator: node
+// goroutines block in Sleep/Pull, and the last one to block advances the
+// shared clock to the earliest pending event and fires events one at a
+// time until one wakes a node, which it hands control to. Exactly one
+// goroutine is runnable at any moment, and the event order (time, then
+// schedule order) and every fault draw are functions of the seed alone, so
+// a cluster is bit-deterministic for a fixed seed while still exchanging
+// real request/response messages; which goroutine dispatches changes only
+// who does the work. Because every node draws unit-rate exponential clock
+// gaps, the superposition of the n local clocks is exactly the simulator's
+// rate-n Poisson process with uniform node choice — which is what the
+// net-equivalence sweep (internal/exp) verifies with a KS gate against the
+// simulator oracle. The TCP mesh (NewTCPMesh) runs the same node loop over
+// length-prefixed frames on real sockets with wall-clock timers, and
+// scales across processes.
 package node
 
 import (
@@ -95,7 +99,9 @@ type Network interface {
 	Bind(id int, h Handler) (Conn, error)
 	// Clock returns node id's clock. Valid after Bind(id).
 	Clock(id int) Clock
-	// Start begins delivery and (for the fabric) time dispatch.
+	// Start begins delivery. The fabric starts no goroutine of its own:
+	// it arms its counters, and from then on the last node goroutine to
+	// block dispatches virtual time.
 	Start() error
 	// Close releases every blocked node and stops delivery; idempotent.
 	Close() error
@@ -117,8 +123,8 @@ type Stats struct {
 }
 
 // Clock is a node's local time source. The fabric hands out virtual
-// clocks driven by the event coordinator; the TCP mesh hands out scaled
-// wall clocks.
+// clocks on its shared event heap, advanced by whichever node blocks last;
+// the TCP mesh hands out scaled wall clocks.
 type Clock interface {
 	// Sleep blocks the caller for d units of parallel time and returns
 	// the clock reading after waking; ok is false when the cluster is
