@@ -199,9 +199,13 @@ func TestAdversaryCountersSurface(t *testing.T) {
 		biased      bool
 	}{
 		{name: "per-node corrupt", spec: "two-choices", opts: []Option{WithEngine(EnginePerNode), WithModel(Poisson)}, adv: advSpec(t, "corrupt", 8), corruptions: true},
-		{name: "per-node byzantine", spec: "two-choices", opts: []Option{WithEngine(EnginePerNode), WithModel(Poisson)}, adv: advSpec(t, "byzantine", 512), corruptions: true},
+		// The byzantine and delay-set rows never converge (a 25% lie rate;
+		// victims that never update), and their counters fire within the
+		// first unit of time, so a short budget keeps them from burning
+		// 2·10⁸ activations each up to DefaultMaxTime.
+		{name: "per-node byzantine", spec: "two-choices", opts: []Option{WithEngine(EnginePerNode), WithModel(Poisson), WithMaxTime(50)}, adv: advSpec(t, "byzantine", 512), corruptions: true},
 		{name: "per-node minority-bias", spec: "two-choices", opts: []Option{WithEngine(EnginePerNode), WithModel(Poisson)}, adv: advSpec(t, "minority-bias", 16), biased: true},
-		{name: "per-node delay-set", spec: "two-choices", opts: []Option{WithEngine(EnginePerNode), WithModel(Poisson)}, adv: advSpec(t, "delay-set", 256), biased: true},
+		{name: "per-node delay-set", spec: "two-choices", opts: []Option{WithEngine(EnginePerNode), WithModel(Poisson), WithMaxTime(50)}, adv: advSpec(t, "delay-set", 256), biased: true},
 		{name: "occupancy corrupt", spec: "two-choices", opts: []Option{WithEngine(EngineOccupancy), WithModel(Poisson)}, adv: advSpec(t, "corrupt", 8), corruptions: true},
 		{name: "sync corrupt", spec: "two-choices", opts: []Option{WithModel(Synchronous)}, adv: advSpec(t, "corrupt", 8), corruptions: true},
 		{name: "core corrupt", spec: "core", adv: advSpec(t, "corrupt", 8), corruptions: true},

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"plurality/internal/node"
+	"plurality/internal/plan"
 )
 
 // Transport selects the message fabric a node-runtime run executes on —
@@ -91,7 +92,7 @@ func NewTCPTransport(unit time.Duration) Transport {
 // Validate with an explanation. The implied model is Poisson —
 // WithModel(Poisson) is accepted, other models are rejected.
 func WithTransport(t Transport) Option {
-	return optionFunc(func(o *options) { o.mark(idTransport); o.transport = t })
+	return optionFunc(func(o *options) { o.mark(plan.Transport); o.transport = t })
 }
 
 // NodeConfig configures a Cluster: the direct, transport-first way to run
@@ -159,7 +160,7 @@ func (c *Cluster) Run(ctx context.Context) (Report, error) {
 // Job.Run-with-WithTransport: build a fresh transport instance, run the
 // live nodes, convert the cluster result into the unified Report.
 func execCluster(ctx context.Context, j *Job, o *options, pullTimeout float64) (Report, error) {
-	rep := Report{Kind: KindDynamic, Protocol: j.spec}
+	rep := Report{Kind: KindDynamic, Protocol: j.spec, Engine: plan.Node.String()}
 	netw, err := o.transport.newNetwork(int(j.total), o.seed)
 	if err != nil {
 		return rep, err

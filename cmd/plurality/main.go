@@ -20,14 +20,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"plurality"
+	"plurality/internal/graph"
 )
 
 func main() {
@@ -140,69 +139,6 @@ func makeCounts(f flags) ([]int64, error) {
 	}
 }
 
-// topologyGraph materializes the -topology flag. "" and "complete" return
-// nil so the job keeps its implicit clique default (no O(n) graph object).
-// Randomized topologies derive a deterministic graph seed from -seed on a
-// stream no engine consumes.
-func topologyGraph(f flags) (plurality.Graph, error) {
-	name, param, hasParam := strings.Cut(f.topology, ":")
-	pf := func() (float64, error) {
-		if !hasParam {
-			return 0, fmt.Errorf("topology %q needs a parameter", f.topology)
-		}
-		return strconv.ParseFloat(param, 64)
-	}
-	pd := func() (int, error) {
-		if !hasParam {
-			return 0, fmt.Errorf("topology %q needs a degree", f.topology)
-		}
-		return strconv.Atoi(param)
-	}
-	graphSeed := plurality.TrialSeed(f.seed, 1<<10)
-	switch name {
-	case "", "complete":
-		return nil, nil
-	case "cycle":
-		return plurality.CycleGraph(f.n)
-	case "torus":
-		side := int(math.Round(math.Sqrt(float64(f.n))))
-		if side*side != f.n {
-			return nil, fmt.Errorf("topology torus needs a square n, got %d", f.n)
-		}
-		return plurality.TorusGraph(side, side)
-	case "gnp":
-		p, err := pf()
-		if err != nil {
-			return nil, err
-		}
-		return plurality.RandomGraph(f.n, p, graphSeed)
-	case "random-regular":
-		d, err := pd()
-		if err != nil {
-			return nil, err
-		}
-		return plurality.RandomRegularGraph(f.n, d, graphSeed)
-	case "annealed":
-		d, err := pd()
-		if err != nil {
-			return nil, err
-		}
-		return plurality.AnnealedRegularGraph(f.n, d)
-	case "annealed-gnp":
-		p, err := pf()
-		if err != nil {
-			return nil, err
-		}
-		g, err := plurality.RandomGraph(f.n, p, graphSeed)
-		if err != nil {
-			return nil, err
-		}
-		return plurality.AnnealedGraph(g)
-	default:
-		return nil, fmt.Errorf("unknown topology %q", f.topology)
-	}
-}
-
 // jobSpec maps the -protocol flag onto a Job protocol spec plus any options
 // the spelling implies ("two-choices-sync" selects the synchronous model;
 // the historical "-async" suffix is trimmed).
@@ -224,39 +160,33 @@ func jobOptions(f flags, out io.Writer) ([]plurality.Option, error) {
 		opts = append(opts, plurality.WithMaxTime(f.maxTime))
 	}
 	if f.explicit["model"] {
-		switch f.model {
-		case "sequential":
-			opts = append(opts, plurality.WithModel(plurality.Sequential))
-		case "poisson":
-			opts = append(opts, plurality.WithModel(plurality.Poisson))
-		case "heap-poisson":
-			opts = append(opts, plurality.WithModel(plurality.HeapPoisson))
-		default:
+		m, ok := map[string]plurality.Model{"sequential": plurality.Sequential, "poisson": plurality.Poisson, "heap-poisson": plurality.HeapPoisson}[f.model]
+		if !ok {
 			return nil, fmt.Errorf("unknown model %q", f.model)
 		}
+		opts = append(opts, plurality.WithModel(m))
 	}
-	switch f.engine {
-	case "", "auto":
-	case "per-node":
-		// The protocols with a single execution strategy (core, the
-		// synchronous runners) always run per node; keep the redundant
-		// spelling accepted, as it always has been, instead of letting the
-		// strict Job validation reject the no-op option.
-		switch f.protocol {
-		case "core", "onebit", "two-choices-sync":
-		default:
-			opts = append(opts, plurality.WithEngine(plurality.EnginePerNode))
+	if f.engine != "" && f.engine != "auto" {
+		e, ok := map[string]plurality.Engine{"per-node": plurality.EnginePerNode, "occupancy": plurality.EngineOccupancy, "leap": plurality.EngineLeap}[f.engine]
+		if !ok {
+			return nil, fmt.Errorf("unknown engine %q", f.engine)
 		}
-	case "occupancy":
-		opts = append(opts, plurality.WithEngine(plurality.EngineOccupancy))
-	case "leap":
-		opts = append(opts, plurality.WithEngine(plurality.EngineLeap))
-	default:
-		return nil, fmt.Errorf("unknown engine %q", f.engine)
+		opts = append(opts, plurality.WithEngine(e))
 	}
-	if g, err := topologyGraph(f); err != nil {
-		return nil, err
-	} else if g != nil {
+	if f.topology != "" && f.topology != "complete" {
+		// graph.Spec's grammar and guards; randomized topologies draw their
+		// wiring from -seed on a stream no engine consumes.
+		spec, err := graph.ParseSpec(f.topology)
+		if err != nil {
+			return nil, err
+		}
+		if err := spec.Validate(f.n); err != nil {
+			return nil, err
+		}
+		g, err := spec.Build(f.n, plurality.TrialSeed(f.seed, 1<<10))
+		if err != nil {
+			return nil, err
+		}
 		opts = append(opts, plurality.WithGraph(g))
 	}
 	if f.explicit["leap-eps"] {

@@ -289,9 +289,9 @@ func TestRunTrialsReportsNoConsensusAggregate(t *testing.T) {
 	}
 }
 
-// TestRunCorePerNodeEngineAccepted: the redundant -engine per-node spelling
-// on protocols that always run per node stays accepted, as it has been
-// since the flag was introduced.
+// TestRunCorePerNodeEngineAccepted: -engine per-node on protocols that
+// always run per node passes WithEngine(EnginePerNode) through, which their
+// paths host.
 func TestRunCorePerNodeEngineAccepted(t *testing.T) {
 	for _, p := range []string{"core", "onebit", "two-choices-sync"} {
 		var buf bytes.Buffer
@@ -344,6 +344,11 @@ func TestRunTopologyErrors(t *testing.T) {
 		{name: "bad degree", args: []string{"-protocol", "voter", "-topology", "annealed:x", "-n", "100"}},
 		{name: "non-square torus", args: []string{"-protocol", "voter", "-topology", "torus", "-n", "60"}},
 		{name: "occupancy on quenched", args: []string{"-protocol", "voter", "-engine", "occupancy", "-topology", "cycle", "-n", "100"}},
+		// The guards the experiment harness has always applied.
+		{name: "sparse gnp", args: []string{"-protocol", "voter", "-topology", "gnp:0.001", "-n", "100"}},
+		{name: "fractional degree", args: []string{"-protocol", "voter", "-topology", "random-regular:2.5", "-n", "100"}},
+		{name: "degree >= n", args: []string{"-protocol", "voter", "-topology", "annealed:100", "-n", "100"}},
+		{name: "odd n*d", args: []string{"-protocol", "voter", "-topology", "random-regular:3", "-n", "99"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

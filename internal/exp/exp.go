@@ -30,6 +30,8 @@ import (
 	"time"
 
 	"plurality"
+	"plurality/internal/graph"
+	"plurality/internal/plan"
 	"plurality/internal/rng"
 )
 
@@ -52,14 +54,10 @@ type Scenario struct {
 	// exponent; ignored for "uniform").
 	Bias      string  `json:"bias"`
 	BiasParam float64 `json:"biasParam,omitempty"`
-	// Topology names the communication graph: "complete", "cycle",
-	// "torus" (requires square N), "gnp" with TopologyParam = p,
-	// "random-regular" with TopologyParam = d (a quenched configuration-model
-	// sample per trial), or the annealed mean-field counterparts "annealed"
-	// (d-regular, TopologyParam = d) and "annealed-gnp" (the
-	// degree-partitioned annealed G(n,p), TopologyParam = p). Annealed
-	// topologies report their degree-class symmetry, so dynamics cells on
-	// them collapse to the O(classes × colors) lumped engine.
+	// Topology and TopologyParam name the communication graph in the
+	// graph.Spec grammar: "complete", "cycle", "torus", "gnp" (p),
+	// "random-regular" (d; a quenched sample per trial), "annealed" (d) or
+	// "annealed-gnp" (p).
 	Topology      string  `json:"topology"`
 	TopologyParam float64 `json:"topologyParam,omitempty"`
 	// Model selects the scheduler engine: "sequential", "poisson" or
@@ -79,18 +77,12 @@ type Scenario struct {
 	// MaxTime bounds the run in parallel time; 0 selects the library
 	// default.
 	MaxTime float64 `json:"maxTime,omitempty"`
-	// Engine selects the dynamics execution engine: "" or "auto"
-	// (count-collapse whenever possible), "per-node" (force the O(n)
-	// simulation), "occupancy" (require a count-collapsed engine: O(k)
-	// occupancy on the complete topology, the O(classes × colors) lumped
-	// engine on annealed topologies; no latency/delay, dynamics protocols
-	// only), or
-	// "leap" / "leap:<eps>" (the hybrid tau-leap/mean-field engine with an
-	// optional explicit per-step error budget; occupancy's constraints plus
-	// no churn and a flow-law protocol). With "occupancy" and "leap" the
-	// harness never materializes a per-node population at all — cells run
-	// on the histogram — which is what lets the scale sweep reach n = 10⁸
-	// and the leap cells go further still.
+	// Engine selects the dynamics execution engine: "" or "auto",
+	// "per-node", "occupancy" (count-collapsed: occupancy on the clique,
+	// lumped on annealed topologies) or "leap" / "leap:<eps>" (the hybrid
+	// tau-leap/mean-field engine with an optional per-step error budget).
+	// "occupancy" and "leap" cells run on the histogram alone, which is
+	// what lets the scale sweep reach n = 10⁸ and leap cells go further.
 	Engine string `json:"engine,omitempty"`
 	// Adversary names a registered adversary ("minority-bias", "delay-set",
 	// "late:<lag>", "corrupt", "byzantine"; plurality.Adversaries lists
@@ -106,10 +98,8 @@ type Scenario struct {
 	// engines, the default), "node" (the networked node runtime on the
 	// deterministic in-process transport: one goroutine per node, local
 	// Poisson clocks, pull messages), or "node-tcp" (the same runtime over
-	// real loopback TCP sockets). The node runtimes execute registered
-	// dynamics on the clique under the poisson model only — every
-	// simulator-side injection axis is rejected at Validate; see
-	// validateRuntime.
+	// real loopback TCP sockets): registered dynamics on the clique under
+	// the poisson model only.
 	Runtime string `json:"runtime,omitempty"`
 }
 
@@ -139,15 +129,20 @@ type Trial struct {
 	Messages int64
 }
 
-// Validate checks that the scenario names a runnable configuration.
+// Validate checks that the scenario names a runnable configuration: every
+// field parses, and the engine planner (plan.Choose) finds an execution
+// path that hosts the options the scenario's runners pass NewJob.
 func (sc Scenario) Validate() error {
+	var desc plurality.Protocol
 	if sc.Protocol != "core" {
 		// Any registered sampling dynamic is a valid protocol; resolving
 		// the spec here validates parameterized families eagerly (the
 		// Compile contract), before any simulation runs.
-		if _, err := plurality.LookupProtocol(sc.Protocol); err != nil {
+		d, err := plurality.LookupProtocol(sc.Protocol)
+		if err != nil {
 			return fmt.Errorf("exp: protocol %q: %w", sc.Protocol, err)
 		}
+		desc = d
 	}
 	if sc.N < 4 {
 		return fmt.Errorf("exp: n = %d, want >= 4", sc.N)
@@ -155,123 +150,70 @@ func (sc Scenario) Validate() error {
 	if sc.K < 2 {
 		return fmt.Errorf("exp: k = %d, want >= 2", sc.K)
 	}
-	switch sc.Bias {
-	case "biased", "gapsqrt", "tinygap", "zipf", "uniform":
-		// Materialize the histogram so a bad bias parameter fails here —
-		// Compile promises eager per-cell validation, and the workload
-		// constructors hold the per-profile parameter rules.
-		if _, err := sc.counts(); err != nil {
-			return fmt.Errorf("exp: bias %s:%v: %w", sc.Bias, sc.BiasParam, err)
-		}
+	// Materialize the histogram so a bad bias parameter fails here —
+	// Compile promises eager per-cell validation, and the workload
+	// constructors hold the per-profile parameter rules.
+	counts, err := sc.counts()
+	if err != nil {
+		return fmt.Errorf("exp: bias %s:%v: %w", sc.Bias, sc.BiasParam, err)
+	}
+	if err := sc.topology().Validate(sc.N); err != nil {
+		return fmt.Errorf("exp: %w", err)
+	}
+	switch sc.Runtime {
+	case "", "sim", "node", "node-tcp":
 	default:
-		return fmt.Errorf("exp: unknown bias profile %q", sc.Bias)
+		return fmt.Errorf("exp: unknown runtime %q (want sim, node or node-tcp)", sc.Runtime)
 	}
-	switch sc.Topology {
-	case "complete", "cycle":
-	case "torus":
-		side := int(math.Round(math.Sqrt(float64(sc.N))))
-		if side*side != sc.N {
-			return fmt.Errorf("exp: torus topology needs a square n, got %d", sc.N)
-		}
-	case "gnp", "annealed-gnp":
-		if sc.TopologyParam <= 0 || sc.TopologyParam > 1 {
-			return fmt.Errorf("exp: %s topology needs p in (0, 1], got %v", sc.Topology, sc.TopologyParam)
-		}
-		// NewGNP patches isolated nodes with one extra uniform edge so the
-		// sampling contract (Degree >= 1) holds. Below (n-1)p = 1 those
-		// patch edges dominate the graph and the cell no longer measures
-		// G(n,p); reject at declaration time, mirroring the crash-injection
-		// guard above.
-		if float64(sc.N-1)*sc.TopologyParam < 1 {
-			return fmt.Errorf("exp: %s topology with (n-1)p = %.3f < 1 is mostly isolated-node patch edges, not G(n,p); raise p or n",
-				sc.Topology, float64(sc.N-1)*sc.TopologyParam)
-		}
-	case "random-regular", "annealed":
-		d := int(sc.TopologyParam)
-		if float64(d) != sc.TopologyParam || d < 1 {
-			return fmt.Errorf("exp: %s topology needs an integer degree d >= 1, got %v", sc.Topology, sc.TopologyParam)
-		}
-		if d >= sc.N {
-			return fmt.Errorf("exp: %s topology needs d < n, got d=%d n=%d", sc.Topology, d, sc.N)
-		}
-		if sc.Topology == "random-regular" && sc.N*d%2 != 0 {
-			return fmt.Errorf("exp: random-regular topology needs n·d even, got n=%d d=%d", sc.N, d)
-		}
-	default:
-		return fmt.Errorf("exp: unknown topology %q", sc.Topology)
-	}
-	switch sc.Model {
-	case "sequential", "poisson", "heap-poisson":
-	default:
-		return fmt.Errorf("exp: unknown model %q", sc.Model)
-	}
-	if err := sc.validateRuntime(); err != nil {
-		return err
-	}
-	if sc.Crash > 0 {
-		// Mirror the core engine's rule at declaration time so a sweep
-		// cell cannot silently sample crashed neighbors: crash injection
-		// is defined only for the core protocol on the complete graph.
-		if sc.Protocol != "core" {
-			return fmt.Errorf("exp: crash injection is only defined for the core protocol, not %q", sc.Protocol)
-		}
-		if sc.Topology != "complete" {
-			return fmt.Errorf("exp: crash injection requires the complete topology, not %q (crashed nodes remain sampled)", sc.Topology)
-		}
-	}
-	if sc.Crash < 0 || sc.Crash >= 1 {
+	switch {
+	case sc.Crash < 0 || sc.Crash >= 1:
 		return fmt.Errorf("exp: crash = %v, want [0, 1)", sc.Crash)
-	}
-	if sc.Churn < 0 || sc.Churn >= 1 {
+	case sc.Churn < 0 || sc.Churn >= 1:
 		return fmt.Errorf("exp: churn = %v, want [0, 1)", sc.Churn)
-	}
-	if sc.DelayRate < 0 {
+	case sc.DelayRate < 0:
 		return fmt.Errorf("exp: delayRate = %v, want >= 0", sc.DelayRate)
-	}
-	if sc.MaxTime < 0 {
+	case sc.MaxTime < 0:
 		return fmt.Errorf("exp: maxTime = %v, want >= 0 (0 selects the default budget)", sc.MaxTime)
 	}
-	if _, err := parseLatency(sc.Latency); err != nil {
-		return err
-	}
-	engine, _, err := sc.engineSpec()
+	set, err := sc.settings(0)
 	if err != nil {
 		return err
 	}
-	switch engine {
-	case "", "auto", "per-node":
-	case "occupancy", "leap":
-		// Mirror the engines' collapsibility contract at declaration time.
-		switch {
-		case sc.Protocol == "core":
-			return fmt.Errorf("exp: engine %s is undefined for the core protocol (its working-time schedule is per-node state)", engine)
-		case sc.Model == "heap-poisson":
-			return fmt.Errorf("exp: engine %s with the heap-poisson scheduler would allocate O(n) event state; use poisson (the same process)", engine)
-		case engine == "leap" && sc.Topology != "complete":
-			return fmt.Errorf("exp: engine leap requires the complete topology, not %q", sc.Topology)
-		case sc.Topology != "complete" && sc.Topology != "annealed" && sc.Topology != "annealed-gnp":
-			// Quenched topologies carry per-node wiring that no count
-			// collapse can represent; only the clique (occupancy engine) and
-			// the annealed configuration models (lumped engine) collapse.
-			return fmt.Errorf("exp: engine %s requires a count-collapsible topology (complete, annealed, annealed-gnp), not %q", engine, sc.Topology)
-		case sc.Latency != "" && sc.Latency != "none":
-			return fmt.Errorf("exp: engine %s cannot model edge latencies (per-node pending state)", engine)
-		case sc.DelayRate > 0:
-			return fmt.Errorf("exp: engine %s cannot model response delays (per-node pending state)", engine)
-		}
-		if engine == "leap" {
-			if sc.Churn > 0 {
-				return fmt.Errorf("exp: the leap engine does not support churn; use engine occupancy")
-			}
-			if d, err := plurality.LookupProtocol(sc.Protocol); err == nil && !d.Leapable {
-				return fmt.Errorf("exp: protocol %q exposes no flow law; the leap engine needs one", sc.Protocol)
-			}
-		}
-	default:
-		return fmt.Errorf("exp: unknown engine %q", sc.Engine)
+	engine, _, _ := sc.engineSpec()
+	req := plan.Request{
+		Runner:    plan.RunDynamic,
+		Want:      engines[engine].c, // zero, EngineAuto's want, for "" and "auto"
+		Topology:  sc.topology().Class(),
+		Model:     models[sc.Model].c,
+		FlowLaw:   desc.Leapable,
+		Histogram: sc.histogram(),
+		N:         int64(sc.N),
 	}
-	if err := sc.validateAdversary(engine); err != nil {
-		return err
+	if sc.Protocol == "core" {
+		req.Runner = plan.RunCore
+	}
+	for _, st := range set {
+		req.Opts |= plan.Of(st.cap)
+	}
+	if spec, _ := sc.adversarySpec(); spec.Active() {
+		d, _ := spec.Descriptor()
+		req.Family, req.PerNode = d.Family, d.PerNode
+	}
+	if _, err := plan.Choose(req); err != nil {
+		return fmt.Errorf("exp: %w", err)
+	}
+	// Harness bounds beyond what the paths host: one goroutine (plus timers
+	// and message events) per node, so a mistyped axis cannot ask the
+	// scheduler for millions of processes; and histogram cells promise O(k)
+	// memory, which the O(n) heap-poisson scheduler would break.
+	const maxNodes = 1 << 16
+	if sc.nodeRuntime() && sc.N > maxNodes {
+		return fmt.Errorf("exp: runtime %s runs one process per node; n = %d exceeds the %d-node bound", sc.Runtime, sc.N, maxNodes)
+	}
+	if sc.histogram() {
+		if _, err := desc.ValidateCounts(counts, sc.Model == "heap-poisson"); err != nil {
+			return fmt.Errorf("exp: %w", err)
+		}
 	}
 	return nil
 }
@@ -282,80 +224,68 @@ func (sc Scenario) nodeRuntime() bool {
 	return sc.Runtime == "node" || sc.Runtime == "node-tcp"
 }
 
-// validateRuntime mirrors Job.Validate's node-runtime option mapping at
-// declaration time: real node processes execute registered dynamics on the
-// clique under per-node Poisson clocks and nothing else, so every
-// simulator-side injection axis fails the cell at Compile rather than
-// mid-grid.
-func (sc Scenario) validateRuntime() error {
-	switch sc.Runtime {
-	case "", "sim":
-		return nil
-	case "node", "node-tcp":
-	default:
-		return fmt.Errorf("exp: unknown runtime %q (want sim, node or node-tcp)", sc.Runtime)
-	}
-	if sc.Protocol == "core" {
-		return fmt.Errorf("exp: runtime %s cannot execute the core protocol (its bit phases are not a registered message dynamic)", sc.Runtime)
-	}
-	if sc.Topology != "complete" {
-		return fmt.Errorf("exp: runtime %s requires the complete topology, not %q (live nodes sample peers uniformly)", sc.Runtime, sc.Topology)
-	}
-	if sc.Model != "poisson" {
-		return fmt.Errorf("exp: runtime %s requires the poisson model, not %q (each node runs a local Exp(1) clock)", sc.Runtime, sc.Model)
-	}
-	if sc.Engine != "" && sc.Engine != "auto" {
-		return fmt.Errorf("exp: runtime %s runs one process per node; engine %q does not apply", sc.Runtime, sc.Engine)
-	}
-	switch {
-	case sc.Crash > 0:
-		return fmt.Errorf("exp: runtime %s does not support crash injection", sc.Runtime)
-	case sc.Churn > 0:
-		return fmt.Errorf("exp: runtime %s does not support churn", sc.Runtime)
-	case sc.DelayRate > 0:
-		return fmt.Errorf("exp: runtime %s does not support response delays (use the transport's own fault injection)", sc.Runtime)
-	case sc.Latency != "" && sc.Latency != "none":
-		return fmt.Errorf("exp: runtime %s does not support edge latencies (use the transport's own fault injection)", sc.Runtime)
-	case sc.Adversary != "" && sc.Adversary != "none":
-		return fmt.Errorf("exp: runtime %s does not support adversaries", sc.Runtime)
-	}
-	// One goroutine (plus timers and message events) per node: bound n so a
-	// mistyped axis cannot ask the scheduler for millions of processes.
-	const maxNodes = 1 << 16
-	if sc.N > maxNodes {
-		return fmt.Errorf("exp: runtime %s runs one process per node; n = %d exceeds the %d-node bound", sc.Runtime, sc.N, maxNodes)
-	}
-	return nil
+// histogram reports whether the scenario runs on colour counts alone: the
+// occupancy and leap engine cells never materialize a population.
+func (sc Scenario) histogram() bool {
+	engine, _, _ := sc.engineSpec()
+	return !sc.nodeRuntime() && (engine == "occupancy" || engine == "leap")
 }
 
-// validateAdversary mirrors Job.Validate's adversary capability matrix at
-// declaration time, so a sweep cell that pairs an adversary with an engine
-// that cannot host it fails at Compile rather than mid-grid.
-func (sc Scenario) validateAdversary(engine string) error {
-	spec, err := sc.adversarySpec()
-	if err != nil {
-		return err
-	}
-	if !spec.Active() {
-		return nil
-	}
-	desc, ok := spec.Descriptor()
+// topology returns the scenario's topology in the shared grammar.
+func (sc Scenario) topology() graph.Spec {
+	return graph.Spec{Name: sc.Topology, Param: sc.TopologyParam}
+}
+
+// setting is one option a scenario passes NewJob, with the capability the
+// engine planner sees for it.
+type setting struct {
+	cap plan.Cap
+	opt plurality.Option
+}
+
+// settings lists every option the scenario's job carries except the graph,
+// which the runner adds once it has built it: the list Validate hands the
+// planner and RunScenarioCtx hands NewJob.
+func (sc Scenario) settings(seed uint64) ([]setting, error) {
+	m, ok := models[sc.Model]
 	if !ok {
-		return fmt.Errorf("exp: unknown adversary %q", sc.Adversary)
+		return nil, fmt.Errorf("exp: unknown model %q", sc.Model)
 	}
-	if sc.Protocol == "core" && desc.Family == plurality.AdversaryByzantine {
-		return fmt.Errorf("exp: adversary %s cannot lie to the core protocol (its samples carry bits and real times, not just colors)", desc.Name)
+	lat, err := parseLatency(sc.Latency)
+	if err != nil {
+		return nil, err
 	}
-	if engine == "leap" {
-		return fmt.Errorf("exp: the leap engine cannot host adversaries (tau-leap batches have no per-event hooks); use engine occupancy or per-node")
+	engine, leapEps, err := sc.engineSpec()
+	if err != nil {
+		return nil, err
 	}
-	if engine == "occupancy" && desc.PerNode {
-		return fmt.Errorf("exp: adversary %s needs per-node identity, which the count-collapsed engine does not track; use engine per-node", desc.Name)
+	adv, err := sc.adversarySpec()
+	if err != nil {
+		return nil, err
 	}
-	if engine == "occupancy" && sc.Topology != "complete" {
-		return fmt.Errorf("exp: adversary %s cannot run on the degree-class lumped engine (topology %q); use engine per-node", desc.Name, sc.Topology)
+	eng, ok := engines[engine]
+	if !ok && engine != "" && engine != "auto" {
+		return nil, fmt.Errorf("exp: unknown engine %q", sc.Engine)
 	}
-	return nil
+	set := []setting{{plan.Seed, plurality.WithSeed(seed)}, {plan.Model, plurality.WithModel(m.m)}}
+	add := func(on bool, c plan.Cap, opt plurality.Option) {
+		if on {
+			set = append(set, setting{c, opt})
+		}
+	}
+	add(ok, plan.EngineOpt, plurality.WithEngine(eng.e))
+	add(leapEps > 0, plan.LeapEps, plurality.WithLeapEpsilon(leapEps))
+	add(sc.MaxTime > 0, plan.MaxTime, plurality.WithMaxTime(sc.MaxTime))
+	add(sc.Crash > 0, plan.Crashes, plurality.WithCrashes(sc.Crash))
+	add(sc.Churn > 0, plan.Churn, plurality.WithChurn(sc.Churn))
+	add(lat != nil, plan.EdgeLatency, plurality.WithEdgeLatency(lat))
+	add(sc.DelayRate > 0, plan.ResponseDelay, plurality.WithResponseDelay(sc.DelayRate))
+	// A named adversary rides along even at zero budget, where it is
+	// bit-identical to none; paths that cannot host adversaries refuse it.
+	add(adv.Name != "" && adv.Name != "none", plan.Adversary, plurality.WithAdversary(adv))
+	add(sc.Runtime == "node", plan.Transport, plurality.WithTransport(plurality.NewChanTransport()))
+	add(sc.Runtime == "node-tcp", plan.Transport, plurality.WithTransport(plurality.NewTCPTransport(nodeTCPUnit)))
+	return set, nil
 }
 
 // adversarySpec resolves the Adversary/Budget pair into a budgeted spec
@@ -491,37 +421,6 @@ func (sc Scenario) counts() ([]int64, error) {
 	}
 }
 
-// graph materializes the scenario's topology. Randomized topologies derive
-// their seed from the trial seed, so distinct trials see independent graph
-// samples while the whole run stays deterministic.
-func (sc Scenario) graph(seed uint64) (plurality.Graph, error) {
-	switch sc.Topology {
-	case "complete":
-		return plurality.CompleteGraph(sc.N)
-	case "cycle":
-		return plurality.CycleGraph(sc.N)
-	case "torus":
-		side := int(math.Round(math.Sqrt(float64(sc.N))))
-		return plurality.TorusGraph(side, side)
-	case "gnp":
-		return plurality.RandomGraph(sc.N, sc.TopologyParam, rng.At(seed, graphStream).Uint64())
-	case "random-regular":
-		return plurality.RandomRegularGraph(sc.N, int(sc.TopologyParam), rng.At(seed, graphStream).Uint64())
-	case "annealed":
-		// The annealed regular model has no quenched wiring to sample, so
-		// the graph is seed-free and identical across trials.
-		return plurality.AnnealedRegularGraph(sc.N, int(sc.TopologyParam))
-	case "annealed-gnp":
-		g, err := plurality.RandomGraph(sc.N, sc.TopologyParam, rng.At(seed, graphStream).Uint64())
-		if err != nil {
-			return nil, err
-		}
-		return plurality.AnnealedGraph(g)
-	default:
-		return nil, fmt.Errorf("exp: unknown topology %q", sc.Topology)
-	}
-}
-
 // Derived-stream indices for the per-trial seed. The library runners
 // consume streams 0 and 1 of each seed, so the harness claims high indices
 // for its own draws.
@@ -530,19 +429,26 @@ const (
 	graphStream   = 1<<10 + 1
 )
 
-// model maps the scenario's scheduler name to the public option value.
-func (sc Scenario) model() (plurality.Model, error) {
-	switch sc.Model {
-	case "sequential":
-		return plurality.Sequential, nil
-	case "poisson":
-		return plurality.Poisson, nil
-	case "heap-poisson":
-		return plurality.HeapPoisson, nil
-	default:
-		return 0, fmt.Errorf("exp: unknown model %q", sc.Model)
+// models and engines map the scenario's scheduler and engine names to the
+// public option values and the planner's capabilities.
+var (
+	models = map[string]struct {
+		m plurality.Model
+		c plan.Cap
+	}{
+		"sequential":   {plurality.Sequential, plan.Sequential},
+		"poisson":      {plurality.Poisson, plan.Poisson},
+		"heap-poisson": {plurality.HeapPoisson, plan.HeapPoisson},
 	}
-}
+	engines = map[string]struct {
+		e plurality.Engine
+		c plan.Cap
+	}{
+		"per-node":  {plurality.EnginePerNode, plan.WantPerNode},
+		"occupancy": {plurality.EngineOccupancy, plan.WantOccupancy},
+		"leap":      {plurality.EngineLeap, plan.WantLeap},
+	}
+)
 
 // RunScenario executes one trial of the scenario under the given seed with
 // a background context; see RunScenarioCtx.
@@ -555,6 +461,10 @@ func RunScenario(sc Scenario, seed uint64) (Trial, error) {
 // -timeout flag lands here). A run that exhausts its time budget is not an
 // error: it returns a Trial with Done == false so sweeps can record the
 // failure rate. Cancellation and invalid configurations abort.
+//
+// Population cells run shuffled: the workloads assign colors in contiguous
+// index blocks, which spatial topologies would read as clustered opinions.
+// Histogram and node-runtime cells run from the counts alone.
 func RunScenarioCtx(ctx context.Context, sc Scenario, seed uint64) (Trial, error) {
 	if err := sc.Validate(); err != nil {
 		return Trial{}, err
@@ -563,86 +473,48 @@ func RunScenarioCtx(ctx context.Context, sc Scenario, seed uint64) (Trial, error
 	if err != nil {
 		return Trial{}, err
 	}
-	if sc.nodeRuntime() {
-		// Networked cells run real node processes through the public
-		// Cluster path; like the counts path they never shuffle a
-		// population (the clique is exchangeable, so block placement is
-		// statistically irrelevant).
-		return runNodeScenario(ctx, sc, counts, seed)
-	}
-	if engine, _, _ := sc.engineSpec(); engine == "occupancy" || engine == "leap" {
-		// The count-collapsed cells never materialize a population: O(k)
-		// memory regardless of n, so a 10⁸-node cell costs as much as a
-		// 10³-node one. Node placement is irrelevant on the clique, hence
-		// no Shuffle either.
-		return runCountsScenario(ctx, sc, counts, seed)
-	}
-	pop, err := plurality.NewPopulation(counts)
+	set, err := sc.settings(seed)
 	if err != nil {
 		return Trial{}, err
+	}
+	opts := make([]plurality.Option, len(set), len(set)+1)
+	for i, st := range set {
+		opts[i] = st.opt
 	}
 	// The workloads designate the most frequent color (lowest index on
-	// ties) as the plurality; Shuffle below permutes holders, not counts.
-	plurColor := pop.Plurality()
-	// FromCounts assigns colors in contiguous index blocks, which spatial
-	// topologies would read as adversarially clustered opinions; shuffle
-	// so every topology starts from a uniformly random placement.
-	pop.Shuffle(rng.At(seed, shuffleStream))
-
-	g, err := sc.graph(seed)
-	if err != nil {
-		return Trial{}, err
+	// ties) as the plurality, same rule as Population.Plurality.
+	plurColor := plurality.Color(0)
+	for c := 1; c < len(counts); c++ {
+		if counts[c] > counts[plurColor] {
+			plurColor = plurality.Color(c)
+		}
 	}
-	m, err := sc.model()
-	if err != nil {
-		return Trial{}, err
+	var pop *plurality.Population
+	if !sc.nodeRuntime() && !sc.histogram() {
+		if pop, err = plurality.NewPopulation(counts); err != nil {
+			return Trial{}, err
+		}
+		pop.Shuffle(rng.At(seed, shuffleStream))
 	}
-	lat, err := parseLatency(sc.Latency)
-	if err != nil {
-		return Trial{}, err
+	if topo := sc.topology(); !sc.nodeRuntime() && (pop != nil || topo.Class() != graph.SymClique) {
+		// Randomized topologies derive their seed from the trial seed, so
+		// distinct trials see independent graph samples.
+		g, err := topo.Build(sc.N, rng.At(seed, graphStream).Uint64())
+		if err != nil {
+			return Trial{}, err
+		}
+		opts = append(opts, plurality.WithGraph(g))
 	}
-
-	opts := []plurality.Option{
-		plurality.WithSeed(seed),
-		plurality.WithModel(m),
-		plurality.WithGraph(g),
-	}
-	if sc.MaxTime > 0 {
-		opts = append(opts, plurality.WithMaxTime(sc.MaxTime))
-	}
-	if sc.Crash > 0 {
-		opts = append(opts, plurality.WithCrashes(sc.Crash))
-	}
-	if sc.Churn > 0 {
-		opts = append(opts, plurality.WithChurn(sc.Churn))
-	}
-	if lat != nil {
-		opts = append(opts, plurality.WithEdgeLatency(lat))
-	}
-	if sc.DelayRate > 0 {
-		opts = append(opts, plurality.WithResponseDelay(sc.DelayRate))
-	}
-	if adv, err := sc.adversarySpec(); err != nil {
-		return Trial{}, err
-	} else if adv.Active() {
-		opts = append(opts, plurality.WithAdversary(adv))
-	}
-	if sc.Engine == "per-node" && sc.Protocol != "core" {
-		// The core protocol always runs per node (Scenario.Validate accepts
-		// the redundant engine spelling for it, as it always has); the
-		// strict Job layer would reject the no-op option.
-		opts = append(opts, plurality.WithEngine(plurality.EnginePerNode))
-	}
-
-	// The shuffled placement matters on spatial topologies, so the job
-	// runs on the prepared population (RunOn) rather than from its bound
-	// counts; fixed-seed results are bit-identical to the legacy RunX
-	// calls, which share the same execution layer.
 	job, err := plurality.NewJob(sc.Protocol, counts, opts...)
 	if err != nil {
 		return Trial{}, err
 	}
-	rep, err := job.RunOn(ctx, pop)
+	var rep plurality.Report
+	if pop != nil {
+		rep, err = job.RunOn(ctx, pop)
+	} else {
+		rep, err = job.Run(ctx)
+	}
 	return trialFromReport(sc, rep, plurColor, err)
 }
 
@@ -650,103 +522,6 @@ func RunScenarioCtx(ctx context.Context, sc Scenario, seed uint64) (Trial, error
 // wall clock per time unit keeps a smoke cell inside CI budgets while still
 // exercising real sockets end to end.
 const nodeTCPUnit = 2 * time.Millisecond
-
-// runNodeScenario executes one trial on the networked node runtime: one
-// goroutine-backed process per node, pulling opinions over the scenario's
-// transport ("node" = the deterministic in-process fabric, "node-tcp" =
-// loopback TCP). The trial's Time is the cluster's consensus instant — the
-// same observable the simulator reports — not the longer halting tail the
-// termination gadget adds after it.
-func runNodeScenario(ctx context.Context, sc Scenario, counts []int64, seed uint64) (Trial, error) {
-	// The workloads designate the most frequent color (lowest index on
-	// ties) as the plurality, same rule as Population.Plurality.
-	plurColor := plurality.Color(0)
-	for c := 1; c < len(counts); c++ {
-		if counts[c] > counts[plurColor] {
-			plurColor = plurality.Color(c)
-		}
-	}
-	var transport plurality.Transport
-	if sc.Runtime == "node-tcp" {
-		transport = plurality.NewTCPTransport(nodeTCPUnit)
-	} else {
-		transport = plurality.NewChanTransport()
-	}
-	opts := []plurality.Option{
-		plurality.WithSeed(seed),
-		plurality.WithModel(plurality.Poisson),
-		plurality.WithTransport(transport),
-	}
-	if sc.MaxTime > 0 {
-		opts = append(opts, plurality.WithMaxTime(sc.MaxTime))
-	}
-	job, err := plurality.NewJob(sc.Protocol, counts, opts...)
-	if err != nil {
-		return Trial{}, err
-	}
-	rep, err := job.Run(ctx)
-	return trialFromReport(sc, rep, plurColor, err)
-}
-
-// runCountsScenario executes one count-collapsed trial (occupancy or leap
-// engine) directly on the color histogram.
-func runCountsScenario(ctx context.Context, sc Scenario, counts []int64, seed uint64) (Trial, error) {
-	// The workloads designate the most frequent color (lowest index on
-	// ties) as the plurality, same rule as Population.Plurality.
-	plurColor := plurality.Color(0)
-	for c := 1; c < len(counts); c++ {
-		if counts[c] > counts[plurColor] {
-			plurColor = plurality.Color(c)
-		}
-	}
-	m, err := sc.model()
-	if err != nil {
-		return Trial{}, err
-	}
-	engine, leapEps, err := sc.engineSpec()
-	if err != nil {
-		return Trial{}, err
-	}
-	engOpt := plurality.EngineOccupancy
-	if engine == "leap" {
-		engOpt = plurality.EngineLeap
-	}
-	opts := []plurality.Option{
-		plurality.WithSeed(seed),
-		plurality.WithModel(m),
-		plurality.WithEngine(engOpt),
-	}
-	if sc.Topology != "complete" {
-		// Annealed topologies collapse to the degree-class lumped engine;
-		// the counts run needs the graph to read the class structure, but
-		// still no per-node population.
-		g, err := sc.graph(seed)
-		if err != nil {
-			return Trial{}, err
-		}
-		opts = append(opts, plurality.WithGraph(g))
-	}
-	if leapEps > 0 {
-		opts = append(opts, plurality.WithLeapEpsilon(leapEps))
-	}
-	if sc.MaxTime > 0 {
-		opts = append(opts, plurality.WithMaxTime(sc.MaxTime))
-	}
-	if sc.Churn > 0 {
-		opts = append(opts, plurality.WithChurn(sc.Churn))
-	}
-	if adv, err := sc.adversarySpec(); err != nil {
-		return Trial{}, err
-	} else if adv.Active() {
-		opts = append(opts, plurality.WithAdversary(adv))
-	}
-	job, err := plurality.NewJob(sc.Protocol, counts, opts...)
-	if err != nil {
-		return Trial{}, err
-	}
-	rep, err := job.Run(ctx)
-	return trialFromReport(sc, rep, plurColor, err)
-}
 
 // trialFromReport maps a Job report onto the harness's Trial, tolerating
 // the convergence-failure sentinels (a timed-out cell is data, not an

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"plurality"
+	"plurality/internal/graph"
 	"plurality/internal/par"
 	"plurality/internal/rng"
 	"plurality/internal/stats"
@@ -97,18 +98,13 @@ func applyAxis(sc *Scenario, name, value string) error {
 			sc.BiasParam = v
 		}
 	case "topology":
-		// "complete" | "cycle" | "torus" | "gnp:<p>" | "random-regular:<d>"
-		// | "annealed:<d>" | "annealed-gnp:<p>".
-		topo, param, has := strings.Cut(value, ":")
-		sc.Topology = topo
-		sc.TopologyParam = 0
-		if has {
-			v, err := strconv.ParseFloat(param, 64)
-			if err != nil {
-				return bad(err)
-			}
-			sc.TopologyParam = v
+		// The shared grammar: "complete" | "cycle" | "torus" | "gnp:<p>" |
+		// "random-regular:<d>" | "annealed:<d>" | "annealed-gnp:<p>".
+		spec, err := graph.ParseSpec(value)
+		if err != nil {
+			return bad(err)
 		}
+		sc.Topology, sc.TopologyParam = spec.Name, spec.Param
 	case "crash":
 		v, err := strconv.ParseFloat(value, 64)
 		if err != nil {

@@ -21,6 +21,7 @@ import (
 	"plurality/internal/graph"
 	"plurality/internal/lumped"
 	"plurality/internal/occupancy"
+	"plurality/internal/plan"
 	"plurality/internal/population"
 	"plurality/internal/rng"
 	"plurality/internal/sched"
@@ -289,59 +290,29 @@ func validateUndecided(pop *population.Population, rule Rule) error {
 	return nil
 }
 
-// Engine selects RunAsync's execution strategy.
+// Engine selects RunAsync's execution strategy: the engine a run asks
+// for. plan.Choose resolves it to the path that runs.
 type Engine int
 
 const (
-	// EngineAuto (the default) picks a count-collapsed engine whenever the
-	// run is collapsible — the occupancy engine on the complete graph, the
-	// degree-class lumped engine on annealed configuration-model topologies
-	// (graph.Classed); both additionally need no response delays, no edge
-	// latencies, no per-tick observer (and the lumped engine no adversary) —
-	// and the per-node engine otherwise. The collapsed engines are
-	// distributionally equivalent to the per-node engine (the collapses are
-	// exact) but consume the RNG differently, so fixed-seed trajectories
-	// differ between them.
+	// EngineAuto (the default) takes the first engine that hosts the run
+	// in plan's preference order. The collapsed engines are exact but
+	// consume the RNG differently, so fixed-seed trajectories differ.
 	EngineAuto Engine = iota
 	// EnginePerNode forces the per-node simulation.
 	EnginePerNode
 	// EngineOccupancy requires count-collapsed execution — the occupancy
 	// engine on the clique or the lumped engine on a graph.Classed topology;
-	// RunAsync fails with a descriptive error if the configuration is not
-	// collapsible.
+	// a run no collapsed engine hosts fails with plan.Choose's rejection.
 	EngineOccupancy
 	// EngineLeap requires the hybrid tau-leap/mean-field engine: the
 	// count-collapsed histogram advanced many transitions per step, with
 	// automatic handoff to the mean-field ODE in the fluctuation-free bulk
 	// and automatic fallback to the exact jump chain near small buckets.
 	// Approximate by design (error budget via AsyncConfig.Leap) and built
-	// for n beyond the exact engine's reach (10¹⁰–10¹²⁺); it needs a
-	// collapsible churn-free run, a FlowKernel-ed rule and a
-	// Sequential/Poisson scheduler.
+	// for n beyond the exact engine's reach (10¹⁰–10¹²⁺).
 	EngineLeap
 )
-
-// LeapAutoN is the histogram total from which EngineAuto escalates counts
-// runs to the hybrid leap engine (when the rule and scheduler support it):
-// beyond the exact engine's practical ceiling, so sub-threshold behavior is
-// unchanged.
-const LeapAutoN int64 = 10_000_000_000
-
-// String implements fmt.Stringer.
-func (e Engine) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EnginePerNode:
-		return "per-node"
-	case EngineOccupancy:
-		return "occupancy"
-	case EngineLeap:
-		return "leap"
-	default:
-		return fmt.Sprintf("engine(%d)", int(e))
-	}
-}
 
 // AsyncConfig configures an asynchronous run.
 type AsyncConfig struct {
@@ -376,7 +347,7 @@ type AsyncConfig struct {
 	// Engine selects the execution strategy (default EngineAuto).
 	Engine Engine
 	// Leap carries the error-budget knobs of the hybrid leap engine
-	// (EngineLeap, or EngineAuto runs escalated past LeapAutoN); the zero
+	// (EngineLeap, or EngineAuto runs escalated past plan.LeapAutoN); the zero
 	// value selects the occupancy package's defaults. Ignored by the exact
 	// engines.
 	Leap occupancy.LeapConfig
@@ -396,10 +367,8 @@ type AsyncConfig struct {
 	// redirect or suppress activations, corruption adversaries flip
 	// opinions at parallel-time window boundaries, Byzantine adversaries
 	// lie inside the sampling path. Collapsed runs execute it in the
-	// occupancy engine's exact tick mode; the hybrid leap engine cannot
-	// honor it (corruption breaks the exchangeability-preserving flow
-	// laws), so EngineLeap rejects a non-nil adversary and EngineAuto never
-	// escalates adversarial runs past LeapAutoN.
+	// occupancy engine's exact tick mode; plan.Choose records which engines
+	// host which families.
 	Adversary *adversary.Adversary
 }
 
@@ -425,6 +394,8 @@ type AsyncResult struct {
 	// Biased is the number of activations the adversary redirected or
 	// suppressed.
 	Biased int64
+	// Engine is the execution path plan.Choose picked for the run.
+	Engine plan.Engine
 }
 
 // pendingUpdate is a decided but not yet applied opinion change, waiting for
@@ -451,36 +422,36 @@ func RunAsync(pop *population.Population, rule Rule, cfg AsyncConfig) (AsyncResu
 const stopCheckStride = 1024
 
 // RunAsync is Runner's scratch-pooling equivalent of the package-level
-// RunAsync; results for a fixed seed are bit-identical.
+// RunAsync; results for a fixed seed are bit-identical. plan.Choose picks
+// the engine: on the clique the occupancy (or leap) engine runs on the color
+// histogram, on graph.Classed topologies the lumped engine on the
+// (degree-class × color) matrix, and the per-node engine otherwise.
 func (rn *Runner) RunAsync(pop *population.Population, rule Rule, cfg AsyncConfig) (AsyncResult, error) {
 	if err := validateAsync(pop, rule, cfg); err != nil {
 		return AsyncResult{}, err
 	}
-	if pop.IsUnanimous() {
-		return AsyncResult{Done: true, Winner: pop.Plurality()}, nil
+	eng, err := plan.Choose(request(cfg, rule, pop.K(), int64(pop.N()), false))
+	if err != nil {
+		return AsyncResult{}, fmt.Errorf("dynamics: %w", err)
 	}
+	var res AsyncResult
+	switch {
+	case pop.IsUnanimous():
+		res = AsyncResult{Done: true, Winner: pop.Plurality()}
+	case eng == plan.Lumped:
+		res, err = rn.runLumped(pop, rule, cfg)
+	case eng == plan.Occupancy || eng == plan.Leap:
+		res, err = rn.runCollapsed(pop, rule, cfg, eng)
+	default:
+		res, err = rn.runPerNode(pop, rule, cfg)
+	}
+	res.Engine = eng
+	return res, err
+}
 
-	// Count-collapsed fast paths. On the clique the configuration is the
-	// color histogram, so the run executes on k counts instead of n nodes
-	// (O(k) state, and kerneled rules leap over no-op activations entirely).
-	// On annealed configuration-model topologies (graph.Classed) the
-	// configuration is the (degree-class × color) count matrix, so the run
-	// executes on D·k counts in the lumped engine. Both collapses are exact;
-	// see the occupancy and lumped packages' equivalence gates.
-	if cfg.Engine != EnginePerNode {
-		blocker := collapseBlocker(cfg)
-		if blocker == "" {
-			return rn.runCollapsed(pop, rule, cfg)
-		}
-		if cfg.Engine == EngineLeap {
-			return AsyncResult{}, fmt.Errorf("dynamics: the %s engine needs a count-collapsible run, but %s", cfg.Engine, blocker)
-		}
-		if lumpedBlocker := lumpBlocker(cfg); lumpedBlocker == "" {
-			return rn.runLumped(pop, rule, cfg)
-		} else if cfg.Engine == EngineOccupancy {
-			return AsyncResult{}, fmt.Errorf("dynamics: the %s engine needs a count-collapsed run, but %s, and %s", cfg.Engine, blocker, lumpedBlocker)
-		}
-	}
+// runPerNode executes the run node by node: every activation samples,
+// decides and applies on the population itself.
+func (rn *Runner) runPerNode(pop *population.Population, rule Rule, cfg AsyncConfig) (AsyncResult, error) {
 	var (
 		n        = pop.N()
 		s        = rule.SampleCount()
@@ -711,102 +682,93 @@ func (rn *Runner) emitSnapshot(fn func(Snapshot), pop *population.Population, no
 	fn(Snapshot{Time: now, Ticks: ticks, Counts: buf, Undecided: pop.Undecided()})
 }
 
-// collapseBlocker reports why the run cannot execute count-collapsed; ""
-// means it can. Churn composes fine (a churn event is itself a histogram
-// transition), and so does an undecided state when the rule declares it
-// (occupancy.Undecided gives it a histogram bucket; undecided populations
-// under other rules are already rejected by validateUndecided); per-node
-// pending state — delays, latencies — and per-tick population observers do
-// not.
-func collapseBlocker(cfg AsyncConfig) string {
-	if _, ok := cfg.Graph.(graph.Complete); !ok {
-		return fmt.Sprintf("topology %T is not the complete graph", cfg.Graph)
+// request describes the run to the engine planner; histogram marks the
+// counts entry point, n the node count.
+func request(cfg AsyncConfig, rule Rule, k int, n int64, histogram bool) plan.Request {
+	r := plan.Request{
+		Want:      plan.WantAuto + plan.Cap(cfg.Engine), // Engine lists the wants in plan's order
+		Topology:  graph.SymmetryOf(cfg.Graph),
+		FlowLaw:   occupancy.Leapable(rule, k),
+		Histogram: histogram,
+		N:         n,
 	}
-	if cfg.OnTick != nil {
-		return "an OnTick observer needs the per-node population"
+	switch cfg.Scheduler.(type) {
+	case *sched.Sequential:
+		r.Model = plan.Sequential
+	case *sched.Poisson:
+		r.Model = plan.Poisson
+	default:
+		// HeapPoisson, or any other scheduler without an O(1) rate law.
+		r.Model = plan.HeapPoisson
+	}
+	if _, zero := cfg.Delay.(sched.ZeroDelay); cfg.Delay != nil && !zero {
+		r.Opts |= plan.Of(plan.ResponseDelay)
 	}
 	if cfg.Latency != nil {
-		return "edge latencies need per-node pending state"
+		r.Opts |= plan.Of(plan.EdgeLatency)
 	}
-	if cfg.Delay != nil {
-		if _, zero := cfg.Delay.(sched.ZeroDelay); !zero {
-			return "response delays need per-node pending state"
-		}
+	if cfg.Churn > 0 {
+		r.Opts |= plan.Of(plan.Churn)
 	}
-	if cfg.Adversary != nil && cfg.Adversary.Desc().PerNode {
-		return fmt.Sprintf("adversary %s targets individual nodes, which the count-collapsed engine does not track", cfg.Adversary.Desc().Name)
+	if cfg.OnTick != nil {
+		r.Opts |= plan.Of(plan.TickObserver)
 	}
-	return ""
+	if cfg.OnSnapshot != nil {
+		r.Opts |= plan.Of(plan.Observer)
+	}
+	if adv := cfg.Adversary; adv != nil {
+		r.Opts |= plan.Of(plan.Adversary)
+		r.Family, r.PerNode = adv.Family(), adv.Desc().PerNode
+	}
+	return r
+}
+
+// occupancyConfig is the occupancy engine's configuration of a run, shared
+// by the population and histogram entry points.
+func occupancyConfig(cfg AsyncConfig, undecided int64) occupancy.Config {
+	g, _ := cfg.Graph.(graph.Complete)
+	return occupancy.Config{
+		WithSelf:        g.WithSelf,
+		Scheduler:       cfg.Scheduler,
+		Rand:            cfg.Rand,
+		MaxTime:         cfg.MaxTime,
+		Churn:           cfg.Churn,
+		Undecided:       undecided,
+		Stop:            cfg.Stop,
+		ObserveInterval: cfg.ObserveInterval,
+		OnObserve:       cfg.OnSnapshot,
+		Adversary:       cfg.Adversary,
+	}
+}
+
+// runOccupancy executes counts on the occupancy engine, or on the hybrid
+// leap engine when eng is plan.Leap, updating counts in place.
+func (rn *Runner) runOccupancy(counts []int64, rule Rule, cfg AsyncConfig, undecided int64, eng plan.Engine) (occupancy.Result, error) {
+	occCfg := occupancyConfig(cfg, undecided)
+	if eng == plan.Leap {
+		lres, err := rn.occ.RunLeap(counts, rule, occCfg, cfg.Leap)
+		return lres.Result, err
+	}
+	return rn.occ.Run(counts, rule, occCfg)
 }
 
 // runCollapsed executes the run on the color histogram and writes the final
 // histogram back into pop (on the clique, which node ends up with which
 // color carries no information). Rules with an undecided state carry it in
 // the hidden bucket the occupancy engine appends (occupancy.Undecided).
-func (rn *Runner) runCollapsed(pop *population.Population, rule Rule, cfg AsyncConfig) (AsyncResult, error) {
-	g := cfg.Graph.(graph.Complete)
+func (rn *Runner) runCollapsed(pop *population.Population, rule Rule, cfg AsyncConfig, eng plan.Engine) (AsyncResult, error) {
 	counts := pop.Counts()
-	occCfg := occupancy.Config{
-		WithSelf:        g.WithSelf,
-		Scheduler:       cfg.Scheduler,
-		Rand:            cfg.Rand,
-		MaxTime:         cfg.MaxTime,
-		Churn:           cfg.Churn,
-		Undecided:       pop.Undecided(),
-		Stop:            cfg.Stop,
-		ObserveInterval: cfg.ObserveInterval,
-		OnObserve:       cfg.OnSnapshot,
-		Adversary:       cfg.Adversary,
-	}
-	var (
-		res occupancy.Result
-		err error
-	)
-	if cfg.Engine == EngineLeap {
-		var lres occupancy.LeapResult
-		lres, err = rn.occ.RunLeap(counts, rule, occCfg, cfg.Leap)
-		res = lres.Result
-	} else {
-		res, err = rn.occ.Run(counts, rule, occCfg)
-	}
-	if err != nil && !errors.Is(err, occupancy.ErrTimeLimit) && !errors.Is(err, occupancy.ErrStopped) {
-		// A hard error means the run never executed: surface it and leave
-		// the population untouched (a write-back of the zero-valued result
-		// would only mask the cause with a shape error).
+	res, err := rn.runOccupancy(counts, rule, cfg, pop.Undecided(), eng)
+	if hardError(err) {
+		// The run never executed: surface the cause and leave the
+		// population untouched (a write-back of the zero-valued result
+		// would only mask it with a shape error).
 		return AsyncResult{}, err
 	}
 	if serr := pop.SetCountsUndecided(counts, res.Undecided); serr != nil {
 		return AsyncResult{}, serr
 	}
 	return collapsedResult(res, err, rule, cfg.MaxTime)
-}
-
-// lumpBlocker reports why the run cannot execute degree-class lumped; ""
-// means it can. The lumped collapse needs a topology that reports a lumpable
-// symmetry (graph.Classed — annealed configuration models, where nodes are
-// exchangeable within a degree class) and, like the clique collapse, no
-// per-node pending state or per-tick observer. Adversaries additionally
-// block it outright: bias and corruption target concrete nodes or exploit
-// the clique histogram, neither of which the class matrix represents.
-func lumpBlocker(cfg AsyncConfig) string {
-	if _, ok := cfg.Graph.(graph.Classed); !ok {
-		return fmt.Sprintf("topology %T does not report a lumpable degree-class symmetry (graph.Classed)", cfg.Graph)
-	}
-	if cfg.OnTick != nil {
-		return "an OnTick observer needs the per-node population"
-	}
-	if cfg.Latency != nil {
-		return "edge latencies need per-node pending state"
-	}
-	if cfg.Delay != nil {
-		if _, zero := cfg.Delay.(sched.ZeroDelay); !zero {
-			return "response delays need per-node pending state"
-		}
-	}
-	if cfg.Adversary != nil {
-		return fmt.Sprintf("adversary %s needs the per-node engine on non-complete topologies", cfg.Adversary.Desc().Name)
-	}
-	return ""
 }
 
 // runLumped executes the run on the (degree-class × color) count matrix of a
@@ -817,21 +779,9 @@ func lumpBlocker(cfg AsyncConfig) string {
 // mirroring population.FromCounts's block convention.
 func (rn *Runner) runLumped(pop *population.Population, rule Rule, cfg AsyncConfig) (AsyncResult, error) {
 	classes := cfg.Graph.(graph.Classed).Classes()
-	D := len(classes)
 	k := pop.K()
-	if cap(rn.lumpM) < D*k {
-		rn.lumpM = make([]int64, D*k)
-	}
-	m := rn.lumpM[:D*k]
-	clear(m)
-	var und []int64
-	if _, ok := rule.(occupancy.Undecided); ok {
-		if cap(rn.lumpU) < D {
-			rn.lumpU = make([]int64, D)
-		}
-		und = rn.lumpU[:D]
-		clear(und)
-	}
+	_, undecided := rule.(occupancy.Undecided)
+	m, und := rn.lumpMatrix(len(classes), k, undecided)
 	u := 0
 	for a, cl := range classes {
 		for i := int64(0); i < cl.Count; i++ {
@@ -845,19 +795,8 @@ func (rn *Runner) runLumped(pop *population.Population, rule Rule, cfg AsyncConf
 			u++
 		}
 	}
-	res, err := rn.lum.Run(m, und, rule, lumped.Config{
-		Classes:         classes,
-		Scheduler:       cfg.Scheduler,
-		Rand:            cfg.Rand,
-		MaxTime:         cfg.MaxTime,
-		Churn:           cfg.Churn,
-		Stop:            cfg.Stop,
-		ObserveInterval: cfg.ObserveInterval,
-		OnObserve:       cfg.OnSnapshot,
-	})
-	if err != nil && !errors.Is(err, occupancy.ErrTimeLimit) && !errors.Is(err, occupancy.ErrStopped) {
-		// A hard error means the run never executed: surface it and leave
-		// the population untouched.
+	res, err := rn.lum.Run(m, und, rule, lumpedConfig(cfg, classes))
+	if hardError(err) {
 		return AsyncResult{}, err
 	}
 	u = 0
@@ -878,13 +817,43 @@ func (rn *Runner) runLumped(pop *population.Population, rule Rule, cfg AsyncConf
 	return collapsedResult(res, err, rule, cfg.MaxTime)
 }
 
-// RunAsyncCounts executes rule directly on a color histogram with the
-// count-collapsed occupancy engine — the O(k)-memory entry point for
-// populations too large to materialize per node (n = 10⁸–10⁹). counts is
-// mutated in place to the final histogram. cfg.Graph may be nil (the
-// complete graph on the histogram total is implied) or a graph.Complete
-// whose node count matches; everything collapseBlocker rejects is an error
-// here, as is EnginePerNode.
+// lumpedConfig is the lumped engine's configuration of a run, shared by the
+// population and histogram entry points.
+func lumpedConfig(cfg AsyncConfig, classes []graph.Class) lumped.Config {
+	return lumped.Config{
+		Classes:         classes,
+		Scheduler:       cfg.Scheduler,
+		Rand:            cfg.Rand,
+		MaxTime:         cfg.MaxTime,
+		Churn:           cfg.Churn,
+		Stop:            cfg.Stop,
+		ObserveInterval: cfg.ObserveInterval,
+		OnObserve:       cfg.OnSnapshot,
+	}
+}
+
+// lumpMatrix returns the pooled, zeroed D×k class × color matrix and, when
+// undecided is set, the pooled, zeroed per-class undecided column.
+func (rn *Runner) lumpMatrix(D, k int, undecided bool) (m, und []int64) {
+	if cap(rn.lumpM) < D*k {
+		rn.lumpM = make([]int64, D*k)
+	}
+	m = rn.lumpM[:D*k]
+	clear(m)
+	if undecided {
+		if cap(rn.lumpU) < D {
+			rn.lumpU = make([]int64, D)
+		}
+		und = rn.lumpU[:D]
+		clear(und)
+	}
+	return m, und
+}
+
+// RunAsyncCounts executes rule directly on a color histogram (mutated in
+// place) with the count-collapsed engine plan.Choose picks — the O(k)-memory
+// entry point for populations too large to materialize. cfg.Graph may be nil
+// (the implied clique), a graph.Complete or a graph.Classed of matching size.
 func RunAsyncCounts(counts []int64, rule Rule, cfg AsyncConfig) (AsyncResult, error) {
 	var rn Runner
 	return rn.RunAsyncCounts(counts, rule, cfg)
@@ -896,76 +865,8 @@ func (rn *Runner) RunAsyncCounts(counts []int64, rule Rule, cfg AsyncConfig) (As
 	if rule == nil {
 		return AsyncResult{}, errors.New("dynamics: nil rule")
 	}
-	if cfg.Engine == EnginePerNode {
-		return AsyncResult{}, errors.New("dynamics: counts runs are count-collapsed by definition; materialize a Population for the per-node engine")
-	}
 	if cfg.Engine < EngineAuto || cfg.Engine > EngineLeap {
 		return AsyncResult{}, fmt.Errorf("dynamics: unknown engine %d", cfg.Engine)
-	}
-	withSelf := false
-	if cfg.Graph != nil {
-		if cl, ok := cfg.Graph.(graph.Classed); ok {
-			return rn.runLumpedCounts(counts, rule, cfg, cl)
-		}
-		g, ok := cfg.Graph.(graph.Complete)
-		if !ok {
-			return AsyncResult{}, fmt.Errorf("dynamics: counts runs need the complete graph or a degree-class lumpable (graph.Classed) topology, got %T", cfg.Graph)
-		}
-		var n int64
-		for _, v := range counts {
-			n += v
-		}
-		if int64(g.N()) != n {
-			return AsyncResult{}, fmt.Errorf("dynamics: graph has %d nodes, histogram %d", g.N(), n)
-		}
-		withSelf = g.WithSelf
-	}
-	if cfg.OnTick != nil || cfg.Latency != nil || cfg.Delay != nil {
-		return AsyncResult{}, errors.New("dynamics: counts runs support neither delays, latencies nor OnTick observers (per-node state)")
-	}
-	if adv := cfg.Adversary; adv != nil {
-		if cfg.Engine == EngineLeap {
-			return AsyncResult{}, errLeapAdversary(adv)
-		}
-		if adv.Desc().PerNode {
-			return AsyncResult{}, fmt.Errorf("dynamics: adversary %s targets individual nodes, which counts runs do not track", adv.Desc().Name)
-		}
-	}
-	occCfg := occupancy.Config{
-		WithSelf:        withSelf,
-		Scheduler:       cfg.Scheduler,
-		Rand:            cfg.Rand,
-		MaxTime:         cfg.MaxTime,
-		Churn:           cfg.Churn,
-		Stop:            cfg.Stop,
-		ObserveInterval: cfg.ObserveInterval,
-		OnObserve:       cfg.OnSnapshot,
-		Adversary:       cfg.Adversary,
-	}
-	if cfg.Engine == EngineLeap || autoLeap(counts, rule, cfg) {
-		lres, err := rn.occ.RunLeap(counts, rule, occCfg, cfg.Leap)
-		return collapsedResult(lres.Result, err, rule, cfg.MaxTime)
-	}
-	res, err := rn.occ.Run(counts, rule, occCfg)
-	return collapsedResult(res, err, rule, cfg.MaxTime)
-}
-
-// runLumpedCounts executes a counts run on a graph.Classed topology: the
-// histogram is split into the (degree-class × color) matrix along the
-// canonical color-major node layout (population.FromCounts's blocks
-// intersected with the contiguous class ranges), run in the lumped engine,
-// and the final matrix folded back into counts. Always exact — the hybrid
-// leap engine's flow laws are clique-only, so EngineLeap is rejected and
-// EngineAuto never escalates lumped runs past LeapAutoN.
-func (rn *Runner) runLumpedCounts(counts []int64, rule Rule, cfg AsyncConfig, g graph.Classed) (AsyncResult, error) {
-	if cfg.Engine == EngineLeap {
-		return AsyncResult{}, fmt.Errorf("dynamics: the leap engine needs the complete graph, got %T", cfg.Graph)
-	}
-	if cfg.OnTick != nil || cfg.Latency != nil || cfg.Delay != nil {
-		return AsyncResult{}, errors.New("dynamics: counts runs support neither delays, latencies nor OnTick observers (per-node state)")
-	}
-	if adv := cfg.Adversary; adv != nil {
-		return AsyncResult{}, fmt.Errorf("dynamics: adversary %s needs the per-node or clique-collapsed engine; the lumped engine cannot honor adversaries", adv.Desc().Name)
 	}
 	var n int64
 	for c, v := range counts {
@@ -974,17 +875,33 @@ func (rn *Runner) runLumpedCounts(counts []int64, rule Rule, cfg AsyncConfig, g 
 		}
 		n += v
 	}
-	if int64(g.N()) != n {
-		return AsyncResult{}, fmt.Errorf("dynamics: graph has %d nodes, histogram %d", g.N(), n)
+	eng, err := plan.Choose(request(cfg, rule, len(counts), n, true))
+	if err != nil {
+		return AsyncResult{}, fmt.Errorf("dynamics: %w", err)
 	}
-	classes := g.Classes()
-	D := len(classes)
+	if cfg.Graph != nil && int64(cfg.Graph.N()) != n {
+		return AsyncResult{}, fmt.Errorf("dynamics: graph has %d nodes, histogram %d", cfg.Graph.N(), n)
+	}
+	var res AsyncResult
+	if eng == plan.Lumped {
+		res, err = rn.runLumpedCounts(counts, rule, cfg)
+	} else {
+		ores, oerr := rn.runOccupancy(counts, rule, cfg, 0, eng)
+		res, err = collapsedResult(ores, oerr, rule, cfg.MaxTime)
+	}
+	res.Engine = eng
+	return res, err
+}
+
+// runLumpedCounts executes a counts run on a graph.Classed topology: the
+// histogram is split into the (degree-class × color) matrix along the
+// canonical color-major node layout (population.FromCounts's blocks
+// intersected with the contiguous class ranges), run in the lumped engine,
+// and the final matrix folded back into counts.
+func (rn *Runner) runLumpedCounts(counts []int64, rule Rule, cfg AsyncConfig) (AsyncResult, error) {
+	classes := cfg.Graph.(graph.Classed).Classes()
 	k := len(counts)
-	if cap(rn.lumpM) < D*k {
-		rn.lumpM = make([]int64, D*k)
-	}
-	m := rn.lumpM[:D*k]
-	clear(m)
+	m, _ := rn.lumpMatrix(len(classes), k, false)
 	// Color c's block covers nodes [cStart, cStart+counts[c]); class a's
 	// range covers [aStart, aStart+classes[a].Count); each matrix cell is
 	// the overlap of the two intervals.
@@ -1001,23 +918,12 @@ func (rn *Runner) runLumpedCounts(counts []int64, rule Rule, cfg AsyncConfig, g 
 		}
 		cStart = cEnd
 	}
-	res, err := rn.lum.Run(m, nil, rule, lumped.Config{
-		Classes:         classes,
-		Scheduler:       cfg.Scheduler,
-		Rand:            cfg.Rand,
-		MaxTime:         cfg.MaxTime,
-		Churn:           cfg.Churn,
-		Stop:            cfg.Stop,
-		ObserveInterval: cfg.ObserveInterval,
-		OnObserve:       cfg.OnSnapshot,
-	})
-	if err != nil && !errors.Is(err, occupancy.ErrTimeLimit) && !errors.Is(err, occupancy.ErrStopped) {
+	res, err := rn.lum.Run(m, nil, rule, lumpedConfig(cfg, classes))
+	if hardError(err) {
 		return AsyncResult{}, err
 	}
-	for c := range counts {
-		counts[c] = 0
-	}
-	for a := 0; a < D; a++ {
+	clear(counts)
+	for a := range classes {
 		for c := 0; c < k; c++ {
 			counts[c] += m[a*k+c]
 		}
@@ -1025,28 +931,10 @@ func (rn *Runner) runLumpedCounts(counts []int64, rule Rule, cfg AsyncConfig, g 
 	return collapsedResult(res, err, rule, cfg.MaxTime)
 }
 
-// autoLeap reports whether an EngineAuto counts run escalates to the hybrid
-// leap engine: histogram total at least LeapAutoN — past the exact engine's
-// practical ceiling — with every leap precondition met (no churn, a
-// FlowKernel-ed rule, a Sequential or Poisson scheduler). Sub-threshold or
-// ineligible runs keep the exact engine, so existing behavior is unchanged.
-func autoLeap(counts []int64, rule Rule, cfg AsyncConfig) bool {
-	if cfg.Engine != EngineAuto || cfg.Churn != 0 || cfg.Adversary != nil {
-		return false
-	}
-	var n int64
-	for _, v := range counts {
-		n += v
-	}
-	if n < LeapAutoN {
-		return false
-	}
-	switch cfg.Scheduler.(type) {
-	case *sched.Sequential, *sched.Poisson:
-	default:
-		return false
-	}
-	return occupancy.Leapable(rule, len(counts))
+// hardError reports an error that means the collapsed run never executed,
+// as opposed to one that ended it early (time limit, stop).
+func hardError(err error) bool {
+	return err != nil && !errors.Is(err, occupancy.ErrTimeLimit) && !errors.Is(err, occupancy.ErrStopped)
 }
 
 // collapsedResult maps an occupancy result and error onto the package's
@@ -1096,15 +984,5 @@ func validateAsync(pop *population.Population, rule Rule, cfg AsyncConfig) error
 	case cfg.Engine < EngineAuto || cfg.Engine > EngineLeap:
 		return fmt.Errorf("dynamics: unknown engine %d", cfg.Engine)
 	}
-	if cfg.Adversary != nil && cfg.Engine == EngineLeap {
-		return errLeapAdversary(cfg.Adversary)
-	}
 	return validateUndecided(pop, rule)
-}
-
-// errLeapAdversary is the shared rejection for adversarial leap runs: the
-// hybrid engine's flow laws assume an unattacked, exchangeability-preserving
-// trajectory, so adversaries require an exact engine.
-func errLeapAdversary(adv *adversary.Adversary) error {
-	return fmt.Errorf("dynamics: the leap engine cannot honor adversary %s; corruption and bias break its exchangeability-preserving flow laws — use an exact engine", adv.Desc().Name)
 }

@@ -6,14 +6,13 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 
-	"plurality/internal/adversary"
 	"plurality/internal/core"
 	"plurality/internal/graph"
 	"plurality/internal/occupancy"
 	"plurality/internal/par"
+	"plurality/internal/plan"
 	"plurality/internal/protocols"
 	"plurality/internal/protocols/dynamics"
 	"plurality/internal/protocols/onebit"
@@ -111,161 +110,43 @@ func (j *Job) countsPath() bool {
 	return j.kind == KindDynamic && (j.o.engine == EngineOccupancy || j.o.engine == EngineLeap)
 }
 
-// Per-kind masks of the options each runner actually consumes; everything
-// outside the mask is rejected by Validate instead of silently dropped.
-var (
-	commonOptMask = maskOf(idSeed, idTrialWorkers, idObserver)
-	coreOptMask   = commonOptMask | maskOf(idModel, idMaxTime, idResponseDelay,
-		idEdgeLatency, idChurn, idGraph, idProbe, idDelta, idPhases,
-		idGadgetSamples, idEndgameTicks, idNoSyncGadget, idEndgameOnly,
-		idRunToHalt, idCrashes, idDesync, idAdversary)
-	asyncOptMask = commonOptMask | maskOf(idModel, idMaxTime, idResponseDelay,
-		idEdgeLatency, idChurn, idGraph, idEngine, idAdversary)
-	countsOptMask = commonOptMask | maskOf(idModel, idMaxTime, idChurn,
-		idGraph, idEngine, idAdversary)
-	// The hybrid leap engine is churn-free and adversary-free by
-	// construction (both break its flow laws), and its two error-budget
-	// knobs apply only to it.
-	leapOptMask = commonOptMask | maskOf(idModel, idMaxTime, idGraph,
-		idEngine, idLeapEps, idODEThreshold)
-	syncOptMask   = commonOptMask | maskOf(idModel, idMaxRounds, idGraph, idAdversary)
-	oneBitOptMask = commonOptMask | maskOf(idGraph, idMaxRounds, idMaxPhases,
-		idPropagationRounds, idPhaseObserver)
-	// The node runtime (WithTransport) executes registry dynamics as live
-	// message-passing processes; it consumes only the options a real
-	// cluster can honor — note idObserver is out (no global tick stream to
-	// snapshot from).
-	nodeOptMask = maskOf(idSeed, idTrialWorkers, idModel, idMaxTime, idTransport)
-)
-
-// nodeOptReasons maps each simulator-only option to why the node runtime
-// cannot honor it, mirroring the leap engine's optID-mask rejections but
-// with per-option explanations: a live cluster has no global scheduler,
-// no global view, and owns its delay model through the transport.
-var nodeOptReasons = map[optID]string{
-	idMaxRounds:     "rounds are a synchronous-model notion; live nodes run on local Poisson clocks",
-	idResponseDelay: "response delays are a transport property on the node runtime; inject latency with NewLossyChanTransport",
-	idEdgeLatency:   "edge latencies are a transport property on the node runtime; inject latency with NewLossyChanTransport",
-	idChurn:         "churn rewrites the simulator's engine state mid-run; a live node cannot be re-randomized from outside",
-	idEngine:        "engines select simulator execution strategies; the node runtime is its own execution path",
-	idGraph:         "the node runtime samples the complete graph (every peer addressable); topologies are simulator-only",
-	idObserver:      "snapshot observation rides the simulator's global tick hook (OnTick); a live cluster has no global view to sample",
-	idCrashes:       "crash schedules are applied by the simulator's scheduler, which the node runtime replaces",
-	idDesync:        "desynchronized starts are a core-protocol scheduler feature, not a cluster one",
-	idLeapEps:       "the leap engine's error budget does not apply off the simulator",
-	idODEThreshold:  "the leap engine's ODE handoff does not apply off the simulator",
-	idAdversary:     "adversaries instrument the simulator's global scheduler and engine state, which live nodes do not share",
-}
-
-// Validate checks the job end to end without running anything: the counts
-// (shape, totals, per-engine limits), the protocol parameters, the graph
-// binding, and — unlike the legacy RunX entry points, which silently drop
-// options their runner does not consume — that every applied option is one
-// the selected runner/engine actually uses.
+// Validate checks the job end to end without running anything: some
+// execution path must host it with every applied option (the legacy RunX
+// entry points silently drop options their runner does not consume), then
+// the counts, protocol parameters and numeric ranges.
 func (j *Job) Validate() error {
-	if j.o.set&maskOf(idTransport) != 0 {
-		if err := j.validateNodeRuntime(); err != nil {
-			return err
-		}
+	if j.o.set.Has(plan.Transport) && j.o.transport == nil {
+		return fmt.Errorf("plurality: job %s: WithTransport(nil); the node runtime needs a transport (NewChanTransport, NewLossyChanTransport, NewTCPTransport)", j.spec)
 	}
-	var allowed uint32
-	switch j.kind {
-	case KindCore:
-		allowed = coreOptMask
-	case KindDynamic:
-		switch {
-		case j.o.set&maskOf(idTransport) != 0:
-			allowed = nodeOptMask
-		case j.o.engine == EngineOccupancy:
-			allowed = countsOptMask
-		case j.o.engine == EngineLeap:
-			allowed = leapOptMask
-		default:
-			allowed = asyncOptMask
-		}
-	case KindSyncDynamic:
-		allowed = syncOptMask
-	case KindOneExtraBit:
-		allowed = oneBitOptMask
-	default:
-		return fmt.Errorf("plurality: job %q has unknown kind %d", j.spec, j.kind)
+	req, err := j.request()
+	if err != nil {
+		return err
 	}
-	if bad := j.o.set &^ allowed; bad != 0 {
-		var names []string
-		for id := optID(0); id < numOptIDs; id++ {
-			if bad&(1<<id) != 0 {
-				names = append(names, optNames[id])
-			}
-		}
-		return fmt.Errorf("plurality: a %s job (%s) does not use %s; the option(s) would be silently ignored",
-			j.kind, j.spec, strings.Join(names, ", "))
+	if _, err := plan.Choose(req); err != nil {
+		return fmt.Errorf("plurality: job %s: %w", j.spec, err)
 	}
 
 	// Counts: non-negative, a workable total that fits the schedulers'
-	// node index.
-	if len(j.counts) == 0 {
-		return fmt.Errorf("plurality: job %s has no initial counts", j.spec)
-	}
-	for c, v := range j.counts {
-		if v < 0 {
-			return fmt.Errorf("plurality: job %s: negative count %d for color %d", j.spec, v, c)
-		}
-	}
-	if j.total < 2 {
-		return fmt.Errorf("plurality: job %s: histogram total %d, want >= 2", j.spec, j.total)
-	}
-	if j.total != int64(int(j.total)) {
-		return fmt.Errorf("plurality: job %s: histogram total %d overflows the node index", j.spec, j.total)
+	// node index — the registry's shared histogram guards, which also keep
+	// the O(n) HeapPoisson scheduler off the O(k)-memory counts path.
+	if _, err := j.desc.ValidateCounts(j.counts, j.countsPath() && j.o.model == HeapPoisson); err != nil {
+		return err
 	}
 	if g := j.o.graph; g != nil && int64(g.N()) != j.total {
 		return fmt.Errorf("plurality: job %s: graph has %d nodes, histogram %d", j.spec, g.N(), j.total)
 	}
-	if err := j.validateAdversary(); err != nil {
-		return err
-	}
 
 	switch j.kind {
 	case KindCore:
-		if j.o.model == Synchronous {
-			return errors.New("plurality: the core protocol is asynchronous; WithModel(Synchronous) applies to registry sampling dynamics")
-		}
 		if _, err := core.Plan(j.o.coreConfig(nil), int(j.total)); err != nil {
 			return err
 		}
 	case KindDynamic:
-		if j.o.engine == EngineOccupancy || j.o.engine == EngineLeap {
-			if _, err := j.desc.ValidateCounts(j.counts, j.o.model == HeapPoisson); err != nil {
-				return err
-			}
-			// Counts runs execute count-collapsed by definition: the clique
-			// collapses to the color histogram, a degree-class lumpable
-			// (graph.Classed) topology to the class × color matrix. Quenched
-			// non-complete topologies have neither symmetry, and the leap
-			// engine's flow laws are clique-only.
-			if g := j.o.graph; g != nil {
-				_, complete := g.(graph.Complete)
-				_, classed := g.(graph.Classed)
-				if j.o.engine == EngineLeap && !complete {
-					return fmt.Errorf("plurality: job %s: the leap engine needs the complete graph, got %T", j.spec, g)
-				}
-				if !complete && !classed {
-					return fmt.Errorf("plurality: job %s: a counts job needs the complete graph or a degree-class lumpable topology (AnnealedRegularGraph, AnnealedGraph), got %T", j.spec, g)
-				}
-			}
+		if e := j.o.leapEps; j.o.set.Has(plan.LeapEps) && (math.IsNaN(e) || e <= 0 || e > 0.5) {
+			return fmt.Errorf("plurality: job %s: WithLeapEpsilon(%v), want (0, 0.5]", j.spec, e)
 		}
-		if j.o.engine == EngineLeap {
-			if !j.desc.Leapable {
-				return fmt.Errorf("plurality: job %s: protocol %s has no flow law; the leap engine needs one", j.spec, j.desc.Name)
-			}
-			if j.o.model == HeapPoisson {
-				return fmt.Errorf("plurality: job %s: the leap engine needs the Sequential or Poisson model", j.spec)
-			}
-			if e := j.o.leapEps; j.o.set&maskOf(idLeapEps) != 0 && (math.IsNaN(e) || e <= 0 || e > 0.5) {
-				return fmt.Errorf("plurality: job %s: WithLeapEpsilon(%v), want (0, 0.5]", j.spec, e)
-			}
-			if th := j.o.odeTheta; j.o.set&maskOf(idODEThreshold) != 0 && (math.IsNaN(th) || th >= 1) {
-				return fmt.Errorf("plurality: job %s: WithODEThreshold(%v), want < 1 (0 disables the ODE regime)", j.spec, th)
-			}
+		if th := j.o.odeTheta; j.o.set.Has(plan.ODEThreshold) && (math.IsNaN(th) || th >= 1) {
+			return fmt.Errorf("plurality: job %s: WithODEThreshold(%v), want < 1 (0 disables the ODE regime)", j.spec, th)
 		}
 	case KindSyncDynamic:
 		if j.o.maxRounds <= 0 {
@@ -283,70 +164,35 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// validateNodeRuntime checks a WithTransport job beyond the optID mask:
-// only registry sampling dynamics can run as live clusters, the implied
-// communication model is per-node Poisson clocks, and every simulator-only
-// option is rejected with its mapped reason so the caller learns why the
-// node runtime cannot honor it instead of getting a bare mask error.
-func (j *Job) validateNodeRuntime() error {
-	if j.o.transport == nil {
-		return fmt.Errorf("plurality: job %s: WithTransport(nil); the node runtime needs a transport (NewChanTransport, NewLossyChanTransport, NewTCPTransport)", j.spec)
+// request describes the job to the engine planner: its runner, requested
+// engine, topology class, model (when WithModel was applied), applied
+// options and active adversary.
+func (j *Job) request() (plan.Request, error) {
+	r := plan.Request{
+		Runner:    [...]plan.Cap{KindCore: plan.RunCore, KindDynamic: plan.RunDynamic, KindSyncDynamic: plan.RunSync, KindOneExtraBit: plan.RunOneBit}[j.kind],
+		Topology:  graph.SymmetryOf(j.o.graph),
+		Opts:      j.o.set,
+		FlowLaw:   j.desc.Leapable,
+		Histogram: j.countsPath(),
+		N:         j.total,
 	}
-	if j.kind != KindDynamic {
-		return fmt.Errorf("plurality: job %s: the node runtime (WithTransport) runs asynchronous registry sampling dynamics only (two-choices, voter, 3-majority, usd, j-majority); a %s job executes on the simulator", j.spec, j.kind)
+	// Engine and Model list their values in the planner's order.
+	if j.o.engine > EngineAuto && j.o.engine <= EngineLeap {
+		r.Want = plan.WantAuto + plan.Cap(j.o.engine)
 	}
-	if bad := j.o.set &^ nodeOptMask; bad != 0 {
-		var parts []string
-		for id := optID(0); id < numOptIDs; id++ {
-			if bad&(1<<id) == 0 {
-				continue
-			}
-			reason := nodeOptReasons[id]
-			if reason == "" {
-				reason = "it configures a simulator-only feature"
-			}
-			parts = append(parts, fmt.Sprintf("%s (%s)", optNames[id], reason))
+	if j.o.set.Has(plan.Model) && j.o.model >= Sequential && j.o.model <= Synchronous {
+		r.Model = plan.Sequential + plan.Cap(j.o.model-Sequential)
+	}
+	if j.o.set.Has(plan.Adversary) {
+		spec := j.o.adversary
+		if err := spec.Validate(); err != nil {
+			return r, fmt.Errorf("plurality: job %s: %w", j.spec, err)
 		}
-		return fmt.Errorf("plurality: job %s: the node runtime does not support %s",
-			j.spec, strings.Join(parts, "; "))
-	}
-	if j.o.set&maskOf(idModel) != 0 && j.o.model != Poisson {
-		return fmt.Errorf("plurality: job %s: the node runtime's clocks are per-node Poisson processes; WithModel selects a simulator schedule — use WithModel(Poisson) or omit the option", j.spec)
-	}
-	return nil
-}
-
-// validateAdversary checks an applied WithAdversary spec against the job's
-// runner family and engine, beyond the optID mask (which already rejects it
-// wholesale on the leap engine and OneExtraBit). The checks mirror the
-// engines' own run-time rejections so a bad combination fails at NewJob.
-func (j *Job) validateAdversary() error {
-	if j.o.set&maskOf(idAdversary) == 0 {
-		return nil
-	}
-	spec := j.o.adversary
-	if err := spec.Validate(); err != nil {
-		return fmt.Errorf("plurality: job %s: %w", j.spec, err)
-	}
-	if !spec.Active() {
-		return nil
-	}
-	d, _ := spec.Descriptor()
-	switch j.kind {
-	case KindCore:
-		if d.Family == adversary.FamilyByzantine {
-			return fmt.Errorf("plurality: job %s: the %s adversary has no lying channel in the core protocol (samples carry bits and real times alongside colors); use a registry sampling dynamic", j.spec, d.Name)
-		}
-	case KindSyncDynamic:
-		if d.Family == adversary.FamilyScheduling {
-			return fmt.Errorf("plurality: job %s: scheduling adversary %s needs asynchronous activations; synchronous rounds have no activation order to bias", j.spec, d.Name)
-		}
-	case KindDynamic:
-		if d.PerNode && (j.o.engine == EngineOccupancy || j.o.engine == EngineLeap) {
-			return fmt.Errorf("plurality: job %s: adversary %s targets individual nodes, which the count-collapsed engine does not track; use EnginePerNode or EngineAuto", j.spec, d.Name)
+		if d, ok := spec.Descriptor(); ok && spec.Active() {
+			r.Family, r.PerNode = d.Family, d.PerNode
 		}
 	}
-	return nil
+	return r, nil
 }
 
 // Run executes one run of the job from its initial counts, honoring ctx:
@@ -605,30 +451,10 @@ func execAsync(ctx context.Context, rn *dynamics.Runner, pop *Population, rule d
 	if err != nil {
 		return AsyncResult{}, err
 	}
-	s, err := o.scheduler(pop.N())
+	cfg, err := o.asyncConfig(ctx, g, pop.N())
 	if err != nil {
 		return AsyncResult{}, err
 	}
-	cfg := dynamics.AsyncConfig{
-		Graph:     g,
-		Scheduler: s,
-		Rand:      rng.At(o.seed, 1),
-		MaxTime:   o.maxTime,
-	}
-	if o.delayRate > 0 {
-		cfg.Delay = sched.ExpDelay{Rate: o.delayRate}
-	}
-	adv, err := o.newAdversary()
-	if err != nil {
-		return AsyncResult{}, err
-	}
-	cfg.Latency = o.latency
-	cfg.Churn = o.churnRate
-	cfg.Engine = o.dynamicsEngine()
-	cfg.Leap = o.leapConfig()
-	cfg.Stop = stopFunc(ctx)
-	cfg.Adversary = adv
-	cfg.ObserveInterval, cfg.OnSnapshot = o.asyncObserver()
 	res, err := rn.RunAsync(pop, rule, cfg)
 	return res, ctxErr(ctx, err)
 }
@@ -669,30 +495,10 @@ func execCounts(ctx context.Context, rn *dynamics.Runner, counts []int64, d prot
 	if err != nil {
 		return AsyncResult{}, err
 	}
-	s, err := o.scheduler(int(n))
+	cfg, err := o.asyncConfig(ctx, o.graph, int(n))
 	if err != nil {
 		return AsyncResult{}, err
 	}
-	cfg := dynamics.AsyncConfig{
-		Graph:     o.graph,
-		Scheduler: s,
-		Rand:      rng.At(o.seed, 1),
-		MaxTime:   o.maxTime,
-		Churn:     o.churnRate,
-		Engine:    o.dynamicsEngine(),
-		Leap:      o.leapConfig(),
-	}
-	if o.delayRate > 0 {
-		cfg.Delay = sched.ExpDelay{Rate: o.delayRate}
-	}
-	adv, err := o.newAdversary()
-	if err != nil {
-		return AsyncResult{}, err
-	}
-	cfg.Latency = o.latency
-	cfg.Stop = stopFunc(ctx)
-	cfg.Adversary = adv
-	cfg.ObserveInterval, cfg.OnSnapshot = o.asyncObserver()
 	res, err := rn.RunAsyncCounts(counts, rule, cfg)
 	return res, ctxErr(ctx, err)
 }
@@ -729,24 +535,42 @@ func execOneBit(ctx context.Context, rn *onebit.Runner, pop *Population, o *opti
 	return res, ctxErr(ctx, err)
 }
 
-// dynamicsEngine maps the public engine option onto the internal one.
-func (o *options) dynamicsEngine() dynamics.Engine {
+// asyncConfig assembles the dynamics configuration of an n-node run on g,
+// shared by the population and histogram paths.
+func (o *options) asyncConfig(ctx context.Context, g Graph, n int) (dynamics.AsyncConfig, error) {
+	s, err := o.scheduler(n)
+	if err != nil {
+		return dynamics.AsyncConfig{}, err
+	}
+	adv, err := o.newAdversary()
+	if err != nil {
+		return dynamics.AsyncConfig{}, err
+	}
+	cfg := dynamics.AsyncConfig{
+		Graph:     g,
+		Scheduler: s,
+		Rand:      rng.At(o.seed, 1),
+		MaxTime:   o.maxTime,
+		Latency:   o.latency,
+		Churn:     o.churnRate,
+		Engine:    dynamics.EngineAuto,
+		Leap:      occupancy.LeapConfig{Eps: o.leapEps, ODETheta: o.odeTheta},
+		Stop:      stopFunc(ctx),
+		Adversary: adv,
+	}
 	switch o.engine {
 	case EnginePerNode:
-		return dynamics.EnginePerNode
+		cfg.Engine = dynamics.EnginePerNode
 	case EngineOccupancy:
-		return dynamics.EngineOccupancy
+		cfg.Engine = dynamics.EngineOccupancy
 	case EngineLeap:
-		return dynamics.EngineLeap
-	default:
-		return dynamics.EngineAuto
+		cfg.Engine = dynamics.EngineLeap
 	}
-}
-
-// leapConfig maps the public leap error-budget options onto the engine's
-// knobs (zero values select the engine defaults).
-func (o *options) leapConfig() occupancy.LeapConfig {
-	return occupancy.LeapConfig{Eps: o.leapEps, ODETheta: o.odeTheta}
+	if o.delayRate > 0 {
+		cfg.Delay = sched.ExpDelay{Rate: o.delayRate}
+	}
+	cfg.ObserveInterval, cfg.OnSnapshot = o.asyncObserver()
+	return cfg, nil
 }
 
 // topology returns the configured graph or the default complete graph

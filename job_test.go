@@ -540,3 +540,39 @@ func TestReportConversions(t *testing.T) {
 		t.Fatalf("Phases() = %+v, %v", got, ok)
 	}
 }
+
+// TestJobRejectsWhatNoPathHosts: jobs that compile only to fail at Run are
+// rejected by NewJob, naming the refusing path and the missing capability.
+func TestJobRejectsWhatNoPathHosts(t *testing.T) {
+	counts := mustCounts(t, 1000, 2)
+	annealed, err := AnnealedRegularGraph(1000, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle, err := CycleGraph(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, spec, want string
+		opts             []Option
+	}{
+		// The lumped engine hosts no adversary; EngineOccupancy on an
+		// annealed topology resolves to it alone.
+		{"occupancy + annealed + corrupt", "two-choices", "the lumped engine cannot host a corruption adversary",
+			[]Option{WithGraph(annealed), WithEngine(EngineOccupancy), WithAdversary(advSpec(t, "corrupt", 4))}},
+		// Crashed nodes stay sampled, so crash injection needs the clique.
+		{"core crashes on a cycle", "core", "the core protocol cannot host WithCrashes",
+			[]Option{WithGraph(cycle), WithCrashes(0.1)}},
+	} {
+		if _, err := NewJob(tc.spec, counts, tc.opts...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewJob err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// An inactive adversary on the lumped engine is bit-identical to none
+	// and stays accepted.
+	if _, err := NewJob("two-choices", counts, WithGraph(annealed), WithEngine(EngineOccupancy),
+		WithAdversary(advSpec(t, "corrupt", 0))); err != nil {
+		t.Errorf("inactive adversary on the lumped engine: %v", err)
+	}
+}

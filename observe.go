@@ -2,6 +2,7 @@ package plurality
 
 import (
 	"plurality/internal/core"
+	"plurality/internal/plan"
 	"plurality/internal/protocols/dynamics"
 	"plurality/internal/trace"
 )
@@ -55,7 +56,7 @@ type Snapshot struct {
 // may invoke it concurrently from different trial workers.
 func WithObserver(interval float64, fn func(Snapshot)) Option {
 	return optionFunc(func(o *options) {
-		o.mark(idObserver)
+		o.mark(plan.Observer)
 		o.observeInterval = interval
 		o.onSnapshot = fn
 	})

@@ -84,6 +84,9 @@ type Report struct {
 	// run (WithTransport / Cluster); 0 for simulator runs, which do not
 	// pass messages at all. Deterministic on the in-process transport.
 	Messages int64
+	// Engine is the execution path that ran: "per-node", "occupancy",
+	// "lumped", "leap", "sync", "core", "onebit" or "node".
+	Engine string
 
 	core   *CoreResult
 	onebit *OneExtraBitResult
@@ -120,6 +123,7 @@ func ReportFromCore(res CoreResult) Report {
 		Churns:        res.Churns,
 		Corruptions:   res.Corruptions,
 		Biased:        res.Biased,
+		Engine:        "core",
 		core:          &res,
 	}
 }
@@ -137,6 +141,7 @@ func ReportFromAsync(res AsyncResult) Report {
 		Churns:      res.Churns,
 		Corruptions: res.Corruptions,
 		Biased:      res.Biased,
+		Engine:      res.Engine.String(),
 	}
 	if res.Done {
 		// The asynchronous dynamics complete consensus on their final tick.
@@ -156,6 +161,7 @@ func ReportFromSync(res SyncResult) Report {
 		Undecided:   res.Undecided,
 		Corruptions: res.Corruptions,
 		Biased:      res.Biased,
+		Engine:      "sync",
 	}
 }
 
@@ -167,6 +173,7 @@ func ReportFromOneExtraBit(res OneExtraBitResult) Report {
 		Converged: res.Done,
 		Winner:    res.Winner,
 		Rounds:    res.Rounds,
+		Engine:    "onebit",
 		onebit:    &res,
 	}
 }

@@ -55,10 +55,8 @@ func RunDynamicSync(protocol string, pop *Population, opts ...Option) (SyncResul
 // population size, which is what lets exact simulations reach n = 10⁸–10⁹.
 // counts is mutated in place to the final histogram (USD's undecided
 // leftovers, if any, are reported in AsyncResult.Undecided). The topology
-// is the complete graph on the histogram total (override with WithGraph
-// only to select a self-sampling Complete variant); per-node extensions —
-// WithResponseDelay, WithEdgeLatency, EnginePerNode — are errors, WithChurn
-// composes fine.
+// is the complete graph on the histogram total unless WithGraph names a
+// Complete variant or an annealed topology; per-node extensions are errors.
 func RunDynamicCounts(protocol string, counts []int64, opts ...Option) (AsyncResult, error) {
 	d, rule, err := protocols.Lookup(protocol)
 	if err != nil {
