@@ -5,17 +5,13 @@ GO ?= go
 
 # Minimum statement coverage over the packages `make cover` measures
 # (internal/exp, internal/sched and internal/plan: the sweep engine, its
-# scheduler substrate and the engine planner). Currently ~92%; the floor leaves headroom for refactors while
-# catching untested new code.
+# scheduler substrate and the engine planner). Currently ~95%; the floor
+# leaves headroom for refactors while catching untested new code.
 COVER_MIN ?= 85
 
-.PHONY: build test test-short test-race cover bench bench-smoke schedbench \
-	scalebench scale-smoke scale-baseline \
-	leapbench leap-smoke leap-baseline \
-	servebench serve-smoke serve-baseline \
-	sweep-smoke sweep-baseline sweep-nightly \
-	adv-smoke adv-baseline topo-smoke topo-baseline \
-	net-smoke net-baseline lint fmt api api-check
+.PHONY: build test test-short test-race cover bench bench-smoke \
+	serve-smoke sweep-smoke sweep-baseline sweep-nightly \
+	adv-smoke topo-smoke net-smoke lint fmt api api-check
 
 build:
 	$(GO) build ./...
@@ -60,68 +56,12 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Regenerate BENCH_sched.json (the scheduler-engine before/after record).
-schedbench:
-	$(GO) run ./cmd/experiments -schedbench -schedbench-out BENCH_sched.json
-
-# Regenerate BENCH_scale.json (the engine scaling record: full Two-Choices
-# consensus runs — per-node to n = 1e6 on the clique and on the quenched
-# random-regular CSR path, occupancy to n = 1e9, the degree-class lumped
-# engine to n = 1e9 on the annealed d=8 family, hybrid leap to n = 1e12;
-# takes a couple of minutes).
-scalebench:
-	$(GO) run ./cmd/experiments -scalebench -scalebench-out BENCH_scale.json
-
-# CI scale harness: the smoke grid (occupancy at n = 1e7 in seconds),
-# diffed against the committed baseline on machine-portable quantities
-# (convergence, deterministic tick counts, bytes/node, speedup ratio).
-scale-smoke:
-	$(GO) run ./cmd/experiments -scalebench -smoke \
-		-scalebench-out BENCH_scale_smoke.json -scale-baseline BENCH_scale_baseline.json
-
-# Regenerate the committed scale smoke baseline (run after an intentional
-# engine change; commit the result).
-scale-baseline:
-	$(GO) run ./cmd/experiments -scalebench -smoke -scalebench-out BENCH_scale_baseline.json
-
-# Regenerate BENCH_leap.json (the hybrid tau-leap/mean-field engine record:
-# full consensus runs up to n = 1e12 plus the exact-engine calibration).
-leapbench:
-	$(GO) run ./cmd/experiments -leapbench -leapbench-out BENCH_leap.json
-
-# CI leap harness: the smoke grid (leap at n = 1e9 plus the n = 1e7
-# exact-engine calibration), diffed against the committed baseline on
-# machine-portable quantities (convergence, regime traces, deterministic
-# tick counts, relative consensus-time error vs exact).
-leap-smoke:
-	$(GO) run ./cmd/experiments -leapbench -smoke \
-		-leapbench-out BENCH_leap_smoke.json -leap-baseline BENCH_leap_baseline.json
-
-# Regenerate the committed leap smoke baseline (run after an intentional
-# hybrid-engine change; commit the result).
-leap-baseline:
-	$(GO) run ./cmd/experiments -leapbench -smoke -leapbench-out BENCH_leap_baseline.json
-
-# Regenerate BENCH_serve.json (the pluralityd service-layer load record:
-# distinct-job throughput, the cache probe, queue backpressure — a real
-# daemon behind a real listener).
-servebench:
-	$(GO) run ./cmd/experiments -servebench -servebench-out BENCH_serve.json
-
-# CI serve harness: the smoke load, diffed against the committed baseline
-# on machine-portable quantities only (completion accounting, cache hit +
-# byte-identical replay, deterministic reference ticks, 429 contract —
-# never jobs/sec or latency), plus the curl quickstart script from
-# README.md against a live daemon.
+# CI serve harness: the curl quickstart script from README.md against a
+# live daemon. The service contract itself (cache hit and byte-identical
+# replay, 429 + Retry-After, DELETE, completion accounting, the reference
+# job's tick count) is pinned by the internal/service tests.
 serve-smoke:
-	$(GO) run ./cmd/experiments -servebench -smoke \
-		-servebench-out BENCH_serve_smoke.json -serve-baseline BENCH_serve_baseline.json
 	./scripts/serve_quickstart.sh
-
-# Regenerate the committed serve smoke baseline (run after an intentional
-# service or engine change; commit the result).
-serve-baseline:
-	$(GO) run ./cmd/experiments -servebench -smoke -servebench-out BENCH_serve_baseline.json
 
 # CI regression harness: run every named sweep at smoke size, write the
 # BENCH_exp.json artifact, run the statistical gates, and diff against the
@@ -130,8 +70,10 @@ sweep-smoke:
 	$(GO) run ./cmd/experiments -sweep all -smoke -out BENCH_exp.json \
 		-baseline BENCH_exp_baseline.json
 
-# Regenerate the committed smoke baseline (run after an intentional change
-# to protocol behavior or sweep grids; commit the result).
+# Regenerate BENCH_exp_baseline.json, the one committed baseline: every
+# named sweep's smoke report, which sweep-smoke, adv-smoke, topo-smoke and
+# net-smoke diff against (run after an intentional change to protocol
+# behavior or sweep grids; commit the result).
 sweep-baseline:
 	$(GO) run ./cmd/experiments -sweep all -smoke -out BENCH_exp_baseline.json
 
@@ -144,14 +86,7 @@ sweep-baseline:
 # f = n^0.3, collapse at f = 4*sqrt(n), bit-clean zero-budget controls.
 adv-smoke:
 	$(GO) run -race ./cmd/experiments -sweep adversary-threshold -smoke \
-		-out BENCH_adv.json -baseline BENCH_adv_baseline.json
-
-# Regenerate the committed adversary smoke baseline (run after an
-# intentional change to an adversary or a hosting engine; commit the
-# result).
-adv-baseline:
-	$(GO) run ./cmd/experiments -sweep adversary-threshold -smoke \
-		-out BENCH_adv_baseline.json
+		-out BENCH_adv.json -baseline BENCH_exp_baseline.json
 
 # CI topology harness: the topology-equivalence sweep at smoke size under
 # the race detector — the degree-class lumped engine against the per-node
@@ -160,14 +95,7 @@ adv-baseline:
 # quantities only. The sweep's own gates pin lumping exactness.
 topo-smoke:
 	$(GO) run -race ./cmd/experiments -sweep topology-equivalence -smoke \
-		-out BENCH_topo.json -baseline BENCH_topo_baseline.json
-
-# Regenerate the committed topology smoke baseline (run after an intentional
-# change to the lumped engine, the CSR hot path or the sweep grid; commit
-# the result).
-topo-baseline:
-	$(GO) run ./cmd/experiments -sweep topology-equivalence -smoke \
-		-out BENCH_topo_baseline.json
+		-out BENCH_topo.json -baseline BENCH_exp_baseline.json
 
 # CI node-runtime harness: the net-equivalence sweep at smoke size under
 # the race detector (the runtime is goroutines exchanging messages, so the
@@ -183,16 +111,9 @@ topo-baseline:
 # of the seed.
 net-smoke:
 	$(GO) run -race ./cmd/experiments -sweep net-equivalence -smoke \
-		-out BENCH_net.json -baseline BENCH_net_baseline.json
+		-out BENCH_net.json -baseline BENCH_exp_baseline.json
 	./scripts/net_quickstart.sh
 	$(GO) test -race -count=10 -run 'Cluster|Fabric' -skip 'TCP' ./internal/node
-
-# Regenerate the committed node-runtime smoke baseline (run after an
-# intentional change to the node runtime, a protocol rule or the sweep
-# grid; commit the result).
-net-baseline:
-	$(GO) run ./cmd/experiments -sweep net-equivalence -smoke \
-		-out BENCH_net_baseline.json
 
 # Full-size logn-scaling sweep, the nightly job's workload.
 sweep-nightly:

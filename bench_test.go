@@ -4,8 +4,8 @@
 //
 //	go test -bench=BenchmarkE6 -benchmem
 //
-// re-runs the main theorem's measurement end to end. The full tables in
-// EXPERIMENTS.md come from `go run ./cmd/experiments -run all`.
+// re-runs the main theorem's measurement end to end. The full tables come
+// from `go run ./cmd/experiments -run all`.
 //
 // The BenchmarkProtocol* group measures single protocol runs at a fixed
 // size, for profiling the simulators themselves.

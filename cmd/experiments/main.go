@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -47,26 +45,6 @@ func run(args []string, out io.Writer) error {
 		quick = fs.Bool("quick", false, "use reduced parameter grids")
 		seed  = fs.Uint64("seed", 1, "base random seed")
 
-		schedBench      = fs.Bool("schedbench", false, "benchmark the scheduler engines instead of running experiments")
-		schedBenchNs    = fs.String("schedbench-n", "10000,1000000", "comma-separated population sizes for -schedbench (up to 1e7)")
-		schedBenchTicks = fs.Int64("schedbench-ticks", 5_000_000, "activations delivered per -schedbench measurement")
-		schedBenchOut   = fs.String("schedbench-out", "", "write the -schedbench report as JSON to this file (e.g. BENCH_sched.json)")
-
-		scaleBench    = fs.Bool("scalebench", false, "benchmark the per-node vs count-collapsed dynamics engines (-smoke selects the CI grid)")
-		scaleBenchOut = fs.String("scalebench-out", "", "write the -scalebench report as JSON to this file (e.g. BENCH_scale.json)")
-		scaleBaseline = fs.String("scale-baseline", "", "diff the -scalebench report against this baseline; regressions beyond -scale-tol fail")
-		scaleTol      = fs.Float64("scale-tol", 0.5, "relative tolerance band for -scale-baseline comparison")
-
-		serveBench    = fs.Bool("servebench", false, "load-test the pluralityd service layer (-smoke selects the CI load)")
-		serveBenchOut = fs.String("servebench-out", "", "write the -servebench report as JSON to this file (e.g. BENCH_serve.json)")
-		serveBaseline = fs.String("serve-baseline", "", "diff the -servebench report against this baseline; regressions beyond -serve-tol fail")
-		serveTol      = fs.Float64("serve-tol", 0.05, "relative tolerance band for -serve-baseline comparison (the reference ticks are deterministic)")
-
-		leapBench    = fs.Bool("leapbench", false, "benchmark the hybrid tau-leap/mean-field engine (-smoke selects the CI grid)")
-		leapBenchOut = fs.String("leapbench-out", "", "write the -leapbench report as JSON to this file (e.g. BENCH_leap_baseline.json)")
-		leapBaseline = fs.String("leap-baseline", "", "diff the -leapbench report against this baseline; regressions beyond -leap-tol fail")
-		leapTol      = fs.Float64("leap-tol", 0.5, "relative tolerance band for -leap-baseline comparison")
-
 		sweep    = fs.String("sweep", "", "named sweep(s) to run: comma-separated names, 'all', or 'list'")
 		smoke    = fs.Bool("smoke", false, "use the down-scaled smoke grids (CI size)")
 		trials   = fs.Int("trials", 0, "override the per-cell trial count (0 = sweep default)")
@@ -78,22 +56,6 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *schedBench {
-		return runSchedBench(out, *schedBenchNs, *schedBenchTicks, *seed, *schedBenchOut)
-	}
-
-	if *scaleBench {
-		return runScaleBench(out, *smoke, *seed, *scaleBenchOut, *scaleBaseline, *scaleTol)
-	}
-
-	if *serveBench {
-		return runServeBench(out, *smoke, *seed, *serveBenchOut, *serveBaseline, *serveTol)
-	}
-
-	if *leapBench {
-		return runLeapBench(out, *smoke, *seed, *leapBenchOut, *leapBaseline, *leapTol)
 	}
 
 	if *sweep != "" {
@@ -272,204 +234,4 @@ func runSweeps(out io.Writer, cfg sweepConfig) error {
 		return fmt.Errorf("%d sweep check(s) failed:\n  %s", len(failures), strings.Join(failures, "\n  "))
 	}
 	return nil
-}
-
-// runScaleBench measures the per-node vs count-collapsed dynamics engines
-// (full Two-Choices consensus runs per engine × n), optionally records the
-// report as JSON — the procedure behind BENCH_scale.json and the committed
-// smoke baseline — and, when a baseline is given, fails on any
-// tolerance-band regression.
-func runScaleBench(out io.Writer, smoke bool, seed uint64, jsonPath, baselinePath string, tol float64) error {
-	rep, err := bench.RunScaleBench(bench.ScaleBenchConfig{Smoke: smoke, Seed: seed}, out)
-	if err != nil {
-		return err
-	}
-	for _, n := range sortedKeys(rep.SpeedupAtN) {
-		fmt.Fprintf(out, "speedup(count-collapsed vs per-node) at n=%s: %.1fx\n", n, rep.SpeedupAtN[n])
-	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", jsonPath)
-	}
-	if baselinePath != "" {
-		base, err := bench.LoadScaleBench(baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := bench.CompareScale(rep, base, tol)
-		for _, r := range regs {
-			fmt.Fprintf(out, "  REGRESSION %s\n", r)
-		}
-		if len(regs) > 0 {
-			return fmt.Errorf("%d scale regression(s) against %s", len(regs), baselinePath)
-		}
-		fmt.Fprintf(out, "scale baseline: clean (tol %.0f%%)\n", tol*100)
-	}
-	return nil
-}
-
-// runServeBench load-tests the pluralityd service layer (a real daemon
-// behind a real listener: distinct-job throughput, the cache probe, queue
-// backpressure), runs the report's built-in invariants, optionally records
-// the report as JSON — the procedure behind the committed
-// BENCH_serve_baseline.json — and, when a baseline is given, fails on any
-// machine-portable regression.
-func runServeBench(out io.Writer, smoke bool, seed uint64, jsonPath, baselinePath string, tol float64) error {
-	rep, err := bench.RunServeBench(bench.ServeBenchConfig{Smoke: smoke, Seed: seed}, out)
-	if err != nil {
-		return err
-	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", jsonPath)
-	}
-	if baselinePath != "" {
-		base, err := bench.LoadServeBench(baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := bench.CompareServe(rep, base, tol)
-		for _, r := range regs {
-			fmt.Fprintf(out, "  REGRESSION %s\n", r)
-		}
-		if len(regs) > 0 {
-			return fmt.Errorf("%d serve regression(s) against %s", len(regs), baselinePath)
-		}
-		fmt.Fprintf(out, "serve baseline: clean (tol %.0f%%)\n", tol*100)
-		return nil
-	}
-	if fails := rep.Check(); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintf(out, "  FAIL %s\n", f)
-		}
-		return fmt.Errorf("%d serve invariant(s) failed", len(fails))
-	}
-	return nil
-}
-
-// runLeapBench measures the hybrid tau-leap/mean-field engine (full
-// consensus runs per protocol × n up to 1e12, plus the exact-engine
-// calibration block), optionally records the report as JSON — the procedure
-// behind the committed BENCH_leap_baseline.json — and, when a baseline is
-// given, fails on any machine-portable regression (convergence, regime
-// traces, tick counts, calibration error).
-func runLeapBench(out io.Writer, smoke bool, seed uint64, jsonPath, baselinePath string, tol float64) error {
-	rep, err := bench.RunLeapBench(bench.LeapBenchConfig{Smoke: smoke, Seed: seed}, out)
-	if err != nil {
-		return err
-	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", jsonPath)
-	}
-	if baselinePath != "" {
-		base, err := bench.LoadLeapBench(baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := bench.CompareLeap(rep, base, tol)
-		for _, r := range regs {
-			fmt.Fprintf(out, "  REGRESSION %s\n", r)
-		}
-		if len(regs) > 0 {
-			return fmt.Errorf("%d leap regression(s) against %s", len(regs), baselinePath)
-		}
-		fmt.Fprintf(out, "leap baseline: clean (tol %.0f%%)\n", tol*100)
-	}
-	return nil
-}
-
-// sortedKeys returns the map's keys ordered by graph family then numeric n.
-// Keys are either plain decimal n values (the clique) or "<family>/<n>"
-// (BENCH_scale v2's structured-topology entries); the clique sorts first.
-func sortedKeys(m map[string]float64) []string {
-	split := func(key string) (string, int64) {
-		family, nStr, ok := strings.Cut(key, "/")
-		if !ok {
-			family, nStr = "", key
-		}
-		n, _ := strconv.ParseInt(nStr, 10, 64)
-		return family, n
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		fi, ni := split(keys[i])
-		fj, nj := split(keys[j])
-		if fi != fj {
-			return fi < fj
-		}
-		return ni < nj
-	})
-	return keys
-}
-
-// runSchedBench measures the scheduler engines (O(1) Poisson vs the
-// O(log n) heap reference vs sequential) and optionally records the report
-// as JSON, the procedure that regenerates BENCH_sched.json.
-func runSchedBench(out io.Writer, nsCSV string, ticks int64, seed uint64, jsonPath string) error {
-	var ns []int
-	for _, part := range strings.Split(nsCSV, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return fmt.Errorf("bad -schedbench-n entry %q: %w", part, err)
-		}
-		if n <= 0 || n > 10_000_000 {
-			return fmt.Errorf("-schedbench-n entry %d out of range (0, 1e7]", n)
-		}
-		ns = append(ns, n)
-	}
-	rep, err := bench.RunSchedBench(bench.SchedBenchConfig{Ns: ns, Ticks: ticks, Seed: seed}, out)
-	if err != nil {
-		return err
-	}
-	for _, n := range ns {
-		if speedup, ok := rep.SpeedupAtN[strconv.Itoa(n)]; ok {
-			fmt.Fprintf(out, "speedup(poisson vs heap-poisson) at n=%d: %.1fx\n", n, speedup)
-		}
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -138,45 +138,3 @@ func TestSweepBadBaselinePath(t *testing.T) {
 		t.Fatal("missing baseline file should fail")
 	}
 }
-
-func TestSchedBenchFlag(t *testing.T) {
-	dir := t.TempDir()
-	out := dir + "/bench.json"
-	var buf bytes.Buffer
-	err := run([]string{
-		"-schedbench", "-schedbench-n", "1000", "-schedbench-ticks", "200000",
-		"-schedbench-out", out,
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "poisson") || !strings.Contains(buf.String(), "speedup") {
-		t.Fatalf("unexpected output:\n%s", buf.String())
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Entries []struct {
-			Engine string `json:"engine"`
-			N      int    `json:"n"`
-		} `json:"entries"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("invalid JSON report: %v\n%s", err, data)
-	}
-	if len(rep.Entries) != 6 { // 3 engines x 2 modes at one size
-		t.Fatalf("got %d entries, want 6:\n%s", len(rep.Entries), data)
-	}
-}
-
-func TestSchedBenchBadSize(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-schedbench", "-schedbench-n", "0"}, &buf); err == nil {
-		t.Fatal("n=0 should fail")
-	}
-	if err := run([]string{"-schedbench", "-schedbench-n", "20000001"}, &buf); err == nil {
-		t.Fatal("n beyond 1e7 should fail")
-	}
-}

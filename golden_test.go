@@ -5,9 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"plurality"
+	"plurality/internal/occupancy"
+	"plurality/internal/protocols"
+	"plurality/internal/rng"
+	"plurality/internal/sched"
 )
 
 // goldenReport is every exported outcome field a Report carried when this
@@ -237,5 +242,202 @@ func TestJobGoldenAcrossEngines(t *testing.T) {
 				t.Fatalf("report drifted from the captured run:\n got  %+v\n want %+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// twoChoicesRun is the goldenReport of a converged Two-Choices run that
+// ended at the given tick and parallel time.
+func twoChoicesRun(ticks int64, time float64) goldenReport {
+	return goldenReport{Kind: plurality.KindDynamic, Protocol: "two-choices", Converged: true,
+		ConsensusTime: time, Time: time, Ticks: ticks}
+}
+
+// scaleGraphStream is the stream of a trial's seed that draws its
+// random-regular graph.
+const scaleGraphStream = 1 << 10
+
+// scaleGrid is Two-Choices from Biased(n, 4, 1) in the Poisson model on
+// every engine family that reaches consensus at n = 10⁵ in well under a
+// second, up to 10⁷ on the collapsed ones.
+var scaleGrid = []struct {
+	engine, topology string
+	n                int
+	// bytesPerNode is trial 0's allocation per node when the grid was
+	// first recorded; the run may allocate at most 1.5× that plus one
+	// byte per node.
+	bytesPerNode float64
+	want         []goldenReport
+}{
+	{"per-node", "complete", 100_000, 4.14336, []goldenReport{
+		twoChoicesRun(1469642, 14.677732663008793),
+		twoChoicesRun(1559889, 15.620651334042932),
+		twoChoicesRun(1481519, 14.820303904118743),
+	}},
+	{"per-node", "regular8", 100_000, 148.33256, []goldenReport{
+		twoChoicesRun(2312531, 23.124117019767805),
+		twoChoicesRun(2160548, 21.613740445797742),
+	}},
+	{"occupancy", "complete", 100_000, 0.00464, []goldenReport{
+		twoChoicesRun(1415401, 14.152969611053873),
+		twoChoicesRun(1435966, 14.355187473723399),
+		twoChoicesRun(1660663, 16.594763563243372),
+	}},
+	{"occupancy", "complete", 10_000_000, 0.0000464, []goldenReport{
+		twoChoicesRun(215449199, 21.545152784068716),
+		twoChoicesRun(202201416, 20.220855926559327),
+	}},
+	{"lumped", "annealed8", 100_000, 0.00696, []goldenReport{
+		twoChoicesRun(1450538, 14.49471805188535),
+		twoChoicesRun(1433419, 14.335406865494633),
+	}},
+	{"lumped", "annealed8", 10_000_000, 0.0000696, []goldenReport{
+		twoChoicesRun(183476815, 18.34494320502308),
+		twoChoicesRun(194095430, 19.40956855971581),
+	}},
+}
+
+// scaleOptions builds a scale cell's engine and topology options; the
+// graph is built here, inside the allocation window.
+func scaleOptions(engine, topology string, n int, seed uint64) ([]plurality.Option, error) {
+	switch topology {
+	case "regular8":
+		g, err := plurality.RandomRegularGraph(n, 8, rng.At(seed, scaleGraphStream).Uint64())
+		return []plurality.Option{plurality.WithEngine(plurality.EnginePerNode), plurality.WithGraph(g)}, err
+	case "annealed8":
+		g, err := plurality.AnnealedRegularGraph(n, 8)
+		return []plurality.Option{plurality.WithEngine(plurality.EngineOccupancy), plurality.WithGraph(g)}, err
+	}
+	if engine == "per-node" {
+		return []plurality.Option{plurality.WithEngine(plurality.EnginePerNode)}, nil
+	}
+	return []plurality.Option{plurality.WithEngine(plurality.EngineOccupancy)}, nil
+}
+
+// TestScaleGridGolden pins every trial of the scale grid bit for bit, the
+// engine that ran it, and what trial 0 allocates per node: the O(n)
+// colour vector and CSR arena on the per-node path, next to nothing on the
+// collapsed engines. It must not run in parallel with other tests, whose
+// allocations would land in the window.
+func TestScaleGridGolden(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the root package's race run is already close to go test's default 10-minute timeout")
+	}
+	for i, c := range scaleGrid {
+		t.Run(fmt.Sprintf("%s/%s/n=%d", c.engine, c.topology, c.n), func(t *testing.T) {
+			counts, err := plurality.Biased(c.n, 4, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := rng.At(1, i).Uint64()
+			for trial, want := range c.want {
+				seed := plurality.TrialSeed(base, trial)
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				opts, err := scaleOptions(c.engine, c.topology, c.n, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				job, err := plurality.NewJob("two-choices", counts,
+					append(opts, plurality.WithSeed(seed), plurality.WithModel(plurality.Poisson))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := job.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				if rep.Engine != c.engine {
+					t.Fatalf("trial %d ran on engine %q, want %q", trial, rep.Engine, c.engine)
+				}
+				if got := goldenOf(rep); !sameGolden(got, want) {
+					t.Fatalf("trial %d drifted from the captured run:\n got  %+v\n want %+v", trial, got, want)
+				}
+				if trial > 0 {
+					continue
+				}
+				perNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(c.n)
+				if bound := 1.5*c.bytesPerNode + 1; perNode > bound {
+					t.Fatalf("trial 0 allocated %.4f B/node, bound %.4f", perNode, bound)
+				}
+				t.Logf("trial 0 allocated %.4f B/node", perNode)
+			}
+		})
+	}
+}
+
+// leapTrial is the outcome of one hybrid-engine run.
+type leapTrial struct {
+	done  bool
+	ticks int64
+	time  float64
+}
+
+// leapGrid runs the hybrid tau-leap/mean-field engine at n = 10⁹ from
+// Biased(n, 4, 1). Trial 0's regime switches pin where the ODE, leap and
+// exact regimes hand over.
+var leapGrid = []struct {
+	protocol string
+	want     []leapTrial
+	switches []occupancy.RegimeSwitch // Time is not compared
+}{
+	{"two-choices",
+		[]leapTrial{{true, 24123992210, 24.12399221}, {true, 22131679400, 22.1316794}},
+		[]occupancy.RegimeSwitch{
+			{Ticks: 0, To: occupancy.RegimeODE},
+			{Ticks: 3410315031, To: occupancy.RegimeLeap},
+			{Ticks: 15773243041, To: occupancy.RegimeExact},
+		}},
+	{"usd",
+		[]leapTrial{{true, 35350123711, 35.350123711}, {true, 30156533688, 30.156533688}},
+		[]occupancy.RegimeSwitch{
+			{Ticks: 0, To: occupancy.RegimeODE},
+			{Ticks: 1250000, To: occupancy.RegimeLeap},
+			{Ticks: 169348666, To: occupancy.RegimeODE},
+			{Ticks: 2431562550, To: occupancy.RegimeLeap},
+			{Ticks: 18848704207, To: occupancy.RegimeExact},
+		}},
+}
+
+// TestLeapGridGolden pins the hybrid engine's runs at n = 10⁹, called
+// directly for the regime trace the public Report does not carry.
+func TestLeapGridGolden(t *testing.T) {
+	const n = 1_000_000_000
+	counts, err := plurality.Biased(n, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range leapGrid {
+		_, rule, err := protocols.Lookup(c.protocol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := rng.At(1, i).Uint64()
+		for trial, want := range c.want {
+			seed := plurality.TrialSeed(base, trial)
+			s, err := sched.NewPoisson(n, 1, rng.At(seed, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := occupancy.RunLeap(append([]int64(nil), counts...), rule,
+				occupancy.Config{Scheduler: s, Rand: rng.At(seed, 1), MaxTime: 1e6}, occupancy.LeapConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Done != want.done || res.Ticks != want.ticks || math.Float64bits(res.Time) != math.Float64bits(want.time) {
+				t.Errorf("%s trial %d: done=%v ticks=%d time=%v, want %+v", c.protocol, trial, res.Done, res.Ticks, res.Time, want)
+			}
+			if trial > 0 {
+				continue
+			}
+			same := len(res.Switches) == len(c.switches)
+			for j := 0; same && j < len(c.switches); j++ {
+				same = res.Switches[j].Ticks == c.switches[j].Ticks && res.Switches[j].To == c.switches[j].To
+			}
+			if !same {
+				t.Errorf("%s trial 0: regime switches %+v, want %+v", c.protocol, res.Switches, c.switches)
+			}
+		}
 	}
 }

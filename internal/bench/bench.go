@@ -1,7 +1,9 @@
 // Package bench is the experiment harness that regenerates every
-// quantitative claim of the paper as an empirical table. DESIGN.md §5 maps
-// each experiment ID (E1–E12) to its paper claim, workload, and modules;
-// EXPERIMENTS.md records the measured outputs.
+// quantitative claim of the paper as an empirical table. Each experiment
+// (E1–E12, and the ablations AB1–AB3) states its paper claim in its
+// registry entry, which `experiments -list` prints; docs/ARCHITECTURE.md
+// places the harness in the stack, and EXPERIMENTS.md covers the sweep
+// engine that generalizes these tables.
 //
 // Each experiment prints one or more tables (via trace.Table) followed by
 // "shape:" lines summarizing the fitted growth behaviour that the paper's

@@ -10,9 +10,10 @@ import (
 )
 
 // Ablations returns the ablation experiments for the protocol constants the
-// brief announcement leaves unspecified (DESIGN.md §6): the block length ∆,
-// the Sync Gadget sample count L, and the endgame budget. They justify the
-// calibrated defaults in internal/core.
+// brief announcement leaves unspecified: the block length ∆, the Sync
+// Gadget sample count L, and the endgame budget (`experiments -list`
+// prints each one's claim). They justify the calibrated defaults in
+// internal/core.
 func Ablations() []Experiment {
 	return []Experiment{
 		{

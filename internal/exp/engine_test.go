@@ -203,6 +203,37 @@ func TestEngineSweepGatesCatchDivergence(t *testing.T) {
 	}
 }
 
+// TestLeapCalibrationGateCatchesDrift: the leap-calibrated gate passes a
+// leap mean within its ceiling of the exact engine's and fails one beyond it.
+func TestLeapCalibrationGateCatchesDrift(t *testing.T) {
+	cal, _ := NamedByName("leap-calibration")
+	for _, tc := range []struct {
+		leapMean float64
+		pass     bool
+	}{{21, true}, {22, false}} { // 5% and 10% off the exact mean of 20
+		rep := &Report{Schema: SchemaVersion}
+		for _, p := range []string{"two-choices", "usd"} {
+			for _, e := range []struct {
+				engine string
+				mean   float64
+			}{{"occupancy", 20}, {"leap", tc.leapMean}} {
+				rep.Cells = append(rep.Cells, CellResult{Label: "protocol=" + p + ",engine=" + e.engine,
+					Params: map[string]string{"protocol": p, "engine": e.engine}, N: 100, Trials: 12, Mean: e.mean})
+			}
+		}
+		cal.Check(rep)
+		var gate *Gate
+		for i := range rep.Gates {
+			if rep.Gates[i].Name == "leap-calibrated" {
+				gate = &rep.Gates[i]
+			}
+		}
+		if gate == nil || gate.Pass != tc.pass {
+			t.Fatalf("leap-calibrated on leap mean %v vs exact 20: gate %+v, want pass=%v", tc.leapMean, gate, tc.pass)
+		}
+	}
+}
+
 // TestEngineAxisGrid: the engine axis grids like any other axis and the
 // per-engine trials of the same scenario agree on the time scale.
 func TestEngineAxisGrid(t *testing.T) {

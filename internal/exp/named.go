@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"plurality"
 	"plurality/internal/stats"
@@ -25,7 +26,7 @@ type NamedSweep struct {
 
 // Named returns every registered sweep, in presentation order.
 func Named() []NamedSweep {
-	return []NamedSweep{lognScaling(), engineEquivalence(), scaleSweep(), leapBudget(), protocolRace(), latencySweep(), churnSweep(), topologySweep(), topologyEquivalence(), adversaryThreshold(), netEquivalence()}
+	return []NamedSweep{lognScaling(), engineEquivalence(), scaleSweep(), leapBudget(), leapCalibration(), protocolRace(), latencySweep(), churnSweep(), topologySweep(), topologyEquivalence(), adversaryThreshold(), netEquivalence()}
 }
 
 // NamedByName resolves one registered sweep.
@@ -327,6 +328,67 @@ func leapBudget() NamedSweep {
 			}
 			rep.addGate("budget-invariant", invariant,
 				"mean consensus time agrees with the tightest budget across eps;%s", detail)
+		},
+	}
+}
+
+// leapCalibration measures the hybrid engine's consensus-time error against
+// the exact occupancy engine at the largest size where the exact engine
+// still affords a dozen trials per protocol. The leaping bias itself is well
+// under 1% at the default budget; the 8% ceiling adds about three standard
+// errors of the two 12-trial means on top.
+func leapCalibration() NamedSweep {
+	const maxRelErr = 0.08
+	specs := []string{"two-choices", "usd"}
+	return NamedSweep{
+		Name:        "leap-calibration",
+		Description: "Two-Choices and USD at n = 1e7 on the exact occupancy engine vs the hybrid leap engine; gates on convergence and on leap's mean consensus time staying within 8% of exact per protocol",
+		Build: func(smoke bool, seed uint64, trials int) Sweep {
+			return Sweep{
+				Name: "leap-calibration",
+				Base: Scenario{
+					N: 10_000_000, K: 4,
+					Bias: "biased", BiasParam: 1,
+					Topology: "complete", Model: "poisson",
+				},
+				Axes: []Axis{
+					{Name: "protocol", Values: specs},
+					{Name: "engine", Values: []string{"occupancy", "leap"}},
+				},
+				Trials: pickTrials(trials, 12),
+				Seed:   seed,
+			}
+		},
+		Check: func(rep *Report) {
+			gateAllConverged(rep)
+			calibrated, detail := true, ""
+			for _, p := range specs {
+				var exact, leap *CellResult
+				for i := range rep.Cells {
+					c := &rep.Cells[i]
+					if c.Params["protocol"] != p || c.Trials == c.Failures {
+						continue
+					}
+					switch c.Params["engine"] {
+					case "occupancy":
+						exact = c
+					case "leap":
+						leap = c
+					}
+				}
+				if exact == nil || leap == nil {
+					calibrated = false
+					detail += fmt.Sprintf(" %s: missing or unconverged engine cell;", p)
+					continue
+				}
+				rel := math.Abs(leap.Mean-exact.Mean) / exact.Mean
+				if rel > maxRelErr {
+					calibrated = false
+				}
+				detail += fmt.Sprintf(" %s: leap %.2f vs exact %.2f (rel %.3f);", p, leap.Mean, exact.Mean, rel)
+			}
+			rep.addGate("leap-calibrated", calibrated,
+				"leap mean consensus time within %.0f%% of the exact engine per protocol;%s", maxRelErr*100, detail)
 		},
 	}
 }

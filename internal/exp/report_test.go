@@ -168,10 +168,10 @@ func TestReportGateHelpers(t *testing.T) {
 
 func TestNamedRegistry(t *testing.T) {
 	names := Named()
-	if len(names) != 11 {
-		t.Fatalf("want 11 named sweeps, got %d", len(names))
+	if len(names) != 12 {
+		t.Fatalf("want 12 named sweeps, got %d", len(names))
 	}
-	for _, want := range []string{"logn-scaling", "engine-equivalence", "scale", "leap-budget", "protocol-race", "latency", "churn", "topology", "topology-equivalence", "adversary-threshold", "net-equivalence"} {
+	for _, want := range []string{"logn-scaling", "engine-equivalence", "scale", "leap-budget", "leap-calibration", "protocol-race", "latency", "churn", "topology", "topology-equivalence", "adversary-threshold", "net-equivalence"} {
 		ns, ok := NamedByName(want)
 		if !ok {
 			t.Fatalf("missing named sweep %q", want)

@@ -98,7 +98,7 @@ func (g Regime) String() string {
 }
 
 // RegimeSwitch records one regime transition of a hybrid run, for
-// diagnostics and the leap benchmark's machine-portable switch points.
+// diagnostics and for golden tests that pin where the regimes hand over.
 type RegimeSwitch struct {
 	// Ticks is the activation count at which the regime took over.
 	Ticks int64

@@ -104,8 +104,9 @@ func TestRunLeapUsesAllRegimes(t *testing.T) {
 }
 
 // TestRunLeapHugeN is the tentpole acceptance scenario: completed consensus
-// at n = 10¹² in seconds (the CI leap-smoke job times the committed
-// baseline; this test only demands completion and a sane result).
+// at n = 10¹². It demands completion and a sane result only; the root
+// package's TestLeapGridGolden pins runs at n = 10⁹ bit for bit, and the
+// leap-calibration sweep gates accuracy against the exact engine.
 func TestRunLeapHugeN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n = 1e12 run skipped in -short mode")

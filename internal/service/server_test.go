@@ -91,6 +91,24 @@ func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte
 	return resp, body
 }
 
+// del cancels a job with DELETE /v1/jobs/{id}, failing on any status but
+// 200.
+func del(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE job %s: status %d", id, resp.StatusCode)
+	}
+}
+
 // waitState polls GET /v1/jobs/{id} until the job reaches want (or any
 // terminal state), failing on timeout.
 func waitState(t *testing.T, ts *httptest.Server, id string, want JobState, timeout time.Duration) (JobStatus, []byte) {
@@ -178,9 +196,33 @@ func TestSubmitCompleteCachedResubmit(t *testing.T) {
 	}
 }
 
+// TestReferenceJobTicks: the reference job's tick count is a pure function
+// of the spec and seed, so it is pinned exactly: a change here is a change
+// in the engine or in spec normalisation, not noise.
+func TestReferenceJobTicks(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+
+	resp, body := post(t, ts, fastSpec(1))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, body)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	done, doneBody := waitState(t, ts, st.ID, StateDone, 30*time.Second)
+	if len(done.Reports) != 1 || !done.Reports[0].Converged {
+		t.Fatalf("terminal status: %s", doneBody)
+	}
+	if done.Reports[0].Ticks != 1316982 {
+		t.Fatalf("report ticks = %d, want 1316982", done.Reports[0].Ticks)
+	}
+}
+
 // TestQueueSaturationReturns429: with the single worker pinned by a long
 // job and the depth-1 queue filled, further submissions bounce with 429 +
-// Retry-After, and the rejection is counted.
+// Retry-After, and the rejection is counted. DELETE then reaps both the
+// queued and the running job.
 func TestQueueSaturationReturns429(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 
@@ -194,9 +236,13 @@ func TestQueueSaturationReturns429(t *testing.T) {
 	}
 	waitState(t, ts, stA.ID, StateRunning, 10*time.Second)
 
-	respB, _ := post(t, ts, slowSpec(2))
+	respB, bodyB := post(t, ts, slowSpec(2))
 	if respB.StatusCode != http.StatusAccepted {
 		t.Fatalf("job B: status %d, want 202 (queued)", respB.StatusCode)
+	}
+	var stB JobStatus
+	if err := json.Unmarshal(bodyB, &stB); err != nil {
+		t.Fatal(err)
 	}
 
 	respC, bodyC := post(t, ts, slowSpec(3))
@@ -213,6 +259,13 @@ func TestQueueSaturationReturns429(t *testing.T) {
 	if s.metrics.rejected.Load() != 1 {
 		t.Fatalf("rejected = %d, want 1", s.metrics.rejected.Load())
 	}
+
+	// A queued job is reaped when the worker freed by canceling A picks it
+	// up, so B is canceled first: it must never start.
+	del(t, ts, stB.ID)
+	del(t, ts, stA.ID)
+	waitState(t, ts, stA.ID, StateCanceled, 10*time.Second)
+	waitState(t, ts, stB.ID, StateCanceled, 10*time.Second)
 }
 
 // TestDeleteCancelsRunningJobPromptly: DELETE must interrupt the engine
@@ -229,18 +282,7 @@ func TestDeleteCancelsRunningJobPromptly(t *testing.T) {
 	waitState(t, ts, st.ID, StateRunning, 10*time.Second)
 
 	start := time.Now()
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE: status %d", resp.StatusCode)
-	}
+	del(t, ts, st.ID)
 	canceled, _ := waitState(t, ts, st.ID, StateCanceled, 10*time.Second)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v, want prompt", elapsed)
@@ -382,6 +424,38 @@ func TestMetricsAndList(t *testing.T) {
 	resp, body = get(t, ts, "/v1/healthz")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "ok") {
 		t.Fatalf("healthz: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestDistinctJobsAllComplete: a burst of distinct jobs on the default
+// worker pool all finish, and the metrics count every completion.
+func TestDistinctJobsAllComplete(t *testing.T) {
+	const jobs = 24
+	_, ts := newTestServer(t, Config{QueueDepth: jobs + 8})
+	ids := make([]string, 0, jobs)
+	for i := 0; i < jobs; i++ {
+		sp := fastSpec(uint64(1001 + i))
+		sp.Counts = []int64{6_000, 4_000}
+		resp, body := post(t, ts, sp)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("job %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		var st JobStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		waitState(t, ts, id, StateDone, 2*time.Minute)
+	}
+	_, body := get(t, ts, "/v1/metrics")
+	var m MetricsSnapshot
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Jobs.Completed != jobs {
+		t.Fatalf("metrics: %d completed, want %d: %s", m.Jobs.Completed, jobs, body)
 	}
 }
 

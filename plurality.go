@@ -33,8 +33,9 @@
 // any runner. The legacy one-shot entry points (RunCore, RunDynamic, …)
 // remain as bit-identical shims over the same execution layer.
 //
-// All runs are deterministic given WithSeed. See DESIGN.md for the paper
-// mapping and EXPERIMENTS.md for the reproduced results.
+// All runs are deterministic given WithSeed. See docs/ARCHITECTURE.md for
+// the code layers, EXPERIMENTS.md for the sweeps that gate the paper's
+// claims, and `experiments -list` for the paper-reproduction tables.
 package plurality
 
 import (
