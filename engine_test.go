@@ -2,9 +2,12 @@ package plurality_test
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"plurality"
+	"plurality/internal/par"
 	"plurality/internal/stats"
 )
 
@@ -35,6 +38,38 @@ func runEngineTrials(t *testing.T, run func(*plurality.Population, ...plurality.
 		}
 		times = append(times, res.Time)
 		ticks = append(ticks, float64(res.Ticks))
+	}
+	return times, ticks
+}
+
+// runCountsTrials is runEngineTrials on the counts entry point for the
+// registry protocol spec, with the trials spread over GOMAXPROCS
+// goroutines; times and ticks stay in trial order.
+func runCountsTrials(t *testing.T, spec string, counts []int64, engine plurality.Engine, model plurality.Model, trials int, seedBase uint64) (times, ticks []float64) {
+	t.Helper()
+	var n int64
+	for _, c := range counts {
+		n += c
+	}
+	times, ticks = make([]float64, trials), make([]float64, trials)
+	err := par.ForEach(0, trials, func(i int) error {
+		cs := slices.Clone(counts)
+		res, err := plurality.RunDynamicCounts(spec, cs,
+			plurality.WithSeed(seedBase+uint64(i)),
+			plurality.WithEngine(engine),
+			plurality.WithModel(model),
+			plurality.WithMaxTime(1e6))
+		if err != nil {
+			return err
+		}
+		if cs[res.Winner] != n {
+			return fmt.Errorf("counts %v disagree with reported winner %d", cs, res.Winner)
+		}
+		times[i], ticks[i] = res.Time, float64(res.Ticks)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return times, ticks
 }
@@ -199,7 +234,9 @@ func TestJMajorityThreeMatchesThreeMajority(t *testing.T) {
 // KS sampling threshold. n = 10⁷ is trimmed under -short (the -race CI job
 // runs -short). ODE handoff never engages below n = 10⁸ at the default
 // threshold, so this pins the stochastic regimes; the ODE path is covered
-// by the occupancy and meanfield package tests.
+// by the occupancy and meanfield package tests. The trials run in parallel
+// on the counts entry point, which for a fixed seed is bit-identical to the
+// population one (TestCountsAPIMatchesPopulationRun).
 func TestLeapMatchesExactDistributions(t *testing.T) {
 	cases := []struct {
 		n      int64
@@ -211,14 +248,13 @@ func TestLeapMatchesExactDistributions(t *testing.T) {
 		{1e7, 50, false},
 	}
 	for _, spec := range []string{"two-choices", "usd"} {
-		run := runDynamicBySpec(spec)
 		for _, c := range cases {
 			if !c.short && testing.Short() {
 				continue
 			}
 			counts := []int64{c.n / 2, c.n / 4, c.n / 4}
-			occT, occM := runEngineTrials(t, run, counts, plurality.EngineOccupancy, plurality.Poisson, c.trials, 4100)
-			leapT, leapM := runEngineTrials(t, run, counts, plurality.EngineLeap, plurality.Poisson, c.trials, 62000)
+			occT, occM := runCountsTrials(t, spec, counts, plurality.EngineOccupancy, plurality.Poisson, c.trials, 4100)
+			leapT, leapM := runCountsTrials(t, spec, counts, plurality.EngineLeap, plurality.Poisson, c.trials, 62000)
 			thresh := ksThresh(0.001, c.trials, c.trials) + 0.12
 			t.Logf("%s n=%g: timeKS=%.4f tickKS=%.4f thresh=%.4f", spec, float64(c.n), ksStat(occT, leapT), ksStat(occM, leapM), thresh)
 			if d := ksStat(occT, leapT); d > thresh {

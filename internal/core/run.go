@@ -67,11 +67,7 @@ func (rn *Runner) Run(pop *population.Population, cfg Config) (Result, error) {
 	last := st.run()
 	st.res.Time = last.Time
 	st.res.Ticks = last.Seq + 1
-	switch {
-	case st.noTicks:
-		// Stopped at a batch boundary before anything was delivered.
-		st.res.Ticks = 0
-	case st.interruptSeq >= 0:
+	if st.interruptSeq >= 0 {
 		// The tick the stop poll fired on never applied.
 		st.res.Ticks = st.interruptSeq
 	}
@@ -194,11 +190,9 @@ type state struct {
 	// stopped records that the hook fired, and interruptSeq (-1 when
 	// unset) the Seq of the tick the hook fired on — that tick never
 	// applied, so Result.Ticks reports the activations delivered before
-	// it. noTicks marks a batch-boundary stop before any delivery (the
-	// zero-value tick's Seq+1 must not be reported).
+	// it.
 	stopCheck    int
 	stopped      bool
-	noTicks      bool
 	interruptSeq int64
 
 	nextProbe   float64
@@ -315,7 +309,6 @@ func (st *state) reset(pop *population.Population, cfg Config, spec Spec) error 
 	st.nextObserve = 0
 	st.stopCheck = 0
 	st.stopped = false
-	st.noTicks = false
 	st.interruptSeq = -1
 	return nil
 }
@@ -392,11 +385,12 @@ func (st *state) block2(u, v1, v2 int, now float64) {
 }
 
 // run drives the scheduler until the protocol reports completion or
-// MaxTime elapses, returning the last delivered tick. When the scheduler
-// supports batch delivery it pulls ticks in chunks and — in the common
-// no-delay, no-probe case — dispatches them through a specialized loop with
-// no per-tick closure or interface call; the general per-tick path is kept
-// for delay models and probing. Both paths consume the protocol RNG
+// MaxTime elapses, returning the last delivered tick, or Tick{Seq: -1} as
+// sched.RunBatch does when none is. When the scheduler supports batch
+// delivery it pulls ticks in chunks and — in the common no-delay, no-probe
+// case — dispatches them through a specialized loop with no per-tick
+// closure or interface call; the general per-tick path is kept for delay
+// models and probing. Both paths consume the protocol RNG
 // identically, so results for a fixed seed do not depend on which one runs.
 func (st *state) run() sched.Tick {
 	bs, ok := st.cfg.Scheduler.(sched.BatchScheduler)
@@ -409,15 +403,13 @@ func (st *state) run() sched.Tick {
 		last, _ := sched.RunBatch(st.cfg.Scheduler, st.cfg.MaxTime, st.tick)
 		return last
 	}
-	var last sched.Tick
-	ran := false
+	last := sched.Tick{Seq: -1}
 	maxTime := st.cfg.MaxTime
 	st.tickBuf = grow(st.tickBuf, sched.BatchSize)
 	buf := st.tickBuf
 	for {
 		if st.cfg.Stop != nil && st.cfg.Stop() {
 			st.stopped = true
-			st.noTicks = !ran
 			return last
 		}
 		bs.NextBatch(buf)
@@ -430,7 +422,6 @@ func (st *state) run() sched.Tick {
 				return last
 			}
 		}
-		ran = true
 	}
 }
 

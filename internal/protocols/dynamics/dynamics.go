@@ -43,14 +43,20 @@ var ErrStopped = errors.New("dynamics: run stopped")
 type Snapshot = occupancy.Snapshot
 
 // Runner executes dynamics runs while pooling the per-run scratch state —
-// the neighbor-sample buffer, the per-node pending-update slice of blocking
-// runs, the synchronous staging buffer and the count-collapsed engine's
-// histogram scratch — so trial loops stop paying an allocation-and-zero
-// cost per run. A Runner is not safe for concurrent use; parallel drivers
-// keep one per worker. Buffer reuse cannot change results: every buffer is
+// the neighbor-sample buffer, the per-node engine's tick batch and staged
+// neighbor draws, the per-node pending-update slice of blocking runs, the
+// synchronous staging buffer and the count-collapsed engine's histogram
+// scratch — so trial loops stop paying an allocation-and-zero cost per run.
+// A Runner is not safe for concurrent use; parallel drivers keep one per
+// worker. Buffer reuse cannot change results: every buffer is
 // (re)initialized before the run consumes it.
 type Runner struct {
 	sampled []population.Color
+	batch   []sched.Tick
+	peers   []int
+	// touched folds the loads of the staged loop's touch pass, so the
+	// compiler keeps them.
+	touched int
 	pending []pendingUpdate
 	buf     *syncsim.Buffer
 	snap    []int64
@@ -74,7 +80,10 @@ type Rule interface {
 	// state (Undecided-State Dynamics — such rules also see None in own
 	// and sampled, and should implement occupancy.Undecided so the
 	// count-collapsed engine can represent the extra state). r is
-	// available for randomized tie-breaking.
+	// available for randomized tie-breaking. The per-node engine draws
+	// all of a tick batch's samples before any of that batch's Next
+	// calls, so draws made here follow the whole batch's samples in r's
+	// stream.
 	Next(r *rng.RNG, own population.Color, sampled []population.Color) population.Color
 }
 
@@ -211,6 +220,18 @@ func (rn *Runner) sampleBuffer(s int) []population.Color {
 		rn.sampled = make([]population.Color, s)
 	}
 	return rn.sampled[:s]
+}
+
+// stagingBuffers returns the pooled tick batch and the pooled buffer for a
+// batch's neighbor draws, s per tick.
+func (rn *Runner) stagingBuffers(s int) ([]sched.Tick, []int) {
+	if rn.batch == nil {
+		rn.batch = make([]sched.Tick, sched.BatchSize)
+	}
+	if cap(rn.peers) < sched.BatchSize*s {
+		rn.peers = make([]int, sched.BatchSize*s)
+	}
+	return rn.batch, rn.peers[:sched.BatchSize*s]
 }
 
 func validateSync(pop *population.Population, rule Rule, cfg SyncConfig) error {
@@ -450,7 +471,12 @@ func (rn *Runner) RunAsync(pop *population.Population, rule Rule, cfg AsyncConfi
 }
 
 // runPerNode executes the run node by node: every activation samples,
-// decides and applies on the population itself.
+// decides and applies on the population itself. In the paper's base model
+// the ticks run in staged batches, which draw every sample of a batch
+// before any of the batch's Next calls: a rule whose Next draws nothing
+// consumes cfg.Rand exactly as one activation after another would, and a
+// rule that breaks ties with r draws its tie-breaks after its batch's
+// samples.
 func (rn *Runner) runPerNode(pop *population.Population, rule Rule, cfg AsyncConfig) (AsyncResult, error) {
 	var (
 		n        = pop.N()
@@ -491,58 +517,77 @@ func (rn *Runner) runPerNode(pop *population.Population, rule Rule, cfg AsyncCon
 	}
 
 	// Fast path for the paper's base model: no delays, no latencies, no
-	// churn and no observer. Ticks are pulled in batches and handled
-	// inline, so the only per-tick dynamic dispatch left is the rule
-	// itself. (Stop stays compatible with it — one poll per batch — but
-	// snapshot observation needs the per-tick time check of the general
-	// path.)
+	// churn, no observer and no adversary. Each batch of ticks runs in
+	// three passes, so that its cache misses overlap instead of waiting
+	// one after another behind the adopt branch:
+	//  1. draw every tick's s neighbors, in tick order;
+	//  2. touch every color the batch will read, the activated node's and
+	//     each neighbor's, with no data-dependent branch;
+	//  3. apply the ticks in order on live colors, so a node written
+	//     earlier in the batch is read as written.
+	// Graph.Sample depends only on the graph, the node and the RNG, so
+	// pass 1 draws what one activation after another would. (Stop stays
+	// compatible with it — one poll per batch — but snapshot observation
+	// needs the per-tick time check of the general path.)
 	if bs, ok := cfg.Scheduler.(sched.BatchScheduler); ok && !blocking && !churning && cfg.OnTick == nil && cfg.OnSnapshot == nil && cfg.Adversary == nil {
 		// Devirtualize the dominant topology: a concrete *graph.Adjacency
 		// receiver lets the CSR Sample inline into the loop, removing the
 		// interface dispatch per neighbor draw. Same draws, same results.
 		csr, _ := cfg.Graph.(*graph.Adjacency)
-		var last sched.Tick
-		ran := false
-		batch := make([]sched.Tick, sched.BatchSize)
+		batch, peers := rn.stagingBuffers(s)
 		for !res.Done {
 			if cfg.Stop != nil && cfg.Stop() {
-				res.Time = last.Time
-				if ran {
-					res.Ticks = last.Seq + 1
-				}
 				res.Winner = pop.Plurality()
 				res.Undecided = pop.Undecided()
 				return res, fmt.Errorf("dynamics: %s stopped at time %v: %w", rule.Name(), res.Time, ErrStopped)
 			}
 			bs.NextBatch(batch)
-			for _, t := range batch {
-				if t.Time > cfg.MaxTime {
-					res.Time = last.Time
-					res.Ticks = last.Seq + 1
-					res.Winner = pop.Plurality()
-					res.Undecided = pop.Undecided()
-					return res, fmt.Errorf("dynamics: %s did not converge by time %v: %w", rule.Name(), cfg.MaxTime, ErrTimeLimit)
+			ticks := batch
+			for len(ticks) > 0 && ticks[len(ticks)-1].Time > cfg.MaxTime {
+				ticks = ticks[:len(ticks)-1]
+			}
+			touched := 0
+			if csr != nil {
+				// Read every row's degree first, so the row-offset misses
+				// overlap before the draws need them.
+				for _, t := range ticks {
+					touched += csr.Degree(t.Node)
 				}
-				last = t
-				u := t.Node
-				if csr != nil {
-					for i := 0; i < s; i++ {
-						sampled[i] = pop.ColorOf(csr.Sample(cfg.Rand, u))
-					}
-				} else {
-					for i := 0; i < s; i++ {
-						sampled[i] = pop.ColorOf(cfg.Graph.Sample(cfg.Rand, u))
+				for i, t := range ticks {
+					for j := i * s; j < (i+1)*s; j++ {
+						peers[j] = csr.Sample(cfg.Rand, t.Node)
 					}
 				}
-				apply(u, rule.Next(cfg.Rand, pop.ColorOf(u), sampled))
+			} else {
+				for i, t := range ticks {
+					for j := i * s; j < (i+1)*s; j++ {
+						peers[j] = cfg.Graph.Sample(cfg.Rand, t.Node)
+					}
+				}
+			}
+			for i, t := range ticks {
+				touched += int(pop.ColorOf(t.Node))
+				for _, v := range peers[i*s : (i+1)*s] {
+					touched += int(pop.ColorOf(v))
+				}
+			}
+			rn.touched += touched
+			for i, t := range ticks {
+				for j, v := range peers[i*s : (i+1)*s] {
+					sampled[j] = pop.ColorOf(v)
+				}
+				apply(t.Node, rule.Next(cfg.Rand, pop.ColorOf(t.Node), sampled))
+				res.Time, res.Ticks = t.Time, t.Seq+1
 				if res.Done {
 					break
 				}
 			}
-			ran = true
+			if !res.Done && len(ticks) < len(batch) {
+				res.Winner = pop.Plurality()
+				res.Undecided = pop.Undecided()
+				return res, fmt.Errorf("dynamics: %s did not converge by time %v: %w", rule.Name(), cfg.MaxTime, ErrTimeLimit)
+			}
 		}
-		res.Time = last.Time
-		res.Ticks = last.Seq + 1
 		res.Winner = pop.Plurality()
 		res.Undecided = pop.Undecided()
 		return res, nil

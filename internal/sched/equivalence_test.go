@@ -179,7 +179,8 @@ func TestNextBatchMatchesNext(t *testing.T) {
 }
 
 // TestRunBatchMatchesRunUntil verifies the batched driver delivers exactly
-// the ticks RunUntil would, under both stopping rules.
+// the ticks RunUntil would, under both stopping rules, and that both report
+// Tick{Seq: -1} as the last tick when the first one lies beyond maxTime.
 func TestRunBatchMatchesRunUntil(t *testing.T) {
 	collect := func(run func(Scheduler, float64, func(Tick) bool) (Tick, bool), maxTime float64, stopAfter int) ([]Tick, Tick, bool) {
 		s, err := NewPoisson(25, 1, rng.New(12))
@@ -196,12 +197,15 @@ func TestRunBatchMatchesRunUntil(t *testing.T) {
 	for _, tc := range []struct {
 		maxTime   float64
 		stopAfter int
-	}{{40, 0}, {1e9, 777}} {
+	}{{40, 0}, {1e9, 777}, {1e-9, 0}} {
 		a, lastA, stopA := collect(RunUntil, tc.maxTime, tc.stopAfter)
 		b, lastB, stopB := collect(RunBatch, tc.maxTime, tc.stopAfter)
 		if len(a) != len(b) || lastA != lastB || stopA != stopB {
 			t.Fatalf("maxTime=%v stopAfter=%d: RunUntil (%d ticks, %+v, %v) != RunBatch (%d ticks, %+v, %v)",
 				tc.maxTime, tc.stopAfter, len(a), lastA, stopA, len(b), lastB, stopB)
+		}
+		if lastA.Seq+1 != int64(len(a)) {
+			t.Fatalf("maxTime=%v: last tick %+v after %d delivered", tc.maxTime, lastA, len(a))
 		}
 		for i := range a {
 			if a[i] != b[i] {

@@ -276,8 +276,11 @@ func (h *eventHeap) Pop() interface{} {
 // RunUntil drives s, invoking step for every tick, until either step
 // returns false (the protocol reports completion) or Time exceeds maxTime.
 // It returns the last tick delivered and whether the run stopped because
-// step returned false.
+// step returned false. When the first tick already lies beyond maxTime,
+// last is Tick{Seq: -1}, so last.Seq+1 counts the ticks delivered either
+// way.
 func RunUntil(s Scheduler, maxTime float64, step func(Tick) bool) (last Tick, stopped bool) {
+	last = Tick{Seq: -1}
 	for {
 		t := s.Next()
 		if t.Time > maxTime {
@@ -306,6 +309,7 @@ func RunBatch(s Scheduler, maxTime float64, step func(Tick) bool) (last Tick, st
 	if !ok {
 		return RunUntil(s, maxTime, step)
 	}
+	last = Tick{Seq: -1}
 	buf := make([]Tick, BatchSize)
 	for {
 		bs.NextBatch(buf)

@@ -190,6 +190,37 @@ func TestJobRunCanceledContextReturnsPromptly(t *testing.T) {
 	}
 }
 
+// TestJobNoActivationWithinMaxTime: when the first activation already lies
+// beyond MaxTime, no tick is delivered, and every engine reports zero ticks
+// at time zero, on its batched and its per-tick path alike.
+func TestJobNoActivationWithinMaxTime(t *testing.T) {
+	cases := []struct {
+		name string
+		spec string
+		opts []Option
+	}{
+		{name: "core", spec: "core"},
+		{name: "core/delayed", spec: "core", opts: []Option{WithResponseDelay(1)}},
+		{name: "per-node", spec: "two-choices", opts: []Option{WithEngine(EnginePerNode)}},
+		{name: "per-node/delayed", spec: "two-choices", opts: []Option{WithEngine(EnginePerNode), WithResponseDelay(1)}},
+		{name: "occupancy", spec: "two-choices", opts: []Option{WithEngine(EngineOccupancy)}},
+	}
+	for _, tc := range cases {
+		opts := append([]Option{WithModel(Poisson), WithSeed(3), WithMaxTime(1e-6)}, tc.opts...)
+		job, err := NewJob(tc.spec, []int64{6, 4}, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		rep, err := job.Run(context.Background())
+		if err == nil {
+			t.Fatalf("%s: run within MaxTime 1e-6 returned no error: %+v", tc.name, rep)
+		}
+		if rep.Converged || rep.Ticks != 0 || rep.Time != 0 {
+			t.Errorf("%s: converged=%v ticks=%d time=%v, want no activation delivered", tc.name, rep.Converged, rep.Ticks, rep.Time)
+		}
+	}
+}
+
 // TestJobDeadlineInterruptsLongRun: a deadline that expires mid-run stops
 // the engine and reports progress so far.
 func TestJobDeadlineInterruptsLongRun(t *testing.T) {
