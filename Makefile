@@ -22,8 +22,8 @@ api:
 	$(GO) doc -all . > api.txt
 
 # CI gate: the public surface of the root package must match the committed
-# api.txt, so accidental exports — or accidentally dropped deprecated shims
-# — fail the build instead of shipping silently.
+# api.txt, so accidental exports — or accidentally dropped public API —
+# fail the build instead of shipping silently.
 api-check:
 	@$(GO) doc -all . | diff -u api.txt - \
 		|| { echo "public API surface drifted: run 'make api' and commit api.txt"; exit 1; }

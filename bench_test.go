@@ -12,6 +12,7 @@
 package plurality_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -53,11 +54,14 @@ func BenchmarkAB3EndgameAblation(b *testing.B)      { benchExperiment(b, "ab3") 
 
 // --- single-run protocol benchmarks (simulator profiling) ----------------
 
-func BenchmarkProtocolCore(b *testing.B) {
-	counts, err := plurality.Biased(4000, 4, 1)
+// benchProtocol runs one job of spec over counts per iteration, on a fresh
+// population each time.
+func benchProtocol(b *testing.B, spec string, counts []int64, err error, opts ...plurality.Option) {
+	b.Helper()
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -65,62 +69,32 @@ func BenchmarkProtocolCore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := plurality.RunCore(pop, plurality.WithSeed(uint64(i+1))); err != nil {
+		job, err := plurality.NewJob(spec, counts, append(opts, plurality.WithSeed(uint64(i+1)))...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := job.RunOn(ctx, pop); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func BenchmarkProtocolCore(b *testing.B) {
+	counts, err := plurality.Biased(4000, 4, 1)
+	benchProtocol(b, "core", counts, err)
 }
 
 func BenchmarkProtocolTwoChoicesSync(b *testing.B) {
 	counts, err := plurality.GapSqrt(8000, 8, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pop, err := plurality.NewPopulation(counts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := plurality.RunTwoChoicesSync(pop, plurality.WithSeed(uint64(i+1))); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchProtocol(b, "two-choices", counts, err, plurality.WithModel(plurality.Synchronous))
 }
 
 func BenchmarkProtocolTwoChoicesAsync(b *testing.B) {
 	counts, err := plurality.Biased(8000, 8, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pop, err := plurality.NewPopulation(counts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := plurality.RunTwoChoicesAsync(pop, plurality.WithSeed(uint64(i+1))); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchProtocol(b, "two-choices", counts, err)
 }
 
 func BenchmarkProtocolOneExtraBit(b *testing.B) {
 	counts, err := plurality.GapSqrtPolylog(8000, 8, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pop, err := plurality.NewPopulation(counts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := plurality.RunOneExtraBit(pop, plurality.WithSeed(uint64(i+1))); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchProtocol(b, "onebit", counts, err)
 }

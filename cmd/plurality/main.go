@@ -219,10 +219,13 @@ func jobOptions(f flags, out io.Writer) ([]plurality.Option, error) {
 		if err != nil {
 			return nil, err
 		}
-		if f.budget > 0 && spec.Name == "" {
+		spec.Budget = f.budget
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
+		if f.budget > 0 && !spec.Active() {
 			return nil, fmt.Errorf("-budget %d set with no -adversary to spend it", f.budget)
 		}
-		spec.Budget = f.budget
 		if spec.Active() {
 			opts = append(opts, plurality.WithAdversary(spec))
 		}

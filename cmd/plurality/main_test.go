@@ -143,6 +143,10 @@ func TestRunErrors(t *testing.T) {
 		{name: "j-majority without j", args: []string{"-protocol", "j-majority", "-n", "100"}},
 		{name: "j-majority bad j", args: []string{"-protocol", "j-majority:x", "-n", "100"}},
 		{name: "occupancy core", args: []string{"-protocol", "core", "-engine", "occupancy", "-n", "100"}},
+		// As in the daemon and the sweeps: a budget needs an adversary to
+		// spend it, and budgets are non-negative.
+		{name: "budget without adversary", args: []string{"-adversary", "none", "-budget", "5", "-n", "100"}},
+		{name: "negative budget", args: []string{"-adversary", "corrupt", "-budget", "-3", "-n", "100"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

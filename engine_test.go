@@ -1,9 +1,10 @@
 package plurality_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"slices"
+	"strings"
 	"testing"
 
 	"plurality"
@@ -15,57 +16,62 @@ import (
 func ksStat(a, b []float64) float64            { return stats.KSStatistic(a, b) }
 func ksThresh(alpha float64, m, n int) float64 { return stats.KSThreshold(alpha, m, n) }
 
+// engineJob compiles the registry protocol spec over counts for one trial
+// under the given engine and model.
+func engineJob(spec string, counts []int64, engine plurality.Engine, model plurality.Model, seed uint64, maxTime float64) (*plurality.Job, error) {
+	return plurality.NewJob(spec, counts,
+		plurality.WithSeed(seed),
+		plurality.WithEngine(engine),
+		plurality.WithModel(model),
+		plurality.WithMaxTime(maxTime))
+}
+
 // runEngineTrials collects consensus times and tick counts of an
-// asynchronous dynamics run under the given engine.
-func runEngineTrials(t *testing.T, run func(*plurality.Population, ...plurality.Option) (plurality.AsyncResult, error),
-	counts []int64, engine plurality.Engine, model plurality.Model, trials int, seedBase uint64) (times, ticks []float64) {
+// asynchronous dynamics run under the given engine, each on a fresh
+// population that must end on the reported winner.
+func runEngineTrials(t *testing.T, spec string, counts []int64, engine plurality.Engine, model plurality.Model, trials int, seedBase uint64) (times, ticks []float64) {
 	t.Helper()
 	for i := 0; i < trials; i++ {
 		pop, err := plurality.NewPopulation(counts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := run(pop,
-			plurality.WithSeed(seedBase+uint64(i)),
-			plurality.WithEngine(engine),
-			plurality.WithModel(model),
-			plurality.WithMaxTime(1e6))
+		job, err := engineJob(spec, counts, engine, model, seedBase+uint64(i), 1e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := job.RunOn(context.Background(), pop)
 		if err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}
-		if !pop.ConsensusOn(res.Winner) {
-			t.Fatalf("trial %d: population disagrees with reported winner %d", i, res.Winner)
+		if !pop.ConsensusOn(rep.Winner) {
+			t.Fatalf("trial %d: population disagrees with reported winner %d", i, rep.Winner)
 		}
-		times = append(times, res.Time)
-		ticks = append(ticks, float64(res.Ticks))
+		times = append(times, rep.Time)
+		ticks = append(ticks, float64(rep.Ticks))
 	}
 	return times, ticks
 }
 
-// runCountsTrials is runEngineTrials on the counts entry point for the
-// registry protocol spec, with the trials spread over GOMAXPROCS
-// goroutines; times and ticks stay in trial order.
+// runCountsTrials is runEngineTrials on the job's own counts, which the
+// histogram engines run without a population, with the trials spread over
+// GOMAXPROCS goroutines; times and ticks stay in trial order.
 func runCountsTrials(t *testing.T, spec string, counts []int64, engine plurality.Engine, model plurality.Model, trials int, seedBase uint64) (times, ticks []float64) {
 	t.Helper()
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
 	times, ticks = make([]float64, trials), make([]float64, trials)
 	err := par.ForEach(0, trials, func(i int) error {
-		cs := slices.Clone(counts)
-		res, err := plurality.RunDynamicCounts(spec, cs,
-			plurality.WithSeed(seedBase+uint64(i)),
-			plurality.WithEngine(engine),
-			plurality.WithModel(model),
-			plurality.WithMaxTime(1e6))
+		job, err := engineJob(spec, counts, engine, model, seedBase+uint64(i), 1e6)
 		if err != nil {
 			return err
 		}
-		if cs[res.Winner] != n {
-			return fmt.Errorf("counts %v disagree with reported winner %d", cs, res.Winner)
+		rep, err := job.Run(context.Background())
+		if err != nil {
+			return err
 		}
-		times[i], ticks[i] = res.Time, float64(res.Ticks)
+		if !rep.Converged {
+			return fmt.Errorf("trial %d did not converge: %+v", i, rep)
+		}
+		times[i], ticks[i] = rep.Time, float64(rep.Ticks)
 		return nil
 	})
 	if err != nil {
@@ -83,14 +89,10 @@ func runCountsTrials(t *testing.T, spec string, counts []int64, engine plurality
 func TestOccupancyMatchesPerNodeDistributions(t *testing.T) {
 	const trials = 200
 	counts := []int64{120, 60, 60}
-	runs := map[string]func(*plurality.Population, ...plurality.Option) (plurality.AsyncResult, error){
-		"two-choices": plurality.RunTwoChoicesAsync,
-		"3-majority":  plurality.RunThreeMajorityAsync,
-	}
 	for _, model := range []plurality.Model{plurality.Sequential, plurality.Poisson} {
-		for name, run := range runs {
-			perT, perM := runEngineTrials(t, run, counts, plurality.EnginePerNode, model, trials, 100)
-			occT, occM := runEngineTrials(t, run, counts, plurality.EngineOccupancy, model, trials, 9000)
+		for _, name := range []string{"two-choices", "3-majority"} {
+			perT, perM := runEngineTrials(t, name, counts, plurality.EnginePerNode, model, trials, 100)
+			occT, occM := runEngineTrials(t, name, counts, plurality.EngineOccupancy, model, trials, 9000)
 			thresh := ksThresh(0.001, trials, trials) + 1.0/240
 			if d := ksStat(perT, occT); d > thresh {
 				t.Errorf("%s model=%d: consensus-time KS %.4f > %.4f", name, model, d, thresh)
@@ -117,11 +119,11 @@ func TestOccupancyMatchesPerNodeTrajectory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = plurality.RunTwoChoicesAsync(pop,
-				plurality.WithSeed(3000+uint64(i)),
-				plurality.WithEngine(engine),
-				plurality.WithModel(plurality.Poisson),
-				plurality.WithMaxTime(3)) // far short of consensus
+			job, err := engineJob("two-choices", counts, engine, plurality.Poisson, 3000+uint64(i), 3) // far short of consensus
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = job.RunOn(context.Background(), pop)
 			if err == nil || !errors.Is(err, plurality.ErrTimeLimit) {
 				t.Fatalf("trial %d: err = %v, want ErrTimeLimit", i, err)
 			}
@@ -139,13 +141,6 @@ func TestOccupancyMatchesPerNodeTrajectory(t *testing.T) {
 	}
 }
 
-// runDynamicBySpec adapts the registry entry point to runEngineTrials.
-func runDynamicBySpec(spec string) func(*plurality.Population, ...plurality.Option) (plurality.AsyncResult, error) {
-	return func(pop *plurality.Population, opts ...plurality.Option) (plurality.AsyncResult, error) {
-		return plurality.RunDynamic(spec, pop, opts...)
-	}
-}
-
 // TestNewProtocolsMatchPerNodeDistributions extends the cross-engine
 // distributional-equivalence gate to the registry's new families: for USD
 // (whose undecided state rides in the occupancy engine's hidden bucket)
@@ -157,9 +152,8 @@ func TestNewProtocolsMatchPerNodeDistributions(t *testing.T) {
 	counts := []int64{120, 60, 60}
 	for _, model := range []plurality.Model{plurality.Sequential, plurality.Poisson} {
 		for _, spec := range []string{"usd", "j-majority:4"} {
-			run := runDynamicBySpec(spec)
-			perT, perM := runEngineTrials(t, run, counts, plurality.EnginePerNode, model, trials, 100)
-			occT, occM := runEngineTrials(t, run, counts, plurality.EngineOccupancy, model, trials, 9000)
+			perT, perM := runEngineTrials(t, spec, counts, plurality.EnginePerNode, model, trials, 100)
+			occT, occM := runEngineTrials(t, spec, counts, plurality.EngineOccupancy, model, trials, 9000)
 			thresh := ksThresh(0.001, trials, trials) + 1.0/240
 			if d := ksStat(perT, occT); d > thresh {
 				t.Errorf("%s model=%d: consensus-time KS %.4f > %.4f", spec, model, d, thresh)
@@ -177,26 +171,20 @@ func TestNewProtocolsMatchPerNodeDistributions(t *testing.T) {
 // anchor gate.
 func TestJMajorityOneIsVoterBitForBit(t *testing.T) {
 	counts := []int64{90, 60, 50}
+	run := func(spec string, seed uint64) plurality.Report {
+		job, err := engineJob(spec, counts, plurality.EnginePerNode, plurality.Poisson, seed, 1e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := job.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s seed %d: %v", spec, seed, err)
+		}
+		rep.Protocol = "" // the one field that names the spec
+		return rep
+	}
 	for seed := uint64(0); seed < 20; seed++ {
-		popJ, err := plurality.NewPopulation(counts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		popV, err := plurality.NewPopulation(counts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := []plurality.Option{
-			plurality.WithSeed(seed),
-			plurality.WithEngine(plurality.EnginePerNode),
-			plurality.WithModel(plurality.Poisson),
-			plurality.WithMaxTime(1e6),
-		}
-		resJ, errJ := plurality.RunDynamic("j-majority:1", popJ, opts...)
-		resV, errV := plurality.RunVoterAsync(popV, opts...)
-		if errJ != nil || errV != nil {
-			t.Fatalf("seed %d: errs %v / %v", seed, errJ, errV)
-		}
+		resJ, resV := run("j-majority:1", seed), run("voter", seed)
 		if resJ != resV {
 			t.Fatalf("seed %d: j-majority:1 %+v != voter %+v", seed, resJ, resV)
 		}
@@ -212,8 +200,8 @@ func TestJMajorityThreeMatchesThreeMajority(t *testing.T) {
 	const trials = 250
 	counts := []int64{120, 60, 60}
 	for _, engine := range []plurality.Engine{plurality.EnginePerNode, plurality.EngineOccupancy} {
-		jT, jM := runEngineTrials(t, runDynamicBySpec("j-majority:3"), counts, engine, plurality.Poisson, trials, 300)
-		mT, mM := runEngineTrials(t, plurality.RunThreeMajorityAsync, counts, engine, plurality.Poisson, trials, 7700)
+		jT, jM := runEngineTrials(t, "j-majority:3", counts, engine, plurality.Poisson, trials, 300)
+		mT, mM := runEngineTrials(t, "3-majority", counts, engine, plurality.Poisson, trials, 7700)
 		thresh := ksThresh(0.001, trials, trials) + 1.0/240
 		if d := ksStat(jT, mT); d > thresh {
 			t.Errorf("engine=%d: consensus-time KS %.4f > %.4f", engine, d, thresh)
@@ -235,8 +223,8 @@ func TestJMajorityThreeMatchesThreeMajority(t *testing.T) {
 // runs -short). ODE handoff never engages below n = 10⁸ at the default
 // threshold, so this pins the stochastic regimes; the ODE path is covered
 // by the occupancy and meanfield package tests. The trials run in parallel
-// on the counts entry point, which for a fixed seed is bit-identical to the
-// population one (TestCountsAPIMatchesPopulationRun).
+// on the jobs' counts, which for a fixed seed is bit-identical to a run on
+// a population (TestCountsAPIMatchesPopulationRun).
 func TestLeapMatchesExactDistributions(t *testing.T) {
 	cases := []struct {
 		n      int64
@@ -267,133 +255,200 @@ func TestLeapMatchesExactDistributions(t *testing.T) {
 	}
 }
 
-// TestCountsAPIMatchesPopulationRun: the O(k)-memory counts entry point and
-// the population entry point drive the identical engine off the identical
-// RNG streams, so for a fixed seed they must agree bit for bit.
+// TestCountsAPIMatchesPopulationRun: under EngineAuto the planner runs a
+// job on the clique or an annealed topology on its counts alone (Run), and
+// on a caller's population (RunOn) collapses that population's histogram:
+// both drive the identical engine off the identical RNG streams, so for a
+// fixed seed they must agree bit for bit, and RunOn must write the final
+// state back. USD's undecided state rides in the engine's hidden bucket
+// (occupancy) or per-class column (lumped) on both paths.
 func TestCountsAPIMatchesPopulationRun(t *testing.T) {
 	counts := []int64{500, 250, 250}
-	pop, err := plurality.NewPopulation(counts)
+	regular, err := plurality.AnnealedRegularGraph(1000, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromPop, err := plurality.RunTwoChoicesAsync(pop,
-		plurality.WithSeed(77), plurality.WithModel(plurality.Poisson))
+	gnp, err := plurality.RandomGraph(1000, 0.02, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := append([]int64(nil), counts...)
-	fromCounts, err := plurality.RunTwoChoicesCounts(cs,
-		plurality.WithSeed(77), plurality.WithModel(plurality.Poisson))
-	if err != nil {
+	if gnp, err = plurality.AnnealedGraph(gnp); err != nil {
 		t.Fatal(err)
 	}
-	if fromPop != fromCounts {
-		t.Fatalf("population run %+v != counts run %+v", fromPop, fromCounts)
-	}
-	if cs[fromCounts.Winner] != 1000 {
-		t.Fatalf("counts not driven to consensus: %v", cs)
-	}
-	if !pop.ConsensusOn(fromPop.Winner) {
-		t.Fatal("population not written back to consensus")
-	}
-
-	// The same bit-for-bit identity must hold for USD, whose undecided
-	// state rides in the engine's hidden bucket on both paths.
-	popU, err := plurality.NewPopulation(counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromPopU, err := plurality.RunDynamic("usd", popU,
-		plurality.WithSeed(78), plurality.WithModel(plurality.Poisson))
-	if err != nil {
-		t.Fatal(err)
-	}
-	csU := append([]int64(nil), counts...)
-	fromCountsU, err := plurality.RunDynamicCounts("usd", csU,
-		plurality.WithSeed(78), plurality.WithModel(plurality.Poisson))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromPopU != fromCountsU {
-		t.Fatalf("usd population run %+v != counts run %+v", fromPopU, fromCountsU)
-	}
-	if csU[fromCountsU.Winner] != 1000 || !popU.ConsensusOn(fromPopU.Winner) {
-		t.Fatalf("usd runs not driven to consensus: %v / %v", csU, popU.Counts())
+	for _, tc := range []struct {
+		spec   string
+		seed   uint64
+		graph  plurality.Graph
+		engine string
+	}{
+		{"two-choices", 77, nil, "occupancy"},
+		{"usd", 78, nil, "occupancy"},
+		{"two-choices", 79, regular, "lumped"},
+		{"usd", 80, regular, "lumped"},
+		{"two-choices", 81, gnp, "lumped"},
+		{"usd", 82, gnp, "lumped"},
+	} {
+		opts := []plurality.Option{plurality.WithSeed(tc.seed), plurality.WithModel(plurality.Poisson)}
+		if tc.graph != nil {
+			opts = append(opts, plurality.WithGraph(tc.graph))
+		}
+		job, err := plurality.NewJob(tc.spec, counts, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		fromCounts, err := job.Run(ctx)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", tc.spec, tc.engine, err)
+		}
+		pop, err := plurality.NewPopulation(counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromPop, err := job.RunOn(ctx, pop)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", tc.spec, tc.engine, err)
+		}
+		if fromPop != fromCounts {
+			t.Fatalf("%s on %s: population run %+v != counts run %+v", tc.spec, tc.engine, fromPop, fromCounts)
+		}
+		if !fromCounts.Converged || fromCounts.Engine != tc.engine {
+			t.Fatalf("%s: counts run %+v, want a converged %s run", tc.spec, fromCounts, tc.engine)
+		}
+		if !pop.ConsensusOn(fromPop.Winner) {
+			t.Fatalf("%s on %s: population %v not written back to consensus", tc.spec, tc.engine, pop.Counts())
+		}
 	}
 }
 
-// TestCountsAPIChurnAndVoter covers the tick-mode paths of the counts API.
+// TestCountsAPIChurnAndVoter covers the tick-mode paths of the histogram
+// runs.
 func TestCountsAPIChurnAndVoter(t *testing.T) {
-	cs := []int64{600, 400}
-	res, err := plurality.RunThreeMajorityCounts(cs,
+	ctx := context.Background()
+	job, err := plurality.NewJob("3-majority", []int64{600, 400},
 		plurality.WithSeed(5), plurality.WithChurn(0.0002))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done || res.Churns == 0 {
-		t.Fatalf("churned counts run: %+v", res)
-	}
-	cs2 := []int64{300, 200}
-	res2, err := plurality.RunVoterCounts(cs2, plurality.WithSeed(6))
+	res, err := job.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res2.Done {
+	if !res.Converged || res.Churns == 0 || res.Engine != "occupancy" {
+		t.Fatalf("churned counts run: %+v", res)
+	}
+	job2, err := plurality.NewJob("voter", []int64{300, 200}, plurality.WithSeed(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err := job2.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res2.Converged {
 		t.Fatalf("voter counts run: %+v", res2)
 	}
 }
 
 // TestEngineSelectionErrors pins the explicit-failure contract of
-// EngineOccupancy and the counts API.
+// EngineOccupancy and of the histogram runs.
 func TestEngineSelectionErrors(t *testing.T) {
 	counts := []int64{50, 50}
-	pop, err := plurality.NewPopulation(counts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	g, err := plurality.CycleGraph(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plurality.RunTwoChoicesAsync(pop,
-		plurality.WithEngine(plurality.EngineOccupancy), plurality.WithGraph(g)); err == nil {
-		t.Error("EngineOccupancy on a cycle: no error")
+	occupancy := plurality.WithEngine(plurality.EngineOccupancy)
+	for _, tc := range []struct {
+		name   string
+		counts []int64
+		opts   []plurality.Option
+	}{
+		{"EngineOccupancy on a cycle", counts, []plurality.Option{occupancy, plurality.WithGraph(g)}},
+		{"EngineOccupancy with edge latencies", counts, []plurality.Option{occupancy,
+			plurality.WithEdgeLatency(plurality.ExpEdgeLatency(1))}},
+		{"EngineOccupancy with response delays", counts, []plurality.Option{occupancy, plurality.WithResponseDelay(2)}},
+		{"degenerate histogram", []int64{1}, nil},
+	} {
+		if _, err := plurality.NewJob("two-choices", tc.counts, tc.opts...); err == nil {
+			t.Errorf("%s: no error", tc.name)
+		}
 	}
-	if _, err := plurality.RunTwoChoicesAsync(pop,
-		plurality.WithEngine(plurality.EngineOccupancy),
-		plurality.WithEdgeLatency(plurality.ExpEdgeLatency(1))); err == nil {
-		t.Error("EngineOccupancy with edge latencies: no error")
-	}
-	if _, err := plurality.RunTwoChoicesCounts(counts,
-		plurality.WithEngine(plurality.EnginePerNode)); err == nil {
-		t.Error("counts API with EnginePerNode: no error")
-	}
-	if _, err := plurality.RunTwoChoicesCounts(counts,
-		plurality.WithResponseDelay(2)); err == nil {
-		t.Error("counts API with response delays: no error")
-	}
-	if _, err := plurality.RunTwoChoicesCounts([]int64{1}); err == nil {
-		t.Error("degenerate histogram: no error")
-	}
-	if _, err := plurality.RunTwoChoicesCounts(counts,
-		plurality.WithModel(plurality.HeapPoisson)); err == nil {
-		t.Error("counts API with the O(n) HeapPoisson scheduler: no error")
-	}
+	ctx := context.Background()
 	// An effectively-unbounded MaxTime must still complete (tick-mode
 	// fallback), not overflow the leap tick budget.
-	cs := []int64{60, 40}
-	if res, err := plurality.RunTwoChoicesCounts(cs,
-		plurality.WithSeed(2), plurality.WithMaxTime(1e18)); err != nil || !res.Done {
-		t.Errorf("huge MaxTime counts run: res=%+v err=%v", res, err)
-	}
-	// A latency-configured run must still work under EngineAuto — it
-	// falls back to the per-node engine rather than erroring.
-	pop2, err := plurality.NewPopulation([]int64{60, 40})
+	job, err := plurality.NewJob("two-choices", []int64{60, 40},
+		plurality.WithSeed(2), plurality.WithMaxTime(1e18))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plurality.RunTwoChoicesAsync(pop2,
-		plurality.WithSeed(4), plurality.WithEdgeLatency(plurality.ExpEdgeLatency(0.1))); err != nil {
-		t.Errorf("EngineAuto latency fallback: %v", err)
+	if rep, err := job.Run(ctx); err != nil || !rep.Converged {
+		t.Errorf("huge MaxTime counts run: rep=%+v err=%v", rep, err)
+	}
+	// A latency-configured run must still work under EngineAuto — it
+	// falls back to the per-node engine rather than erroring.
+	job, err = plurality.NewJob("two-choices", []int64{60, 40},
+		plurality.WithSeed(4), plurality.WithEdgeLatency(plurality.ExpEdgeLatency(0.1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := job.Run(ctx); err != nil || rep.Engine != "per-node" {
+		t.Errorf("EngineAuto latency fallback: rep=%+v err=%v", rep, err)
+	}
+}
+
+// TestAutoJobAtTrillionNodesRunsOnLeap: a default-engine job of 10¹² nodes
+// needs no population — the planner runs it on its counts and, from
+// LeapAutoN = 10¹⁰ nodes on, on the hybrid leap engine, where Two-Choices
+// converges in milliseconds. (Below the bound the scale grid's auto cells
+// pin the exact engines.)
+func TestAutoJobAtTrillionNodesRunsOnLeap(t *testing.T) {
+	counts, err := plurality.Biased(1_000_000_000_000, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := plurality.NewJob("two-choices", counts, plurality.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := job.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Converged || rep.Winner != 0 || rep.Engine != "leap" {
+		t.Fatalf("%+v, want plurality consensus on the leap engine", rep)
+	}
+}
+
+// TestHeapPoissonStaysOffTheCollapsedEngines: the event-heap scheduler
+// keeps one pending event per node, so the planner keeps it off the
+// count-collapsed engines, whose promise is O(k) memory. Required, they
+// refuse it; under EngineAuto it runs per node.
+func TestHeapPoissonStaysOffTheCollapsedEngines(t *testing.T) {
+	heap := plurality.WithModel(plurality.HeapPoisson)
+	annealed, err := plurality.AnnealedRegularGraph(100, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts []plurality.Option
+		want string
+	}{
+		{"clique", nil, "the occupancy engine cannot host WithModel(HeapPoisson) (counts runs promise O(k) memory"},
+		{"annealed", []plurality.Option{plurality.WithGraph(annealed)}, "the lumped engine cannot host WithModel(HeapPoisson)"},
+	} {
+		opts := append([]plurality.Option{heap, plurality.WithSeed(3)}, tc.opts...)
+		_, err := plurality.NewJob("two-choices", []int64{60, 40}, append(opts, plurality.WithEngine(plurality.EngineOccupancy))...)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: EngineOccupancy with HeapPoisson: err = %v, want %q", tc.name, err, tc.want)
+		}
+		job, err := plurality.NewJob("two-choices", []int64{60, 40}, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep, err := job.Run(context.Background()); err != nil || !rep.Converged || rep.Engine != "per-node" {
+			t.Errorf("%s: EngineAuto with HeapPoisson: rep=%+v err=%v, want a converged per-node run", tc.name, rep, err)
+		}
 	}
 }

@@ -1,15 +1,16 @@
 package plurality_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"plurality"
 )
 
-// The canonical use: build a biased population, run the paper's
-// asynchronous protocol, read off the winner.
-func ExampleRunCore() {
+// Run the paper's asynchronous protocol on a caller-built population and
+// read off the winner; RunOn leaves the population in its final state.
+func ExampleJob_RunOn() {
 	counts, err := plurality.Biased(10_000, 8, 0.5) // c1 = 1.5*c2
 	if err != nil {
 		log.Fatal(err)
@@ -18,12 +19,16 @@ func ExampleRunCore() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := plurality.RunCore(pop, plurality.WithSeed(42))
+	job, err := plurality.NewJob("core", counts, plurality.WithSeed(42))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("winner: color %d\n", res.Winner)
-	fmt.Printf("unanimous: %v\n", pop.ConsensusOn(res.Winner))
+	rep, err := job.RunOn(context.Background(), pop)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("winner: color %d\n", rep.Winner)
+	fmt.Printf("unanimous: %v\n", pop.ConsensusOn(rep.Winner))
 	// Output:
 	// winner: color 0
 	// unanimous: true
@@ -40,21 +45,23 @@ func ExampleBiased() {
 	// [400 200 200 200]
 }
 
-// The synchronous Two-Choices dynamic of Theorem 1.1.
-func ExampleRunTwoChoicesSync() {
+// The synchronous Two-Choices dynamic of Theorem 1.1: WithModel(Synchronous)
+// runs a registry protocol in simultaneous rounds.
+func ExampleWithModel() {
 	counts, err := plurality.GapSqrt(5000, 4, 2) // gap 2*sqrt(n ln n)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pop, err := plurality.NewPopulation(counts)
+	job, err := plurality.NewJob("two-choices", counts,
+		plurality.WithSeed(7), plurality.WithModel(plurality.Synchronous))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := plurality.RunTwoChoicesSync(pop, plurality.WithSeed(7))
+	rep, err := job.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("plurality won: %v\n", res.Winner == 0)
+	fmt.Printf("plurality won: %v\n", rep.Winner == 0)
 	// Output:
 	// plurality won: true
 }

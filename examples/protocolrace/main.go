@@ -45,14 +45,14 @@ func main() {
 		note string
 		job  *plurality.Job
 	}
-	newJob := func(spec string, opts ...plurality.Option) *plurality.Job {
+	compile := func(spec string, opts ...plurality.Option) *plurality.Job {
 		job, err := plurality.NewJob(spec, counts, append(opts, plurality.WithSeed(100))...)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return job
 	}
-	racers := []racer{{name: "core (paper)", job: newJob("core")}}
+	racers := []racer{{name: "core (paper)", job: compile("core")}}
 	// Every registered sampling dynamic joins via its race spec.
 	for _, d := range plurality.Protocols() {
 		note := ""
@@ -62,7 +62,7 @@ func main() {
 		racers = append(racers, racer{
 			name: d.RaceSpec,
 			note: note,
-			job:  newJob(d.RaceSpec, plurality.WithMaxTime(1e6)),
+			job:  compile(d.RaceSpec, plurality.WithMaxTime(1e6)),
 		})
 	}
 

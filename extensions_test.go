@@ -15,15 +15,11 @@ func TestWithEdgeLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	runWith := func(opts ...Option) float64 {
-		pop, err := NewPopulation(counts)
+		rep, err := runJob(t, "core", counts, append([]Option{WithSeed(3), WithModel(Poisson)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunCore(pop, append([]Option{WithSeed(3), WithModel(Poisson)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.ConsensusTime
+		return rep.ConsensusTime
 	}
 	instant := runWith()
 	exp := runWith(WithEdgeLatency(ExpEdgeLatency(2)))
@@ -32,16 +28,12 @@ func TestWithEdgeLatency(t *testing.T) {
 		t.Fatalf("latency did not slow core: instant %v, exp %v, uniform %v", instant, exp, uni)
 	}
 
-	pop, err := NewPopulation(counts)
+	rep, err := runJob(t, "two-choices", counts, WithSeed(3), WithEdgeLatency(ExpEdgeLatency(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunTwoChoicesAsync(pop, WithSeed(3), WithEdgeLatency(ExpEdgeLatency(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Done {
-		t.Fatalf("two-choices under latency did not converge: %+v", res)
+	if !rep.Converged {
+		t.Fatalf("two-choices under latency did not converge: %+v", rep)
 	}
 }
 
@@ -53,27 +45,19 @@ func TestWithChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pop, err := NewPopulation(counts)
+	core, err := runJob(t, "core", counts, WithSeed(5), WithChurn(0.2/n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	core, err := RunCore(pop, WithSeed(5), WithChurn(0.2/n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !core.Done || core.Churns == 0 {
+	if !core.Converged || core.Churns == 0 {
 		t.Fatalf("core churn run: %+v", core)
 	}
 
-	pop2, err := NewPopulation(counts)
+	dyn, err := runJob(t, "3-majority", counts, WithSeed(5), WithChurn(0.2/n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := RunThreeMajorityAsync(pop2, WithSeed(5), WithChurn(0.2/n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dyn.Done || dyn.Churns == 0 {
+	if !dyn.Converged || dyn.Churns == 0 {
 		t.Fatalf("three-majority churn run: %+v", dyn)
 	}
 }
@@ -85,15 +69,11 @@ func TestWithCrashesRejectsSparseTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pop, err := NewPopulation(counts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	g, err := CycleGraph(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunCore(pop, WithGraph(g), WithCrashes(0.1))
+	_, err = NewJob("core", counts, WithGraph(g), WithCrashes(0.1))
 	if err == nil {
 		t.Fatal("crash injection on a cycle should be rejected")
 	}

@@ -296,75 +296,101 @@ var scaleGrid = []struct {
 	}},
 }
 
-// scaleOptions builds a scale cell's engine and topology options; the
-// graph is built here, inside the allocation window.
-func scaleOptions(engine, topology string, n int, seed uint64) ([]plurality.Option, error) {
+// scaleOptions builds a scale cell's engine and topology options, leaving
+// the engine to EngineAuto when auto is set; the graph is built here,
+// inside the allocation window.
+func scaleOptions(engine, topology string, n int, seed uint64, auto bool) ([]plurality.Option, error) {
+	var opts []plurality.Option
+	if !auto {
+		e := plurality.EngineOccupancy
+		if engine == "per-node" {
+			e = plurality.EnginePerNode
+		}
+		opts = append(opts, plurality.WithEngine(e))
+	}
+	var g plurality.Graph
+	var err error
 	switch topology {
 	case "regular8":
-		g, err := plurality.RandomRegularGraph(n, 8, rng.At(seed, scaleGraphStream).Uint64())
-		return []plurality.Option{plurality.WithEngine(plurality.EnginePerNode), plurality.WithGraph(g)}, err
+		g, err = plurality.RandomRegularGraph(n, 8, rng.At(seed, scaleGraphStream).Uint64())
 	case "annealed8":
-		g, err := plurality.AnnealedRegularGraph(n, 8)
-		return []plurality.Option{plurality.WithEngine(plurality.EngineOccupancy), plurality.WithGraph(g)}, err
+		g, err = plurality.AnnealedRegularGraph(n, 8)
 	}
-	if engine == "per-node" {
-		return []plurality.Option{plurality.WithEngine(plurality.EnginePerNode)}, nil
+	if g != nil {
+		opts = append(opts, plurality.WithGraph(g))
 	}
-	return []plurality.Option{plurality.WithEngine(plurality.EngineOccupancy)}, nil
+	return opts, err
 }
 
 // TestScaleGridGolden pins every trial of the scale grid bit for bit, the
 // engine that ran it, and what trial 0 allocates per node: the O(n)
 // colour vector and CSR arena on the per-node path, next to nothing on the
-// collapsed engines. It must not run in parallel with other tests, whose
-// allocations would land in the window.
+// collapsed engines. The collapsed cells run a second time under
+// EngineAuto ("auto/…"), which must pick the same engine and, needing no
+// population, allocate as little. It must not run in parallel with other
+// tests, whose allocations would land in the window.
 func TestScaleGridGolden(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the root package's race run is already close to go test's default 10-minute timeout")
 	}
-	for i, c := range scaleGrid {
-		t.Run(fmt.Sprintf("%s/%s/n=%d", c.engine, c.topology, c.n), func(t *testing.T) {
-			counts, err := plurality.Biased(c.n, 4, 1)
+	for _, auto := range []bool{false, true} {
+		for i, c := range scaleGrid {
+			if auto && c.engine == "per-node" {
+				continue
+			}
+			name := fmt.Sprintf("%s/%s/n=%d", c.engine, c.topology, c.n)
+			if auto {
+				name = "auto/" + name
+			}
+			runScaleCell(t, name, i, auto)
+		}
+	}
+}
+
+// runScaleCell runs every trial of scale-grid cell i as a subtest.
+func runScaleCell(t *testing.T, name string, i int, auto bool) {
+	c := scaleGrid[i]
+	t.Run(name, func(t *testing.T) {
+		counts, err := plurality.Biased(c.n, 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := rng.At(1, i).Uint64()
+		for trial, want := range c.want {
+			seed := plurality.TrialSeed(base, trial)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			opts, err := scaleOptions(c.engine, c.topology, c.n, seed, auto)
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := rng.At(1, i).Uint64()
-			for trial, want := range c.want {
-				seed := plurality.TrialSeed(base, trial)
-				var before, after runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-				opts, err := scaleOptions(c.engine, c.topology, c.n, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				job, err := plurality.NewJob("two-choices", counts,
-					append(opts, plurality.WithSeed(seed), plurality.WithModel(plurality.Poisson))...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep, err := job.Run(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				runtime.ReadMemStats(&after)
-				if rep.Engine != c.engine {
-					t.Fatalf("trial %d ran on engine %q, want %q", trial, rep.Engine, c.engine)
-				}
-				if got := goldenOf(rep); !sameGolden(got, want) {
-					t.Fatalf("trial %d drifted from the captured run:\n got  %+v\n want %+v", trial, got, want)
-				}
-				if trial > 0 {
-					continue
-				}
-				perNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(c.n)
-				if bound := 1.5*c.bytesPerNode + 1; perNode > bound {
-					t.Fatalf("trial 0 allocated %.4f B/node, bound %.4f", perNode, bound)
-				}
-				t.Logf("trial 0 allocated %.4f B/node", perNode)
+			job, err := plurality.NewJob("two-choices", counts,
+				append(opts, plurality.WithSeed(seed), plurality.WithModel(plurality.Poisson))...)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			rep, err := job.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if rep.Engine != c.engine {
+				t.Fatalf("trial %d ran on engine %q, want %q", trial, rep.Engine, c.engine)
+			}
+			if got := goldenOf(rep); !sameGolden(got, want) {
+				t.Fatalf("trial %d drifted from the captured run:\n got  %+v\n want %+v", trial, got, want)
+			}
+			if trial > 0 {
+				continue
+			}
+			perNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(c.n)
+			if bound := 1.5*c.bytesPerNode + 1; perNode > bound {
+				t.Fatalf("trial 0 allocated %.4f B/node, bound %.4f", perNode, bound)
+			}
+			t.Logf("trial 0 allocated %.4f B/node", perNode)
+		}
+	})
 }
 
 // leapTrial is the outcome of one hybrid-engine run.

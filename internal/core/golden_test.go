@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"plurality"
@@ -90,14 +91,15 @@ func TestRunGoldenBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pop, err := plurality.NewPopulation(counts)
+			job, err := plurality.NewJob("core", counts, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := plurality.RunCore(pop, tc.opts...)
+			rep, err := job.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
+			got, _ := rep.Core()
 			if got != tc.want {
 				t.Fatalf("result drifted from the pre-packing engine:\n got  %+v\n want %+v", got, tc.want)
 			}

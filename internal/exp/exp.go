@@ -153,8 +153,7 @@ func (sc Scenario) Validate() error {
 	// Materialize the histogram so a bad bias parameter fails here —
 	// Compile promises eager per-cell validation, and the workload
 	// constructors hold the per-profile parameter rules.
-	counts, err := sc.counts()
-	if err != nil {
+	if _, err := sc.counts(); err != nil {
 		return fmt.Errorf("exp: bias %s:%v: %w", sc.Bias, sc.BiasParam, err)
 	}
 	if err := sc.topology().Validate(sc.N); err != nil {
@@ -202,18 +201,12 @@ func (sc Scenario) Validate() error {
 	if _, err := plan.Choose(req); err != nil {
 		return fmt.Errorf("exp: %w", err)
 	}
-	// Harness bounds beyond what the paths host: one goroutine (plus timers
-	// and message events) per node, so a mistyped axis cannot ask the
-	// scheduler for millions of processes; and histogram cells promise O(k)
-	// memory, which the O(n) heap-poisson scheduler would break.
+	// A harness bound beyond what the paths host: one goroutine (plus
+	// timers and message events) per node, so a mistyped axis cannot ask
+	// the scheduler for millions of processes.
 	const maxNodes = 1 << 16
 	if sc.nodeRuntime() && sc.N > maxNodes {
 		return fmt.Errorf("exp: runtime %s runs one process per node; n = %d exceeds the %d-node bound", sc.Runtime, sc.N, maxNodes)
-	}
-	if sc.histogram() {
-		if _, err := desc.ValidateCounts(counts, sc.Model == "heap-poisson"); err != nil {
-			return fmt.Errorf("exp: %w", err)
-		}
 	}
 	return nil
 }

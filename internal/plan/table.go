@@ -33,6 +33,7 @@ var (
 	common      = Of(Seed, TrialWorkers, Observer)
 	async       = common | Of(Model, MaxTime, GraphOpt, EngineOpt)
 	asyncModels = Of(Sequential, Poisson, HeapPoisson)
+	o1Models    = Of(Sequential, Poisson) // the models with an O(1)-state clock
 	everywhere  = Of(Clique, Annealed, Quenched)
 	perNode     = Of(WantAuto, WantPerNode)
 )
@@ -41,11 +42,11 @@ var (
 // dynamics row that hosts a run — leap, then occupancy, lumped, per-node.
 var rows = []Row{
 	{Engine: Leap, Runner: RunDynamic, Want: Of(WantAuto, WantLeap), Options: async | Of(LeapEps, ODEThreshold),
-		Topology: Of(Clique), Models: Of(Sequential, Poisson), Histogram: true, Needs: Of(FlowLaw), AutoN: LeapAutoN},
+		Topology: Of(Clique), Models: o1Models, Histogram: true, Needs: Of(FlowLaw), AutoN: LeapAutoN},
 	{Engine: Occupancy, Runner: RunDynamic, Want: Of(WantAuto, WantOccupancy), Options: async | Of(Churn, Adversary),
-		Topology: Of(Clique), Models: asyncModels, Adversaries: Of(Scheduling, Corruption, Byzantine), Histogram: true},
+		Topology: Of(Clique), Models: o1Models, Adversaries: Of(Scheduling, Corruption, Byzantine), Histogram: true},
 	{Engine: Lumped, Runner: RunDynamic, Want: Of(WantAuto, WantOccupancy), Options: async | Of(Churn, Adversary),
-		Topology: Of(Annealed), Models: asyncModels, Histogram: true},
+		Topology: Of(Annealed), Models: o1Models, Histogram: true},
 	{Engine: PerNode, Runner: RunDynamic, Want: perNode, Options: async | Of(ResponseDelay, EdgeLatency, TickObserver, Churn, Adversary),
 		Topology: everywhere, Models: asyncModels, Adversaries: Of(Scheduling, Corruption, Byzantine, PerNodeAdversary)},
 	{Engine: Sync, Runner: RunSync, Want: perNode, Options: common | Of(Model, MaxRounds, GraphOpt, EngineOpt, Adversary),
@@ -53,7 +54,7 @@ var rows = []Row{
 	{Engine: Core, Runner: RunCore, Want: perNode, Options: async | Of(ResponseDelay, EdgeLatency, Churn, Probe, Delta,
 		Phases, GadgetSamples, EndgameTicks, NoSyncGadget, EndgameOnly, RunToHalt, Crashes, Desync, Adversary),
 		CliqueOnly: Of(Crashes), Topology: everywhere, Models: asyncModels, Adversaries: Of(Scheduling, Corruption, PerNodeAdversary)},
-	{Engine: OneBit, Runner: RunOneBit, Want: perNode, Options: common | Of(GraphOpt, EngineOpt, MaxRounds, MaxPhases,
+	{Engine: OneBit, Runner: RunOneBit, Want: perNode, Options: common | Of(GraphOpt, EngineOpt, MaxPhases,
 		PropagationRounds, PhaseObserver), Topology: everywhere},
 	{Engine: Node, Runner: RunDynamic, Want: Of(WantAuto), Options: Of(Seed, TrialWorkers, Model, MaxTime, Transport),
 		Topology: Of(Clique), Models: Of(Poisson), Needs: Of(Transport)},
@@ -83,10 +84,12 @@ var whys = []struct {
 	{Leap, Of(HeapPoisson), "tau-leaping needs an O(1) rate law: the Sequential or Poisson model"},
 	{Leap, Of(FlowLaw), "tau-leaping advances the histogram along the protocol's flow law"},
 	{Occupancy, Of(Annealed, Quenched), "only the complete topology collapses to colour counts"},
+	{Occupancy, Of(HeapPoisson), heapPoissonWhy},
 	{Occupancy, Of(PerNodeAdversary), "it targets individual nodes, which the count-collapsed engine does not track"},
 	{Lumped, Of(Scheduling, Corruption, Byzantine, PerNodeAdversary), "the degree-class matrix represents neither the concrete nodes nor the clique histogram that bias and corruption act on"},
 	{Lumped, Of(Quenched), "quenched wiring is per-node state; only the complete graph and degree-class lumpable (annealed) topologies are count-collapsible"},
 	{Lumped, Of(Clique), "the clique collapses in the occupancy engine"},
+	{Lumped, Of(HeapPoisson), heapPoissonWhy},
 	{PerNode, Of(Histogram), "it needs a per-node population; materialize one for the per-node engine"},
 	{Sync, Of(WantOccupancy, WantLeap), "synchronous rounds run every node each round"},
 	{Sync, Of(Scheduling), "synchronous rounds have no activation order to bias"},
@@ -111,6 +114,10 @@ var whys = []struct {
 	{None, Of(MaxRounds), "rounds bound the synchronous runners only"},
 	{None, Of(Crashes), "crash injection is defined for the core protocol only"},
 }
+
+// heapPoissonWhy is why the count-collapsed engines refuse the O(n)-state
+// event-heap scheduler.
+const heapPoissonWhy = "counts runs promise O(k) memory, but the HeapPoisson scheduler is O(n); use Poisson (the same process) or Sequential"
 
 // why explains the path's lack of c.
 func why(e Engine, c Cap) string {

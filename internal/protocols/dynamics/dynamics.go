@@ -946,7 +946,8 @@ func (rn *Runner) RunAsyncCounts(counts []int64, rule Rule, cfg AsyncConfig) (As
 func (rn *Runner) runLumpedCounts(counts []int64, rule Rule, cfg AsyncConfig) (AsyncResult, error) {
 	classes := cfg.Graph.(graph.Classed).Classes()
 	k := len(counts)
-	m, _ := rn.lumpMatrix(len(classes), k, false)
+	_, undecided := rule.(occupancy.Undecided)
+	m, und := rn.lumpMatrix(len(classes), k, undecided)
 	// Color c's block covers nodes [cStart, cStart+counts[c]); class a's
 	// range covers [aStart, aStart+classes[a].Count); each matrix cell is
 	// the overlap of the two intervals.
@@ -963,7 +964,7 @@ func (rn *Runner) runLumpedCounts(counts []int64, rule Rule, cfg AsyncConfig) (A
 		}
 		cStart = cEnd
 	}
-	res, err := rn.lum.Run(m, nil, rule, lumpedConfig(cfg, classes))
+	res, err := rn.lum.Run(m, und, rule, lumpedConfig(cfg, classes))
 	if hardError(err) {
 		return AsyncResult{}, err
 	}

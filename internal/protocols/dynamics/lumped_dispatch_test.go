@@ -6,9 +6,11 @@ import (
 
 	"plurality/internal/adversary"
 	"plurality/internal/graph"
+	"plurality/internal/plan"
 	"plurality/internal/population"
 	dynamics "plurality/internal/protocols/dynamics"
 	"plurality/internal/protocols/twochoices"
+	"plurality/internal/protocols/usd"
 	"plurality/internal/rng"
 	"plurality/internal/sched"
 )
@@ -129,30 +131,74 @@ func TestRunAsyncClassedAdversaryFallsBackPerNode(t *testing.T) {
 // in the lumped engine via the canonical color-major block split — pinned by
 // fixed-seed identity with the population entry point on the same annealed
 // graph, seed and FromCounts layout — and fold the matrix back into counts.
+// USD carries its undecided state in the lumped engine's per-class column
+// on both entry points.
 func TestRunAsyncCountsClassed(t *testing.T) {
-	g, pop := annealedTwoClass(t)
-	const seed = 29
-	counts := []int64{75, 45}
-	resCounts, err := dynamics.RunAsyncCounts(counts, twochoices.Rule{}, classedCfg(t, g, seed, dynamics.EngineAuto))
+	for _, rule := range []dynamics.Rule{twochoices.Rule{}, usd.Rule{}} {
+		g, pop := annealedTwoClass(t)
+		const seed = 29
+		counts := []int64{75, 45}
+		resCounts, err := dynamics.RunAsyncCounts(counts, rule, classedCfg(t, g, seed, dynamics.EngineAuto))
+		if err != nil {
+			t.Fatalf("%s: %v", rule.Name(), err)
+		}
+		resPop, err := dynamics.RunAsync(pop, rule, classedCfg(t, g, seed, dynamics.EngineOccupancy))
+		if err != nil {
+			t.Fatalf("%s: %v", rule.Name(), err)
+		}
+		checkCountsRun(t, rule, counts, pop, resCounts, resPop, plan.Lumped)
+	}
+}
+
+// TestRunAsyncCountsClique: on the clique a counts run executes in the
+// occupancy engine, bit-identical to the population entry point from the
+// same seed, and writes the final histogram back into counts.
+func TestRunAsyncCountsClique(t *testing.T) {
+	g, err := graph.NewComplete(120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resPop, err := dynamics.RunAsync(pop, twochoices.Rule{}, classedCfg(t, g, seed, dynamics.EngineOccupancy))
-	if err != nil {
-		t.Fatal(err)
+	for _, rule := range []dynamics.Rule{twochoices.Rule{}, usd.Rule{}} {
+		pop, err := population.FromCounts([]int64{75, 45})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const seed = 31
+		counts := []int64{75, 45}
+		cfg := classedCfg(t, g, seed, dynamics.EngineAuto)
+		cfg.Graph = nil // the implied clique
+		resCounts, err := dynamics.RunAsyncCounts(counts, rule, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", rule.Name(), err)
+		}
+		resPop, err := dynamics.RunAsync(pop, rule, classedCfg(t, g, seed, dynamics.EngineAuto))
+		if err != nil {
+			t.Fatalf("%s: %v", rule.Name(), err)
+		}
+		checkCountsRun(t, rule, counts, pop, resCounts, resPop, plan.Occupancy)
 	}
+}
+
+// checkCountsRun asserts that a converged counts run equals the population
+// run of the same start, ran on engine, and wrote a consensus of all 120
+// nodes back into both counts and pop.
+func checkCountsRun(t *testing.T, rule dynamics.Rule, counts []int64, pop *population.Population, resCounts, resPop dynamics.AsyncResult, engine plan.Engine) {
+	t.Helper()
 	if resCounts != resPop {
-		t.Errorf("counts run diverged from population run: %+v != %+v", resCounts, resPop)
+		t.Errorf("%s: counts run diverged from population run: %+v != %+v", rule.Name(), resCounts, resPop)
+	}
+	if !resCounts.Done || resCounts.Engine != engine {
+		t.Errorf("%s: counts run %+v, want a converged %v run", rule.Name(), resCounts, engine)
 	}
 	var n int64
 	for _, v := range counts {
 		n += v
 	}
-	if n != 120 {
-		t.Errorf("final histogram sums to %d, want 120", n)
+	if n != 120 || counts[resCounts.Winner] != 120 {
+		t.Errorf("%s: final histogram %v, want all 120 nodes on winner %v", rule.Name(), counts, resCounts.Winner)
 	}
-	if counts[resCounts.Winner] != 120 {
-		t.Errorf("winner %v holds %d of 120 nodes", resCounts.Winner, counts[resCounts.Winner])
+	if !pop.ConsensusOn(resPop.Winner) {
+		t.Errorf("%s: population %v not written back to consensus on %v", rule.Name(), pop.Counts(), resPop.Winner)
 	}
 }
 

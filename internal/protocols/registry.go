@@ -91,8 +91,8 @@ func noParam(name string, rule dynamics.Rule) func(string) (dynamics.Rule, error
 
 // registry returns every registered protocol family, in presentation
 // order. Registering a protocol here is the single step that exposes it to
-// the public RunDynamic entry points, the experiment harness's protocol
-// axis, the protocol-race sweep, both CLIs and the README table.
+// the public Job API, the experiment harness's protocol axis, the
+// protocol-race sweep, both CLIs and the README table.
 func registry() []Descriptor {
 	return []Descriptor{
 		{
@@ -228,14 +228,14 @@ func Lookup(spec string) (Descriptor, dynamics.Rule, error) {
 	return d, rule, nil
 }
 
-// ValidateCounts enforces the shared contract of every histogram (counts)
-// entry point — the O(k)-memory API that exists for populations too large
-// to materialize per node. The guards live on the descriptor so a newly
-// registered protocol cannot silently skip them: counts must be
+// ValidateCounts enforces the shared contract of every histogram a run
+// starts from, including the O(k)-memory runs that exist for populations
+// too large to materialize per node. The guards live on the descriptor so a
+// newly registered protocol cannot silently skip them: counts must be
 // non-negative with a total of at least 2 that fits the scheduler's node
-// index, and the O(n)-state HeapPoisson scheduler is rejected outright.
-// It returns the histogram total.
-func (d Descriptor) ValidateCounts(counts []int64, heapPoisson bool) (int64, error) {
+// index. (Which schedulers a counts run may use is the engine planner's
+// call.) It returns the histogram total.
+func (d Descriptor) ValidateCounts(counts []int64) (int64, error) {
 	var n int64
 	for _, v := range counts {
 		if v < 0 {
@@ -248,12 +248,6 @@ func (d Descriptor) ValidateCounts(counts []int64, heapPoisson bool) (int64, err
 	}
 	if n != int64(int(n)) {
 		return 0, fmt.Errorf("plurality: histogram total %d overflows the scheduler's node index", n)
-	}
-	if heapPoisson {
-		// The event-heap reference scheduler keeps one pending event per
-		// node — O(n) state, which would silently break the counts API's
-		// O(k)-memory contract at exactly the sizes it exists for.
-		return 0, fmt.Errorf("plurality: counts runs promise O(k) memory, but the HeapPoisson scheduler is O(n); use Poisson (the same process) or Sequential")
 	}
 	return n, nil
 }

@@ -72,28 +72,26 @@ func TestDescriptorIntegrity(t *testing.T) {
 	}
 }
 
-// TestValidateCounts pins the O(k)-memory guards every histogram entry
-// point shares — they live on the descriptor so new protocols cannot skip
-// them.
+// TestValidateCounts pins the histogram guards every entry point shares —
+// they live on the descriptor so new protocols cannot skip them. (The
+// planner keeps the O(n) HeapPoisson scheduler off the counts runs.)
 func TestValidateCounts(t *testing.T) {
 	d, _, err := Lookup("two-choices")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := d.ValidateCounts([]int64{600, 400}, false); err != nil || n != 1000 {
+	if n, err := d.ValidateCounts([]int64{600, 400}); err != nil || n != 1000 {
 		t.Fatalf("good counts: n=%d err=%v", n, err)
 	}
 	cases := []struct {
 		name   string
 		counts []int64
-		heap   bool
 	}{
-		{"negative", []int64{5, -1}, false},
-		{"tiny total", []int64{1, 0}, false},
-		{"heap-poisson", []int64{600, 400}, true},
+		{"negative", []int64{5, -1}},
+		{"tiny total", []int64{1, 0}},
 	}
 	for _, tc := range cases {
-		if _, err := d.ValidateCounts(tc.counts, tc.heap); err == nil {
+		if _, err := d.ValidateCounts(tc.counts); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
 	}

@@ -219,6 +219,26 @@ func TestReferenceJobTicks(t *testing.T) {
 	}
 }
 
+// TestTrillionNodeAutoJobCompletes: a default-engine job of 10¹² nodes
+// needs no population — the planner runs it on its counts, on the leap
+// engine — so it completes instead of allocating a colour per node.
+func TestTrillionNodeAutoJobCompletes(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+
+	resp, body := post(t, ts, JobSpec{Protocol: "two-choices", Counts: []int64{4e11, 2e11, 2e11, 2e11}, Seed: 3})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, body)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	done, doneBody := waitState(t, ts, st.ID, StateDone, 30*time.Second)
+	if len(done.Reports) != 1 || !done.Reports[0].Converged || done.Reports[0].Winner != 0 {
+		t.Fatalf("terminal status: %s", doneBody)
+	}
+}
+
 // TestQueueSaturationReturns429: with the single worker pinned by a long
 // job and the depth-1 queue filled, further submissions bounce with 429 +
 // Retry-After, and the rejection is counted. DELETE then reaps both the

@@ -50,7 +50,8 @@ type JobSpec struct {
 	MaxTime float64 `json:"maxTime,omitempty"`
 	// MaxRounds bounds synchronous runs (0 = library default).
 	MaxRounds int `json:"maxRounds,omitempty"`
-	// MaxPhases bounds OneExtraBit runs in phases (0 = legacy derivation).
+	// MaxPhases bounds OneExtraBit runs in phases (0 = the library's
+	// DefaultMaxPhases).
 	MaxPhases int `json:"maxPhases,omitempty"`
 	// Churn is the per-activation churn probability (0 = none).
 	Churn float64 `json:"churn,omitempty"`

@@ -33,16 +33,19 @@ import (
 // "one-extra-bit"; Theorem 1.2), or any registry protocol spec —
 // "two-choices", "voter", "3-majority", "usd", "j-majority:5" (see
 // Protocols). Registry protocols run asynchronously by default and
-// synchronously under WithModel(Synchronous); with WithEngine(
-// EngineOccupancy) they execute count-collapsed in O(k) memory without ever
-// materializing a per-node population.
+// synchronously under WithModel(Synchronous). An asynchronous one that a
+// count-collapsed engine hosts — under the default EngineAuto on the
+// complete graph and on annealed topologies, always under EngineOccupancy
+// and EngineLeap — runs on its counts alone in O(k) memory, without ever
+// materializing a per-node population; the engine planner decides this once,
+// in NewJob.
 //
-// Unlike the legacy RunX entry points, NewJob validates eagerly: options the
-// selected runner would silently ignore are rejected (see Validate), as are
-// malformed counts, unknown protocols and bad parameters. Execution is
-// context-aware — cancellation and deadlines are honored inside every
-// engine loop — and a Job is immutable after construction, so it is safe to
-// share across goroutines (each Run builds fresh run state).
+// NewJob validates eagerly: options the selected runner would silently
+// ignore are rejected (see Validate), as are malformed counts, unknown
+// protocols and bad parameters. Execution is context-aware — cancellation
+// and deadlines are honored inside every engine loop — and a Job is
+// immutable after construction, so it is safe to share across goroutines
+// (each Run builds fresh run state).
 type Job struct {
 	spec   string
 	kind   Kind
@@ -51,26 +54,15 @@ type Job struct {
 	o      *options
 	desc   protocols.Descriptor // registry protocols only
 	rule   dynamics.Rule        // registry protocols only
+	// histogram marks a job that runs on its counts alone, with no
+	// per-node population.
+	histogram bool
 }
 
 // NewJob compiles and validates a job; see Job for the spec syntax. counts
 // is copied, so the caller's slice stays untouched by later runs.
 func NewJob(spec string, counts []int64, opts ...Option) (*Job, error) {
-	j, err := newJob(spec, counts, newOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	if err := j.Validate(); err != nil {
-		return nil, err
-	}
-	return j, nil
-}
-
-// newJob resolves the spec and binds the counts without the strict option
-// validation (the legacy shims accept — and ignore — foreign options, which
-// Validate would reject).
-func newJob(spec string, counts []int64, o *options) (*Job, error) {
-	j := &Job{spec: spec, counts: slices.Clone(counts), o: o}
+	j := &Job{spec: spec, counts: slices.Clone(counts), o: newOptions(opts)}
 	for _, v := range j.counts {
 		j.total += v
 	}
@@ -85,13 +77,38 @@ func newJob(spec string, counts []int64, o *options) (*Job, error) {
 			return nil, err
 		}
 		j.desc, j.rule = d, rule
-		if o.model == Synchronous {
+		if j.o.model == Synchronous {
 			j.kind = KindSyncDynamic
 		} else {
 			j.kind = KindDynamic
 		}
 	}
+	j.histogram = j.onHistogram()
+	if err := j.Validate(); err != nil {
+		return nil, err
+	}
 	return j, nil
+}
+
+// onHistogram reports whether the job runs on its counts alone (O(k)
+// memory, no per-node population): an asynchronous registry dynamic without
+// a transport, under EngineOccupancy or EngineLeap (Validate reports what
+// they cannot host), or under EngineAuto when the planner hosts the run on
+// the histogram.
+func (j *Job) onHistogram() bool {
+	if j.kind != KindDynamic || j.o.transport != nil {
+		return false
+	}
+	switch j.o.engine {
+	case EngineOccupancy, EngineLeap:
+		return true
+	case EngineAuto:
+		req, err := j.request() // an error here is Validate's to report
+		req.Histogram = true
+		_, cerr := plan.Choose(req)
+		return err == nil && cerr == nil
+	}
+	return false
 }
 
 // Kind returns the runner family the job is bound to.
@@ -103,17 +120,9 @@ func (j *Job) Protocol() string { return j.spec }
 // N returns the total number of nodes (the histogram total).
 func (j *Job) N() int64 { return j.total }
 
-// countsPath reports whether the job executes directly on the histogram
-// (O(k) memory, no per-node population): an asynchronous dynamic with the
-// occupancy or leap engine required.
-func (j *Job) countsPath() bool {
-	return j.kind == KindDynamic && (j.o.engine == EngineOccupancy || j.o.engine == EngineLeap)
-}
-
 // Validate checks the job end to end without running anything: some
-// execution path must host it with every applied option (the legacy RunX
-// entry points silently drop options their runner does not consume), then
-// the counts, protocol parameters and numeric ranges.
+// execution path must host it with every applied option, then the counts,
+// protocol parameters and numeric ranges.
 func (j *Job) Validate() error {
 	if j.o.set.Has(plan.Transport) && j.o.transport == nil {
 		return fmt.Errorf("plurality: job %s: WithTransport(nil); the node runtime needs a transport (NewChanTransport, NewLossyChanTransport, NewTCPTransport)", j.spec)
@@ -127,9 +136,8 @@ func (j *Job) Validate() error {
 	}
 
 	// Counts: non-negative, a workable total that fits the schedulers'
-	// node index — the registry's shared histogram guards, which also keep
-	// the O(n) HeapPoisson scheduler off the O(k)-memory counts path.
-	if _, err := j.desc.ValidateCounts(j.counts, j.countsPath() && j.o.model == HeapPoisson); err != nil {
+	// node index — the registry's shared histogram guards.
+	if _, err := j.desc.ValidateCounts(j.counts); err != nil {
 		return err
 	}
 	if g := j.o.graph; g != nil && int64(g.N()) != j.total {
@@ -152,6 +160,10 @@ func (j *Job) Validate() error {
 		if j.o.maxRounds <= 0 {
 			return fmt.Errorf("plurality: job %s: MaxRounds = %d, want > 0", j.spec, j.o.maxRounds)
 		}
+	case KindOneExtraBit:
+		if j.o.maxPhases <= 0 {
+			return fmt.Errorf("plurality: job %s: MaxPhases = %d, want > 0", j.spec, j.o.maxPhases)
+		}
 	}
 	if j.kind != KindSyncDynamic && j.kind != KindOneExtraBit {
 		if j.o.maxTime <= 0 {
@@ -166,14 +178,14 @@ func (j *Job) Validate() error {
 
 // request describes the job to the engine planner: its runner, requested
 // engine, topology class, model (when WithModel was applied), applied
-// options and active adversary.
+// options, active adversary and whether it runs on its counts alone.
 func (j *Job) request() (plan.Request, error) {
 	r := plan.Request{
 		Runner:    [...]plan.Cap{KindCore: plan.RunCore, KindDynamic: plan.RunDynamic, KindSyncDynamic: plan.RunSync, KindOneExtraBit: plan.RunOneBit}[j.kind],
 		Topology:  graph.SymmetryOf(j.o.graph),
 		Opts:      j.o.set,
 		FlowLaw:   j.desc.Leapable,
-		Histogram: j.countsPath(),
+		Histogram: j.histogram,
 		N:         j.total,
 	}
 	// Engine and Model list their values in the planner's order.
@@ -200,12 +212,11 @@ func (j *Job) request() (plan.Request, error) {
 // core schedule, the per-node dynamics, the count-collapsed leap/tick
 // modes, the synchronous round loop, OneExtraBit's phases) and surfaces as
 // a context error wrapping the progress made so far. Convergence failures
-// keep the legacy sentinels: errors.Is(err, ErrNoConsensus | ErrTimeLimit |
+// surface as sentinels: errors.Is(err, ErrNoConsensus | ErrTimeLimit |
 // ErrPhaseLimit). The returned Report is meaningful in every error case.
 //
 // Run never mutates the job; concurrent Runs are safe and, for a fixed
-// seed, bit-identical to the legacy RunX entry points with the same
-// options.
+// seed, bit-identical to each other.
 func (j *Job) Run(ctx context.Context) (Report, error) {
 	return j.run(ctx, j.o, nil)
 }
@@ -214,9 +225,12 @@ func (j *Job) Run(ctx context.Context) (Report, error) {
 // population, mutating it in place — the bridge for callers that prepare
 // populations themselves (shuffled placements on spatial topologies, resumed
 // states). The job's bound counts are ignored; the population defines the
-// initial configuration. Jobs compiled with WithEngine(EngineOccupancy)
-// still honor it: the run collapses the population's histogram and writes
-// the final histogram back.
+// initial configuration. The engine is planned for the population: where a
+// count-collapsed engine hosts the run, it collapses the population's
+// histogram and writes the final one back. For a fixed seed, RunOn on a
+// fresh population of the job's counts matches Run bit for bit, except that
+// EngineAuto escalates only Run (whose counts need no population) to the
+// leap engine.
 func (j *Job) RunOn(ctx context.Context, pop *Population) (Report, error) {
 	if pop == nil {
 		return Report{}, fmt.Errorf("plurality: job %s: nil population", j.spec)
@@ -237,7 +251,7 @@ func (j *Job) run(ctx context.Context, o *options, st *trialState) (Report, erro
 		// a fresh transport instance and fresh nodes.
 		return execCluster(ctx, j, o, 0)
 	}
-	if j.countsPath() {
+	if j.histogram {
 		var counts []int64
 		var rn *dynamics.Runner
 		if st != nil {
@@ -246,8 +260,8 @@ func (j *Job) run(ctx context.Context, o *options, st *trialState) (Report, erro
 		} else {
 			counts, rn = slices.Clone(j.counts), new(dynamics.Runner)
 		}
-		res, err := execCounts(ctx, rn, counts, j.desc, j.rule, o)
-		return j.report(ReportFromAsync(res)), err
+		res, err := execCounts(ctx, rn, counts, j.total, j.rule, o)
+		return j.report(reportFromAsync(res)), err
 	}
 	var pop *Population
 	if st != nil {
@@ -273,28 +287,28 @@ func (j *Job) runOn(ctx context.Context, o *options, st *trialState, pop *Popula
 			rn = st.core
 		}
 		res, err := execCore(ctx, rn, pop, o)
-		return j.report(ReportFromCore(res)), err
+		return j.report(reportFromCore(res)), err
 	case KindDynamic:
 		rn := new(dynamics.Runner)
 		if st != nil {
 			rn = st.dyn
 		}
 		res, err := execAsync(ctx, rn, pop, j.rule, o)
-		return j.report(ReportFromAsync(res)), err
+		return j.report(reportFromAsync(res)), err
 	case KindSyncDynamic:
 		rn := new(dynamics.Runner)
 		if st != nil {
 			rn = st.dyn
 		}
 		res, err := execSync(ctx, rn, pop, j.rule, o)
-		return j.report(ReportFromSync(res)), err
+		return j.report(reportFromSync(res)), err
 	case KindOneExtraBit:
 		rn := new(onebit.Runner)
 		if st != nil {
 			rn = st.ob
 		}
 		res, err := execOneBit(ctx, rn, pop, o)
-		return j.report(ReportFromOneExtraBit(res)), err
+		return j.report(reportFromOneExtraBit(res)), err
 	default:
 		return Report{}, fmt.Errorf("plurality: job %q has unknown kind %d", j.spec, j.kind)
 	}
@@ -364,7 +378,7 @@ func (j *Job) Trials(ctx context.Context, trials int) ([]Report, error) {
 		return nil, fmt.Errorf("plurality: trials = %d, want > 0", trials)
 	}
 	var base *Population
-	if !j.countsPath() && j.o.transport == nil {
+	if !j.histogram && j.o.transport == nil {
 		var err error
 		if base, err = NewPopulation(j.counts); err != nil {
 			return nil, err
@@ -387,14 +401,23 @@ func (j *Job) Trials(ctx context.Context, trials int) ([]Report, error) {
 	return results, err
 }
 
+// TrialSeed derives the seed trial t of a multi-trial run uses from the
+// base seed: trial 0 keeps the base seed (a 1-trial run matches Run
+// exactly) and later trials get decorrelated streams via SplitMix-style
+// mixing.
+func TrialSeed(seed uint64, trial int) uint64 {
+	if trial == 0 {
+		return seed
+	}
+	return rng.At(seed, trial).Uint64()
+}
+
 // --- execution layer ------------------------------------------------------
 //
-// The exec helpers below are the single execution path of the library: the
-// Job methods and every legacy RunX shim call them with identical option
-// structs, which is what keeps fixed-seed results bit-identical across the
-// two API generations. ctx is honored through each engine's Stop hook; a
-// Background (or otherwise never-canceled) context compiles to a nil hook
-// and costs nothing on the hot path.
+// The exec helpers below run one engine each for the Job methods. ctx is
+// honored through each engine's Stop hook; a Background (or otherwise
+// never-canceled) context compiles to a nil hook and costs nothing on the
+// hot path.
 
 // stopFunc derives an engine Stop hook from ctx; nil when ctx can never be
 // canceled.
@@ -446,28 +469,28 @@ func execCore(ctx context.Context, rn *core.Runner, pop *Population, o *options)
 }
 
 // execAsync executes one asynchronous sampling-dynamics run on pop.
-func execAsync(ctx context.Context, rn *dynamics.Runner, pop *Population, rule dynamics.Rule, o *options) (AsyncResult, error) {
+func execAsync(ctx context.Context, rn *dynamics.Runner, pop *Population, rule dynamics.Rule, o *options) (dynamics.AsyncResult, error) {
 	g, err := o.topology(pop)
 	if err != nil {
-		return AsyncResult{}, err
+		return dynamics.AsyncResult{}, err
 	}
 	cfg, err := o.asyncConfig(ctx, g, pop.N())
 	if err != nil {
-		return AsyncResult{}, err
+		return dynamics.AsyncResult{}, err
 	}
 	res, err := rn.RunAsync(pop, rule, cfg)
 	return res, ctxErr(ctx, err)
 }
 
 // execSync executes one synchronous sampling-dynamics run on pop.
-func execSync(ctx context.Context, rn *dynamics.Runner, pop *Population, rule dynamics.Rule, o *options) (SyncResult, error) {
+func execSync(ctx context.Context, rn *dynamics.Runner, pop *Population, rule dynamics.Rule, o *options) (dynamics.SyncResult, error) {
 	g, err := o.topology(pop)
 	if err != nil {
-		return SyncResult{}, err
+		return dynamics.SyncResult{}, err
 	}
 	adv, err := o.newAdversary()
 	if err != nil {
-		return SyncResult{}, err
+		return dynamics.SyncResult{}, err
 	}
 	obs := o.newSyncObserver()
 	res, err := rn.RunSync(pop, rule, dynamics.SyncConfig{
@@ -486,43 +509,28 @@ func execSync(ctx context.Context, rn *dynamics.Runner, pop *Population, rule dy
 	return res, ctxErr(ctx, err)
 }
 
-// execCounts executes one count-collapsed run directly on the histogram
-// (mutated in place to the final histogram).
-func execCounts(ctx context.Context, rn *dynamics.Runner, counts []int64, d protocols.Descriptor, rule dynamics.Rule, o *options) (AsyncResult, error) {
-	// The O(k)-memory guards live on the registry descriptor so every
-	// protocol — including newly registered ones — shares them.
-	n, err := d.ValidateCounts(counts, o.model == HeapPoisson)
-	if err != nil {
-		return AsyncResult{}, err
-	}
+// execCounts executes one count-collapsed run directly on the histogram of
+// n nodes (mutated in place to the final histogram).
+func execCounts(ctx context.Context, rn *dynamics.Runner, counts []int64, n int64, rule dynamics.Rule, o *options) (dynamics.AsyncResult, error) {
 	cfg, err := o.asyncConfig(ctx, o.graph, int(n))
 	if err != nil {
-		return AsyncResult{}, err
+		return dynamics.AsyncResult{}, err
 	}
 	res, err := rn.RunAsyncCounts(counts, rule, cfg)
 	return res, ctxErr(ctx, err)
 }
 
-// execOneBit executes one OneExtraBit run on pop. The phase budget is
-// WithMaxPhases when set; otherwise the deprecated legacy derivation
-// max(1, MaxRounds/10) applies, preserving the historical default.
+// execOneBit executes one OneExtraBit run on pop.
 func execOneBit(ctx context.Context, rn *onebit.Runner, pop *Population, o *options) (OneExtraBitResult, error) {
 	g, err := o.topology(pop)
 	if err != nil {
 		return OneExtraBitResult{}, err
 	}
-	maxPhases := o.maxPhases
-	if maxPhases <= 0 {
-		maxPhases = o.maxRounds / 10
-		if maxPhases < 1 {
-			maxPhases = 1
-		}
-	}
 	obs := o.newOneBitObserver()
 	res, err := rn.Run(pop, onebit.Config{
 		Graph:             g,
 		Rand:              rng.At(o.seed, 0),
-		MaxPhases:         maxPhases,
+		MaxPhases:         o.maxPhases,
 		PropagationRounds: o.propagationRounds,
 		OnPhase:           obs.hook(o.onPhase),
 		Stop:              stopFunc(ctx),
@@ -576,9 +584,6 @@ func (o *options) asyncConfig(ctx context.Context, g Graph, n int) (dynamics.Asy
 // topology returns the configured graph or the default complete graph
 // sized to the population.
 func (o *options) topology(pop *Population) (Graph, error) {
-	if pop == nil {
-		return nil, fmt.Errorf("plurality: nil population")
-	}
 	if o.graph != nil {
 		return o.graph, nil
 	}
@@ -595,7 +600,7 @@ func (o *options) scheduler(n int) (sched.Scheduler, error) {
 	case HeapPoisson:
 		return sched.NewHeapPoisson(n, 1, rng.At(o.seed, 0))
 	case Synchronous:
-		return nil, fmt.Errorf("plurality: the Synchronous model has no asynchronous scheduler; it selects the round-based dynamics engine (Job API or RunDynamicSync)")
+		return nil, fmt.Errorf("plurality: the Synchronous model has no asynchronous scheduler; it selects the round-based dynamics engine")
 	default:
 		return nil, fmt.Errorf("plurality: unknown model %d", o.model)
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"plurality/internal/protocols/dynamics"
 )
 
 // jobConfigs enumerates one Job configuration per runner family × engine
@@ -356,118 +358,9 @@ func mustGraph(t *testing.T, n int) Graph {
 	return g
 }
 
-// TestJobMatchesLegacyRunners: for a fixed seed, the Job API must be
-// bit-identical to the legacy RunX entry points — they share one execution
-// layer.
-func TestJobMatchesLegacyRunners(t *testing.T) {
-	counts, err := Biased(1500, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	t.Run("core", func(t *testing.T) {
-		pop, _ := NewPopulation(counts)
-		legacy, err := RunCore(pop, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := NewJob("core", counts, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := job.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := rep.Core(); got != legacy {
-			t.Fatalf("Job %+v != RunCore %+v", got, legacy)
-		}
-	})
-	t.Run("dynamic", func(t *testing.T) {
-		pop, _ := NewPopulation(counts)
-		legacy, err := RunDynamic("usd", pop, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := NewJob("usd", counts, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := job.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep != ReportFromAsync(legacy).withProtocol("usd") {
-			t.Fatalf("Job %+v != RunDynamic %+v", rep, legacy)
-		}
-	})
-	t.Run("counts", func(t *testing.T) {
-		cc := append([]int64(nil), counts...)
-		legacy, err := RunDynamicCounts("two-choices", cc, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := NewJob("two-choices", counts, WithSeed(5), WithEngine(EngineOccupancy))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := job.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep != ReportFromAsync(legacy).withProtocol("two-choices") {
-			t.Fatalf("Job %+v != RunDynamicCounts %+v", rep, legacy)
-		}
-	})
-	t.Run("sync", func(t *testing.T) {
-		pop, _ := NewPopulation(counts)
-		legacy, err := RunDynamicSync("3-majority", pop, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := NewJob("3-majority", counts, WithSeed(5), WithModel(Synchronous))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := job.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep != ReportFromSync(legacy).withProtocol("3-majority") {
-			t.Fatalf("Job %+v != RunDynamicSync %+v", rep, legacy)
-		}
-	})
-	t.Run("onebit", func(t *testing.T) {
-		pop, _ := NewPopulation(counts)
-		legacy, err := RunOneExtraBit(pop, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := NewJob("onebit", counts, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := job.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := rep.Phases(); got != legacy {
-			t.Fatalf("Job %+v != RunOneExtraBit %+v", got, legacy)
-		}
-	})
-}
-
-// withProtocol stamps the protocol label for comparisons against
-// Job-produced reports.
-func (r Report) withProtocol(spec string) Report {
-	r.Protocol = spec
-	return r
-}
-
 // TestJobRunOnShuffledPopulation: RunOn executes on a caller-prepared
-// population (here shuffled onto a cycle), matching the legacy per-node
-// call byte for byte.
+// population (here laid onto a cycle), matching the job's own run from its
+// counts byte for byte and leaving the population in its final state.
 func TestJobRunOnShuffledPopulation(t *testing.T) {
 	counts, err := Biased(400, 2, 2)
 	if err != nil {
@@ -477,15 +370,7 @@ func TestJobRunOnShuffledPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep := func() *Population {
-		pop, err := NewPopulation(counts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pop
-	}
-	legacyPop, jobPop := prep(), prep()
-	legacy, err := RunDynamic("voter", legacyPop, WithSeed(9), WithGraph(g), WithMaxTime(1e6))
+	pop, err := NewPopulation(counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,12 +378,20 @@ func TestJobRunOnShuffledPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := job.RunOn(context.Background(), jobPop)
+	ctx := context.Background()
+	rep, err := job.RunOn(ctx, pop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep != ReportFromAsync(legacy).withProtocol("voter") {
-		t.Fatalf("RunOn %+v != RunDynamic %+v", rep, legacy)
+	want, err := job.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep != want {
+		t.Fatalf("RunOn %+v != Run %+v", rep, want)
+	}
+	if !rep.Converged || !pop.ConsensusOn(rep.Winner) {
+		t.Fatalf("population %v not left on the winner of %+v", pop.Counts(), rep)
 	}
 }
 
@@ -532,11 +425,11 @@ func TestJobReusable(t *testing.T) {
 	}
 }
 
-// TestReportConversions: all four legacy result types convert into the
+// TestReportConversions: all four engine result types convert into the
 // unified Report with their fields mapped and detail accessible.
 func TestReportConversions(t *testing.T) {
 	cr := CoreResult{Done: true, Winner: 2, ConsensusTime: 12.5, Time: 13, Ticks: 99, Jumps: 4, Churns: 1}
-	rep := ReportFromCore(cr)
+	rep := reportFromCore(cr)
 	if rep.Kind != KindCore || !rep.Converged || rep.Winner != 2 || rep.ConsensusTime != 12.5 || rep.Ticks != 99 || rep.Churns != 1 {
 		t.Fatalf("core conversion: %+v", rep)
 	}
@@ -547,23 +440,23 @@ func TestReportConversions(t *testing.T) {
 		t.Fatal("core report should not expose Phases()")
 	}
 
-	ar := AsyncResult{Done: true, Winner: 1, Time: 7.5, Ticks: 10, Undecided: 3, Churns: 2}
-	rep = ReportFromAsync(ar)
+	ar := dynamics.AsyncResult{Done: true, Winner: 1, Time: 7.5, Ticks: 10, Undecided: 3, Churns: 2}
+	rep = reportFromAsync(ar)
 	if rep.Kind != KindDynamic || rep.ConsensusTime != 7.5 || rep.Undecided != 3 {
 		t.Fatalf("async conversion: %+v", rep)
 	}
-	if rep := ReportFromAsync(AsyncResult{Done: false, Time: 7.5}); rep.ConsensusTime != 0 {
+	if rep := reportFromAsync(dynamics.AsyncResult{Done: false, Time: 7.5}); rep.ConsensusTime != 0 {
 		t.Fatalf("unconverged async run must not claim a consensus time: %+v", rep)
 	}
 
-	sr := SyncResult{Done: true, Winner: 0, Rounds: 17, Undecided: 2}
-	rep = ReportFromSync(sr)
+	sr := dynamics.SyncResult{Done: true, Winner: 0, Rounds: 17, Undecided: 2}
+	rep = reportFromSync(sr)
 	if rep.Kind != KindSyncDynamic || rep.Rounds != 17 || rep.Undecided != 2 {
 		t.Fatalf("sync conversion: %+v", rep)
 	}
 
 	or := OneExtraBitResult{Done: true, Winner: 3, Phases: 4, Rounds: 40}
-	rep = ReportFromOneExtraBit(or)
+	rep = reportFromOneExtraBit(or)
 	if rep.Kind != KindOneExtraBit || rep.Rounds != 40 {
 		t.Fatalf("onebit conversion: %+v", rep)
 	}

@@ -2,6 +2,7 @@ package plurality
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -171,9 +172,9 @@ func TestTrajectoryRecordsRun(t *testing.T) {
 	}
 }
 
-// TestOneExtraBitWithMaxPhases: the new option bounds the phase budget
-// directly; when unset, the deprecated maxRounds/10 derivation still
-// applies (regression guard for the legacy behavior).
+// TestOneExtraBitWithMaxPhases: the option bounds the phase budget
+// directly, and a round budget, which bounds the synchronous dynamics only,
+// is rejected.
 func TestOneExtraBitWithMaxPhases(t *testing.T) {
 	// A hard workload that cannot converge in one short phase.
 	counts, err := Uniform(2000, 16)
@@ -181,39 +182,26 @@ func TestOneExtraBitWithMaxPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(opts ...Option) OneExtraBitResult {
-		pop, err := NewPopulation(counts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, _ := RunOneExtraBit(pop, append([]Option{WithSeed(4), WithPropagationRounds(1)}, opts...)...)
+		rep, _ := runJob(t, "onebit", counts, append([]Option{WithSeed(4), WithPropagationRounds(1)}, opts...)...)
+		res, _ := rep.Phases()
 		return res
 	}
 
 	// Explicit budget: the run must stop at exactly the requested phase
 	// count when it cannot converge.
-	if res := run(WithMaxPhases(2)); res.Done || res.Phases != 2 {
-		t.Fatalf("WithMaxPhases(2): %+v, want 2 exhausted phases", res)
+	for _, phases := range []int{1, 2, 4} {
+		if res := run(WithMaxPhases(phases)); res.Done || res.Phases != phases {
+			t.Fatalf("WithMaxPhases(%d): %+v, want %d exhausted phases", phases, res, phases)
+		}
 	}
 
-	// Legacy derivation: WithMaxRounds(40) means a budget of 40/10 = 4
-	// phases — bit-identical to spelling the same budget explicitly.
-	legacy := run(WithMaxRounds(40))
-	explicit := run(WithMaxPhases(4))
-	if legacy != explicit {
-		t.Fatalf("maxRounds/10 derivation diverged from WithMaxPhases: %+v != %+v", legacy, explicit)
+	// Rounds bound the synchronous dynamics only, and a phase budget must
+	// be positive.
+	if _, err := NewJob("onebit", counts, WithMaxRounds(40)); err == nil || !strings.Contains(err.Error(), "rounds bound the synchronous runners only") {
+		t.Fatalf("onebit with WithMaxRounds: err = %v", err)
 	}
-	if legacy.Done || legacy.Phases != 4 {
-		t.Fatalf("legacy derivation: %+v, want 4 exhausted phases", legacy)
-	}
-
-	// The explicit option wins over the derivation when both are given.
-	if res := run(WithMaxRounds(40), WithMaxPhases(1)); res.Phases != 1 {
-		t.Fatalf("WithMaxPhases should override the derivation: %+v", res)
-	}
-
-	// And the tiny-budget floor: maxRounds < 10 still grants one phase.
-	if res := run(WithMaxRounds(5)); res.Phases != 1 {
-		t.Fatalf("floor: %+v, want 1 phase", res)
+	if _, err := NewJob("onebit", counts, WithMaxPhases(0)); err == nil {
+		t.Fatal("onebit with WithMaxPhases(0): no error")
 	}
 }
 

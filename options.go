@@ -25,12 +25,12 @@ const (
 	// per-node event-heap engine, retained as the validated reference for
 	// Poisson. Prefer Poisson for large n.
 	HeapPoisson
-	// Synchronous selects the synchronous model for sampling dynamics run
-	// through the Job API: discrete simultaneous rounds (Theorem 1.1's
-	// setting) instead of an asynchronous scheduler. A Job over a registry
-	// protocol with WithModel(Synchronous) is the Job-API equivalent of
-	// RunDynamicSync; the asynchronous-only runners (core, the counts
-	// engine) reject it.
+	// Synchronous selects the synchronous model for sampling dynamics:
+	// discrete simultaneous rounds (Theorem 1.1's setting) instead of an
+	// asynchronous scheduler. A Job over a registry protocol with
+	// WithModel(Synchronous) runs on the round-based engine; the
+	// asynchronous-only runners (core, the count-collapsed engines) reject
+	// it.
 	Synchronous
 )
 
@@ -45,8 +45,10 @@ const (
 	// (the README's hosts matrix): the count-collapsed occupancy engine on
 	// the complete graph, the degree-class lumped engine on annealed
 	// topologies (AnnealedRegularGraph, AnnealedGraph), the per-node engine
-	// otherwise. The engines are distributionally equivalent (the collapses
-	// are exact), but fixed-seed trajectories differ between them.
+	// otherwise. A Job a collapsed engine hosts runs on its counts in O(k)
+	// memory, escalating to EngineLeap from 10¹⁰ nodes on. The exact
+	// engines are distributionally equivalent (the collapses are exact),
+	// but fixed-seed trajectories differ between them.
 	EngineAuto Engine = iota
 	// EnginePerNode forces the per-node simulation: O(n) state, every
 	// activation walked individually.
@@ -65,7 +67,8 @@ const (
 	// approximate by design — tune the error budget with WithLeapEpsilon
 	// and WithODEThreshold — and built for populations beyond the exact
 	// engine's reach (n = 10¹⁰–10¹²⁺), directly on the histogram in O(k)
-	// memory. EngineAuto escalates counts runs to it from 10¹⁰ nodes on.
+	// memory. EngineAuto escalates the Jobs it hosts to it from 10¹⁰ nodes
+	// on.
 	EngineLeap
 )
 
@@ -75,6 +78,8 @@ const (
 	DefaultMaxTime = 1e5
 	// DefaultMaxRounds bounds synchronous runs.
 	DefaultMaxRounds = 1_000_000
+	// DefaultMaxPhases bounds OneExtraBit runs.
+	DefaultMaxPhases = 100_000
 )
 
 // Option configures a protocol run.
@@ -132,6 +137,7 @@ func newOptions(opts []Option) *options {
 		model:     Sequential,
 		maxTime:   DefaultMaxTime,
 		maxRounds: DefaultMaxRounds,
+		maxPhases: DefaultMaxPhases,
 	}
 	for _, opt := range opts {
 		opt.apply(o)
@@ -147,8 +153,8 @@ func WithSeed(seed uint64) Option {
 
 // WithModel selects the communication model (default Sequential). The
 // asynchronous models apply to the core protocol and the sampling dynamics;
-// Synchronous selects the round-based dynamics engine (Job API). The legacy
-// synchronous runners (RunDynamicSync, RunOneExtraBit) ignore it.
+// Synchronous selects the round-based dynamics engine. OneExtraBit, which is
+// synchronous by construction, rejects it.
 func WithModel(m Model) Option {
 	return optionFunc(func(o *options) { o.mark(plan.Model); o.model = m })
 }
@@ -164,9 +170,8 @@ func WithMaxRounds(r int) Option {
 	return optionFunc(func(o *options) { o.mark(plan.MaxRounds); o.maxRounds = r })
 }
 
-// WithMaxPhases bounds OneExtraBit runs in phases. When unset, OneExtraBit
-// falls back to the legacy derivation max(1, MaxRounds/10) — see
-// RunOneExtraBit — which this option deprecates.
+// WithMaxPhases bounds OneExtraBit runs in phases (default
+// DefaultMaxPhases).
 func WithMaxPhases(p int) Option {
 	return optionFunc(func(o *options) { o.mark(plan.MaxPhases); o.maxPhases = p })
 }
@@ -273,7 +278,7 @@ func WithRunToHalt() Option {
 }
 
 // WithTrialWorkers bounds the number of worker goroutines multi-trial runs
-// (Job.Trials, RunCoreTrials) shard trials across (default 0 = GOMAXPROCS).
+// (Job.Trials) shard trials across (default 0 = GOMAXPROCS).
 // Results are deterministic regardless of the worker count.
 func WithTrialWorkers(workers int) Option {
 	return optionFunc(func(o *options) { o.mark(plan.TrialWorkers); o.trialWorkers = workers })

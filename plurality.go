@@ -30,8 +30,10 @@
 // counts × options; Job.Run honors context cancellation inside every
 // engine loop, Job.Trials fans deterministic pooled trials across cores
 // for every protocol, and WithObserver streams histogram snapshots from
-// any runner. The legacy one-shot entry points (RunCore, RunDynamic, …)
-// remain as bit-identical shims over the same execution layer.
+// any runner. The engine planner decides, once per Job, which execution path
+// runs it — and whether it needs a per-node population at all: sampling
+// dynamics on the complete graph and on annealed topologies run on their
+// counts alone, up to n = 10¹² on the hybrid leap engine.
 //
 // All runs are deterministic given WithSeed. See docs/ARCHITECTURE.md for
 // the code layers, EXPERIMENTS.md for the sweeps that gate the paper's
@@ -67,10 +69,6 @@ type (
 	CoreProbe = core.Probe
 	// CoreSpec is the resolved working-time schedule of a core run.
 	CoreSpec = core.Spec
-	// SyncResult describes a synchronous sampling-dynamics run.
-	SyncResult = dynamics.SyncResult
-	// AsyncResult describes an asynchronous sampling-dynamics run.
-	AsyncResult = dynamics.AsyncResult
 	// OneExtraBitResult describes a OneExtraBit run.
 	OneExtraBitResult = onebit.Result
 	// PhaseInfo is delivered per OneExtraBit phase.
@@ -82,14 +80,14 @@ type (
 
 	// Protocol describes one registered sampling-dynamics family: its
 	// names, update rule, source paper, engine support and the hooks the
-	// runners resolve. See Protocols and RunDynamic.
+	// runners resolve. See Protocols and NewJob.
 	Protocol = protocols.Descriptor
 )
 
 // Protocols returns the registry of sampling-dynamics protocol families in
 // presentation order: Two-Choices, Voter, 3-Majority, Undecided-State
 // Dynamics and parameterized j-Majority. Every name-based entry point —
-// RunDynamic, the experiment harness's protocol axis, the CLIs — resolves
+// NewJob, the experiment harness's protocol axis, the CLIs — resolves
 // against this registry, so the slice is also the authoritative answer to
 // "which protocols does this library run?". (The paper's core protocol and
 // OneExtraBit are not sampling dynamics and keep their dedicated runners.)

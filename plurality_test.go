@@ -1,6 +1,7 @@
 package plurality
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -12,6 +13,27 @@ func mustPop(t *testing.T, counts []int64) *Population {
 		t.Fatal(err)
 	}
 	return pop
+}
+
+// runJob compiles spec over counts with opts and runs it once.
+func runJob(t *testing.T, spec string, counts []int64, opts ...Option) (Report, error) {
+	t.Helper()
+	job, err := NewJob(spec, counts, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job.Run(context.Background())
+}
+
+// runJobOn compiles spec over pop's counts with opts and runs it once on
+// pop, which ends in the run's final state.
+func runJobOn(t *testing.T, spec string, pop *Population, opts ...Option) (Report, error) {
+	t.Helper()
+	job, err := NewJob(spec, pop.Counts(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job.RunOn(context.Background(), pop)
 }
 
 func biasedCounts(t *testing.T, n, k int, eps float64) []int64 {
@@ -72,12 +94,12 @@ func TestWorkloadConstructors(t *testing.T) {
 
 func TestRunCoreEndToEnd(t *testing.T) {
 	pop := mustPop(t, biasedCounts(t, 5000, 4, 1))
-	res, err := RunCore(pop, WithSeed(7))
+	rep, err := runJobOn(t, "core", pop, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done || res.Winner != 0 {
-		t.Fatalf("res = %+v", res)
+	if !rep.Converged || rep.Winner != 0 {
+		t.Fatalf("rep = %+v", rep)
 	}
 	if !pop.ConsensusOn(0) {
 		t.Fatalf("population not unanimous: %v", pop.Counts())
@@ -85,23 +107,22 @@ func TestRunCoreEndToEnd(t *testing.T) {
 }
 
 func TestRunCorePoissonModel(t *testing.T) {
-	pop := mustPop(t, biasedCounts(t, 3000, 4, 1))
-	res, err := RunCore(pop, WithSeed(8), WithModel(Poisson))
+	rep, err := runJob(t, "core", biasedCounts(t, 3000, 4, 1), WithSeed(8), WithModel(Poisson))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done || res.Winner != 0 {
-		t.Fatalf("res = %+v", res)
+	if !rep.Converged || rep.Winner != 0 {
+		t.Fatalf("rep = %+v", rep)
 	}
 }
 
 func TestRunCoreDeterministicAcrossCalls(t *testing.T) {
 	run := func() CoreResult {
-		pop := mustPop(t, biasedCounts(t, 2000, 4, 1))
-		res, err := RunCore(pop, WithSeed(9))
+		rep, err := runJob(t, "core", biasedCounts(t, 2000, 4, 1), WithSeed(9))
 		if err != nil {
 			t.Fatal(err)
 		}
+		res, _ := rep.Core()
 		return res
 	}
 	if a, b := run(), run(); a != b {
@@ -110,91 +131,90 @@ func TestRunCoreDeterministicAcrossCalls(t *testing.T) {
 }
 
 func TestRunCoreUnknownModel(t *testing.T) {
-	pop := mustPop(t, biasedCounts(t, 100, 2, 1))
-	if _, err := RunCore(pop, WithModel(Model(99))); err == nil {
+	job, err := NewJob("core", biasedCounts(t, 100, 2, 1), WithModel(Model(99)))
+	if err == nil {
+		_, err = job.Run(context.Background())
+	}
+	if err == nil {
 		t.Fatal("unknown model should fail")
 	}
 }
 
 func TestRunCoreNilPopulation(t *testing.T) {
-	if _, err := RunCore(nil); err == nil {
+	job, err := NewJob("core", biasedCounts(t, 100, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.RunOn(context.Background(), nil); err == nil {
 		t.Fatal("nil population should fail")
 	}
 }
 
 func TestRunCoreBudgetError(t *testing.T) {
-	pop := mustPop(t, biasedCounts(t, 2000, 4, 0.5))
-	_, err := RunCore(pop, WithMaxTime(1))
+	_, err := runJob(t, "core", biasedCounts(t, 2000, 4, 0.5), WithMaxTime(1))
 	if !errors.Is(err, ErrNoConsensus) {
 		t.Fatalf("err = %v, want ErrNoConsensus", err)
 	}
 }
 
 func TestRunTwoChoicesSync(t *testing.T) {
-	pop := mustPop(t, gapSqrtCounts(t, 4000, 4, 1.5))
-	res, err := RunTwoChoicesSync(pop, WithSeed(10))
+	rep, err := runJob(t, "two-choices", gapSqrtCounts(t, 4000, 4, 1.5), WithSeed(10), WithModel(Synchronous))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done || res.Winner != 0 {
-		t.Fatalf("res = %+v", res)
+	if !rep.Converged || rep.Winner != 0 {
+		t.Fatalf("rep = %+v", rep)
 	}
 }
 
 func TestRunTwoChoicesAsync(t *testing.T) {
-	pop := mustPop(t, biasedCounts(t, 2000, 3, 1))
-	res, err := RunTwoChoicesAsync(pop, WithSeed(11))
+	rep, err := runJob(t, "two-choices", biasedCounts(t, 2000, 3, 1), WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done || res.Winner != 0 {
-		t.Fatalf("res = %+v", res)
+	if !rep.Converged || rep.Winner != 0 {
+		t.Fatalf("rep = %+v", rep)
 	}
 }
 
 func TestRunVoterBothModels(t *testing.T) {
-	syncPop := mustPop(t, []int64{200, 200})
-	if _, err := RunVoterSync(syncPop, WithSeed(12)); err != nil {
+	if _, err := runJob(t, "voter", []int64{200, 200}, WithSeed(12), WithModel(Synchronous)); err != nil {
 		t.Fatal(err)
 	}
-	asyncPop := mustPop(t, []int64{200, 200})
-	res, err := RunVoterAsync(asyncPop, WithSeed(13))
+	rep, err := runJob(t, "voter", []int64{200, 200}, WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done {
-		t.Fatalf("voter async did not converge: %+v", res)
+	if !rep.Converged {
+		t.Fatalf("voter async did not converge: %+v", rep)
 	}
 }
 
 func TestRunThreeMajority(t *testing.T) {
-	pop := mustPop(t, biasedCounts(t, 3000, 4, 1))
-	res, err := RunThreeMajoritySync(pop, WithSeed(14))
+	rep, err := runJob(t, "3-majority", biasedCounts(t, 3000, 4, 1), WithSeed(14), WithModel(Synchronous))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done || res.Winner != 0 {
-		t.Fatalf("res = %+v", res)
+	if !rep.Converged || rep.Winner != 0 {
+		t.Fatalf("rep = %+v", rep)
 	}
-	pop2 := mustPop(t, biasedCounts(t, 3000, 4, 1))
-	res2, err := RunThreeMajorityAsync(pop2, WithSeed(15))
+	rep2, err := runJob(t, "3-majority", biasedCounts(t, 3000, 4, 1), WithSeed(15))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res2.Done || res2.Winner != 0 {
-		t.Fatalf("res2 = %+v", res2)
+	if !rep2.Converged || rep2.Winner != 0 {
+		t.Fatalf("rep2 = %+v", rep2)
 	}
 }
 
 func TestRunOneExtraBit(t *testing.T) {
-	pop := mustPop(t, gapPolylogCounts(t, 10000, 8, 0.5))
 	var phases int
-	res, err := RunOneExtraBit(pop, WithSeed(16), WithPhaseObserver(func(PhaseInfo) { phases++ }))
+	rep, err := runJob(t, "onebit", gapPolylogCounts(t, 10000, 8, 0.5), WithSeed(16), WithPhaseObserver(func(PhaseInfo) { phases++ }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done || res.Winner != 0 {
-		t.Fatalf("res = %+v", res)
+	if !rep.Converged || rep.Winner != 0 {
+		t.Fatalf("rep = %+v", rep)
 	}
 	if phases == 0 {
 		t.Fatal("phase observer never fired")
@@ -202,9 +222,8 @@ func TestRunOneExtraBit(t *testing.T) {
 }
 
 func TestRunCoreWithProbeAndTuning(t *testing.T) {
-	pop := mustPop(t, biasedCounts(t, 2000, 4, 1))
 	var probes int
-	res, err := RunCore(pop,
+	rep, err := runJob(t, "core", biasedCounts(t, 2000, 4, 1),
 		WithSeed(17),
 		WithDelta(40),
 		WithPhases(8),
@@ -215,8 +234,8 @@ func TestRunCoreWithProbeAndTuning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done {
-		t.Fatalf("res = %+v", res)
+	if !rep.Converged {
+		t.Fatalf("rep = %+v", rep)
 	}
 	if probes == 0 {
 		t.Fatal("probe observer never fired")
@@ -224,24 +243,22 @@ func TestRunCoreWithProbeAndTuning(t *testing.T) {
 }
 
 func TestRunCoreEndgameOnly(t *testing.T) {
-	pop := mustPop(t, []int64{4500, 500})
-	res, err := RunCore(pop, WithSeed(18), WithEndgameOnly(), WithRunToHalt())
+	rep, err := runJob(t, "core", []int64{4500, 500}, WithSeed(18), WithEndgameOnly(), WithRunToHalt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done || !res.EndgameSafe || res.FirstHaltTime == 0 {
+	if res, _ := rep.Core(); !res.Done || !res.EndgameSafe || res.FirstHaltTime == 0 {
 		t.Fatalf("res = %+v", res)
 	}
 }
 
 func TestRunCoreWithResponseDelay(t *testing.T) {
-	pop := mustPop(t, biasedCounts(t, 2000, 3, 1))
-	res, err := RunCore(pop, WithSeed(19), WithResponseDelay(1))
+	rep, err := runJob(t, "core", biasedCounts(t, 2000, 3, 1), WithSeed(19), WithResponseDelay(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done || res.Winner != 0 {
-		t.Fatalf("res = %+v", res)
+	if !rep.Converged || rep.Winner != 0 {
+		t.Fatalf("rep = %+v", rep)
 	}
 }
 
@@ -250,8 +267,7 @@ func TestRunCoreFailureInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pop := mustPop(t, biasedCounts(t, 4000, 4, 1))
-	res, err := RunCore(pop,
+	rep, err := runJob(t, "core", biasedCounts(t, 4000, 4, 1),
 		WithSeed(20),
 		WithCrashes(0.01),
 		WithDesync(0.02, spec.PhaseTicks),
@@ -259,8 +275,8 @@ func TestRunCoreFailureInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done || res.Winner != 0 {
-		t.Fatalf("res = %+v", res)
+	if !rep.Converged || rep.Winner != 0 {
+		t.Fatalf("rep = %+v", rep)
 	}
 }
 
@@ -287,13 +303,12 @@ func TestWithGraphTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pop := mustPop(t, []int64{15, 15})
-	res, err := RunVoterAsync(pop, WithSeed(21), WithGraph(g), WithMaxTime(1e6))
+	rep, err := runJob(t, "voter", []int64{15, 15}, WithSeed(21), WithGraph(g), WithMaxTime(1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done {
-		t.Fatalf("res = %+v", res)
+	if !rep.Converged {
+		t.Fatalf("rep = %+v", rep)
 	}
 }
 
@@ -314,10 +329,9 @@ func TestTopologyConstructors(t *testing.T) {
 }
 
 func TestSyncRunnersRespectMaxRounds(t *testing.T) {
-	pop := mustPop(t, []int64{500, 500})
 	// keep-own is impossible here, but a tiny round budget with real
 	// dynamics still has to error out on a large balanced instance.
-	_, err := RunVoterSync(pop, WithSeed(22), WithMaxRounds(1))
+	_, err := runJob(t, "voter", []int64{500, 500}, WithSeed(22), WithModel(Synchronous), WithMaxRounds(1))
 	if !errors.Is(err, ErrTimeLimit) {
 		t.Fatalf("err = %v, want ErrTimeLimit", err)
 	}

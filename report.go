@@ -1,5 +1,7 @@
 package plurality
 
+import "plurality/internal/protocols/dynamics"
+
 // Kind classifies which runner family produced a Report (or which one a Job
 // is bound to).
 type Kind int
@@ -37,9 +39,7 @@ func (k Kind) String() string {
 // Report is the unified result of any protocol run: every runner family —
 // core, asynchronous and synchronous sampling dynamics, OneExtraBit — fills
 // the shared fields, and the typed accessors (Core, Phases) expose the
-// protocol-specific detail. The four legacy result types all convert into
-// it via the ReportFrom… constructors, which is also how the Job API
-// produces them.
+// protocol-specific detail.
 //
 // A Report is valid even for runs that failed to converge (time/round
 // budget exhausted, context canceled): Converged is false and the
@@ -48,8 +48,7 @@ type Report struct {
 	// Kind identifies the runner family that produced the report.
 	Kind Kind
 	// Protocol is the resolved protocol spec ("core", "onebit", or a
-	// registry spec such as "j-majority:5"); empty when the report was
-	// converted directly from a legacy result.
+	// registry spec such as "j-majority:5").
 	Protocol string
 	// Converged reports whether the run reached consensus (all live nodes
 	// agreeing on one color) within its budget.
@@ -111,8 +110,8 @@ func (r Report) Phases() (res OneExtraBitResult, ok bool) {
 	return *r.onebit, true
 }
 
-// ReportFromCore converts a legacy core result into the unified Report.
-func ReportFromCore(res CoreResult) Report {
+// reportFromCore converts a core-protocol result into a Report.
+func reportFromCore(res CoreResult) Report {
 	return Report{
 		Kind:          KindCore,
 		Converged:     res.Done,
@@ -128,9 +127,8 @@ func ReportFromCore(res CoreResult) Report {
 	}
 }
 
-// ReportFromAsync converts a legacy asynchronous-dynamics result into the
-// unified Report.
-func ReportFromAsync(res AsyncResult) Report {
+// reportFromAsync converts an asynchronous-dynamics result into a Report.
+func reportFromAsync(res dynamics.AsyncResult) Report {
 	rep := Report{
 		Kind:        KindDynamic,
 		Converged:   res.Done,
@@ -150,9 +148,8 @@ func ReportFromAsync(res AsyncResult) Report {
 	return rep
 }
 
-// ReportFromSync converts a legacy synchronous-dynamics result into the
-// unified Report.
-func ReportFromSync(res SyncResult) Report {
+// reportFromSync converts a synchronous-dynamics result into a Report.
+func reportFromSync(res dynamics.SyncResult) Report {
 	return Report{
 		Kind:        KindSyncDynamic,
 		Converged:   res.Done,
@@ -165,9 +162,8 @@ func ReportFromSync(res SyncResult) Report {
 	}
 }
 
-// ReportFromOneExtraBit converts a legacy OneExtraBit result into the
-// unified Report.
-func ReportFromOneExtraBit(res OneExtraBitResult) Report {
+// reportFromOneExtraBit converts a OneExtraBit result into a Report.
+func reportFromOneExtraBit(res OneExtraBitResult) Report {
 	return Report{
 		Kind:      KindOneExtraBit,
 		Converged: res.Done,

@@ -1,6 +1,25 @@
 package plurality
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
+
+// coreTrials runs trials core-protocol trials of counts through Job.Trials
+// and returns their core results.
+func coreTrials(t *testing.T, counts []int64, trials int, opts ...Option) ([]CoreResult, error) {
+	t.Helper()
+	job, err := NewJob("core", counts, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, err := job.Trials(context.Background(), trials)
+	results := make([]CoreResult, len(reps))
+	for i, rep := range reps {
+		results[i], _ = rep.Core()
+	}
+	return results, err
+}
 
 // TestRunCoreTrialsDeterministicAcrossWorkers: the multi-trial driver must
 // be a pure function of (counts, trials, seed) — the worker count only
@@ -12,7 +31,7 @@ func TestRunCoreTrialsDeterministicAcrossWorkers(t *testing.T) {
 	}
 	const trials = 6
 	run := func(workers int) []CoreResult {
-		res, err := RunCoreTrials(counts, trials, WithSeed(9), WithTrialWorkers(workers))
+		res, err := coreTrials(t, counts, trials, WithSeed(9), WithTrialWorkers(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -42,7 +61,7 @@ func TestRunCoreTrialsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestRunCoreTrialsFirstTrialMatchesRunCore: trial 0 keeps the base seed,
-// so a 1-trial multi-run is exactly RunCore.
+// so a 1-trial multi-run is exactly a single run on a fresh population.
 func TestRunCoreTrialsFirstTrialMatchesRunCore(t *testing.T) {
 	counts, err := Biased(1500, 2, 1)
 	if err != nil {
@@ -52,16 +71,17 @@ func TestRunCoreTrialsFirstTrialMatchesRunCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := RunCore(pop, WithSeed(4))
+	rep, err := runJobOn(t, "core", pop, WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := RunCoreTrials(counts, 3, WithSeed(4))
+	single, _ := rep.Core()
+	many, err := coreTrials(t, counts, 3, WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if many[0] != single {
-		t.Fatalf("trial 0 %+v != RunCore %+v", many[0], single)
+		t.Fatalf("trial 0 %+v != single run %+v", many[0], single)
 	}
 }
 
@@ -70,7 +90,7 @@ func TestRunCoreTrialsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCoreTrials(counts, 0); err == nil {
+	if _, err := coreTrials(t, counts, 0); err == nil {
 		t.Error("trials=0 should fail")
 	}
 }
@@ -80,15 +100,11 @@ func TestRunCoreHeapPoissonModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pop, err := NewPopulation(counts)
+	rep, err := runJob(t, "core", counts, WithSeed(2), WithModel(HeapPoisson))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCore(pop, WithSeed(2), WithModel(HeapPoisson))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Done || res.Winner != 0 {
-		t.Fatalf("heap-poisson run failed: %+v", res)
+	if !rep.Converged || rep.Winner != 0 {
+		t.Fatalf("heap-poisson run failed: %+v", rep)
 	}
 }
