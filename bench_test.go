@@ -13,6 +13,7 @@ package plurality_test
 
 import (
 	"context"
+	"errors"
 	"io"
 	"testing"
 
@@ -97,4 +98,28 @@ func BenchmarkProtocolTwoChoicesAsync(b *testing.B) {
 func BenchmarkProtocolOneExtraBit(b *testing.B) {
 	counts, err := plurality.GapSqrtPolylog(8000, 8, 0.5)
 	benchProtocol(b, "onebit", counts, err)
+}
+
+func BenchmarkProtocolThreeMajorityOccupancy(b *testing.B) {
+	counts, err := plurality.Biased(200_000, 4, 1)
+	benchProtocol(b, "3-majority", counts, err, plurality.WithEngine(plurality.EngineOccupancy))
+}
+
+func BenchmarkProtocolJMajority5Occupancy(b *testing.B) {
+	counts, err := plurality.Biased(30_000, 4, 1)
+	benchProtocol(b, "j-majority:5", counts, err, plurality.WithEngine(plurality.EngineOccupancy))
+}
+
+// BenchmarkProtocolTwoChoicesAnnealedGnp runs on the degree-class lumped
+// matrix: an annealed G(n, p) has many degree classes. Colours fill
+// contiguous node blocks, so colour 0 holds the lowest degrees; ε = 3 keeps
+// it the plurality of half-edges.
+func BenchmarkProtocolTwoChoicesAnnealedGnp(b *testing.B) {
+	const n = 20_000
+	g, err := plurality.RandomGraph(n, 8.0/(n-1), 1)
+	if err == nil {
+		g, err = plurality.AnnealedGraph(g)
+	}
+	counts, cerr := plurality.Biased(n, 4, 3)
+	benchProtocol(b, "two-choices", counts, errors.Join(err, cerr), plurality.WithGraph(g))
 }

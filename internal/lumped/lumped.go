@@ -33,12 +33,16 @@
 // independently of d, so those runs delegate directly to the occupancy
 // engine and inherit its closed-form kernels and geometric skips over
 // no-op activations. Multi-class partitions (degree-partitioned G(n,p))
-// run activation by activation on the matrix in O(D + k) per tick.
+// run activation by activation on the matrix in O(s·k) per tick for s
+// samples: the activated node's class comes from a table built once per
+// run, in about one step instead of a scan over the D classes.
 package lumped
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"plurality/internal/graph"
 	"plurality/internal/occupancy"
@@ -89,15 +93,15 @@ func Run(m, und []int64, rule occupancy.Rule, cfg Config) (occupancy.Result, err
 // Runner reuses the engine's scratch buffers across runs so trial loops are
 // allocation-free in steady state. Not safe for concurrent use.
 type Runner struct {
-	occ      occupancy.Runner
-	ext      []int64
-	w        []int64
-	colTot   []int64
-	classTot []int64
-	deg      []int64
-	sampled  []population.Color
-	times    []float64
-	ticks    []sched.Tick
+	occ     occupancy.Runner
+	ext     []int64
+	w       []int64
+	colTot  []int64
+	classes classTable
+	deg     []int64
+	sampled []population.Color
+	times   []float64
+	ticks   []sched.Tick
 }
 
 // Run is Runner's buffer-reusing equivalent of the package-level Run.
@@ -231,13 +235,12 @@ func (rn *Runner) Run(m, und []int64, rule occupancy.Rule, cfg Config) (occupanc
 // matrix columns (colors plus the hidden undecided column when present).
 type matrixRun struct {
 	m        []int64
-	deg      []int64 // per-class degree
-	classTot []int64 // per-class node count (constant through a run)
-	w        []int64 // per-color half-edge mass Σ_a deg_a·m[a][c]
-	colTot   []int64 // per-color node count Σ_a m[a][c]
+	deg      []int64    // per-class degree
+	classes  classTable // node index → class (constant through a run)
+	w        []int64    // per-color half-edge mass Σ_a deg_a·m[a][c]
+	colTot   []int64    // per-color node count Σ_a m[a][c]
 	totW     int64
 	n        int64
-	D        int
 	cols     int
 	colors   int
 	s        int
@@ -257,19 +260,52 @@ type matrixRun struct {
 	onObserve   func(occupancy.Snapshot)
 }
 
+// classTable finds the degree class of a node index. Nodes are numbered
+// class by class from first[a], with first[D] = n, and guide[i] is the class
+// holding node index i<<shift. Built once per run with at most 4D guide
+// entries (more than D unless n ≤ D), it starts a lookup at its answer or
+// a few classes before it instead of at class 0.
+type classTable struct {
+	first []int64
+	guide []int32
+	shift uint
+}
+
+// build indexes the partition; classes may be empty, but their total must
+// be at least 1.
+func (ct *classTable) build(classes []graph.Class) {
+	ct.first = append(slices.Grow(ct.first[:0], len(classes)+1), 0)
+	for a, cl := range classes {
+		ct.first = append(ct.first, ct.first[a]+cl.Count)
+	}
+	n := ct.first[len(classes)]
+	ct.shift = uint(max(0, bits.Len64(uint64(n-1))-bits.Len(uint(len(classes)))-1))
+	size := int((n-1)>>ct.shift) + 1
+	ct.guide = slices.Grow(ct.guide[:0], size)[:size]
+	a := 0
+	for i := range ct.guide {
+		for ct.first[a+1] <= int64(i)<<ct.shift {
+			a++
+		}
+		ct.guide[i] = int32(a)
+	}
+}
+
+// find returns the class holding node index x (0 ≤ x < n) and x's offset
+// within that class.
+func (ct *classTable) find(x int64) (a int, off int64) {
+	a = int(ct.guide[x>>ct.shift])
+	for x >= ct.first[a+1] {
+		a++
+	}
+	return a, x - ct.first[a]
+}
+
 // pickNode draws the activated node's (class, color) under the
 // uniform-node law: class proportional to node count, color within the
 // class row.
 func (mr *matrixRun) pickNode() (a, c int) {
-	x := int64(mr.r.Uint64n(uint64(mr.n)))
-	a = mr.D - 1
-	for i, t := range mr.classTot {
-		if x < t {
-			a = i
-			break
-		}
-		x -= t
-	}
+	a, x := mr.classes.find(int64(mr.r.Uint64n(uint64(mr.n))))
 	row := mr.m[a*mr.cols : (a+1)*mr.cols]
 	for j, v := range row {
 		if x < v {
@@ -396,20 +432,17 @@ func (rn *Runner) runMatrix(m []int64, rule occupancy.Rule, cfg Config, n int64,
 	if cap(rn.colTot) < cols {
 		rn.colTot = make([]int64, cols)
 	}
-	if cap(rn.classTot) < D {
-		rn.classTot = make([]int64, D)
-	}
 	if cap(rn.deg) < D {
 		rn.deg = make([]int64, D)
 	}
+	rn.classes.build(cfg.Classes)
 	mr := matrixRun{
 		m:          m,
 		deg:        rn.deg[:D],
-		classTot:   rn.classTot[:D],
+		classes:    rn.classes,
 		w:          rn.w[:cols],
 		colTot:     rn.colTot[:cols],
 		n:          n,
-		D:          D,
 		cols:       cols,
 		colors:     colors,
 		s:          s,
@@ -429,7 +462,6 @@ func (rn *Runner) runMatrix(m []int64, rule occupancy.Rule, cfg Config, n int64,
 	}
 	for a, cl := range cfg.Classes {
 		mr.deg[a] = int64(cl.Degree)
-		mr.classTot[a] = cl.Count
 		mr.totW += int64(cl.Degree) * cl.Count
 		for c := 0; c < cols; c++ {
 			mr.w[c] += int64(cl.Degree) * m[a*cols+c]

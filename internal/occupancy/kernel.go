@@ -1,6 +1,8 @@
 package occupancy
 
 import (
+	"slices"
+
 	"plurality/internal/rng"
 )
 
@@ -172,8 +174,11 @@ func (VoterKernel) Flows(x, out []float64) {
 // distribution q of an activated node, the adopted color is d with
 // probability 3q_d²(1−q_d) + q_d³ + q_d[(1−q_d)² − (S₂ − q_d²)] where
 // S₂ = Σ q_e² (the three terms: exactly two matches anywhere, all three
-// match, first-sample tiebreak over three distinct colors).
-type ThreeMajorityKernel struct{}
+// match, first-sample tiebreak over three distinct colors). It carries
+// TransitionWeights scratch, so each run gets a fresh instance.
+type ThreeMajorityKernel struct {
+	tw TransitionWeights
+}
 
 // threeMajAdopt returns P(adopted color = d) for a color with neighbor
 // probability q under sample second moment s2. Rounding can push the
@@ -187,89 +192,70 @@ func threeMajAdopt(q, s2 float64) float64 {
 	return p
 }
 
-// neighborLaw returns the neighbor probability of color d and the sample
-// second moment S₂ for an activated node of color c, in either sampling
-// mode. a is Σ n_e².
-func neighborLaw(counts []int64, nf, a float64, c, d int, withSelf bool) (qd, s2 float64) {
+// neighborProb returns the probability that an activated node of color c
+// samples color d, in either sampling mode.
+func neighborProb(counts []int64, nf float64, c, d int, withSelf bool) float64 {
 	if withSelf {
-		return float64(counts[d]) / nf, a / (nf * nf)
+		return float64(counts[d]) / nf
 	}
-	qden := nf - 1
 	nd := float64(counts[d])
 	if d == c {
 		nd--
 	}
-	fc := float64(counts[c])
-	return nd / qden, (a - 2*fc + 1) / (qden * qden)
+	return nd / (nf - 1)
+}
+
+// secondMoment returns the sample second moment S₂ = Σ q_e² an activated
+// node of color c sees, in either sampling mode. a is Σ n_e².
+func secondMoment(counts []int64, nf, a float64, c int, withSelf bool) float64 {
+	if withSelf {
+		return a / (nf * nf)
+	}
+	qden := nf - 1
+	return (a - 2*float64(counts[c]) + 1) / (qden * qden)
+}
+
+// threeMajStay fills p[c] = P(adopt = c) for an activated node of every
+// nonempty color c. a is Σ n_e².
+func threeMajStay(p []float64, counts []int64, nf, a float64, withSelf bool) {
+	for c, v := range counts {
+		if v > 0 {
+			p[c] = threeMajAdopt(neighborProb(counts, nf, c, c, withSelf), secondMoment(counts, nf, a, c, withSelf))
+		}
+	}
 }
 
 // EffectiveProb implements Kernel.
-func (ThreeMajorityKernel) EffectiveProb(counts []int64, n int64, withSelf bool) float64 {
+func (tk *ThreeMajorityKernel) EffectiveProb(counts []int64, n int64, withSelf bool) float64 {
 	nf := float64(n)
 	a := sumSquares(counts)
-	var sum float64
-	for c, v := range counts {
-		if v == 0 {
-			continue
-		}
-		qc, s2 := neighborLaw(counts, nf, a, c, c, withSelf)
-		w := 1 - threeMajAdopt(qc, s2)
-		if w > 0 {
-			sum += float64(v) * w
-		}
-	}
-	return sum / nf
+	return tk.tw.Leave(counts, n, withSelf, func(p []float64) { threeMajStay(p, counts, nf, a, withSelf) }) / nf
 }
 
 // SampleTransition implements Kernel: own color c with probability
 // proportional to n_c · P(adopt ≠ c), then the adopted color d ≠ c with
 // probability proportional to P(adopt = d). Unlike the product-form
 // kernels, the weight totals have no cheap closed form, so each stage
-// evaluates its weights twice (total, then pick) — the price of keeping
-// the kernel stateless and allocation-free; k is small, so the scan cost
-// stays negligible against the per-transition RNG work.
-func (ThreeMajorityKernel) SampleTransition(r *rng.RNG, counts []int64, n int64, withSelf bool) (from, to int) {
+// evaluates its weights into scratch once and picks from them; the leave
+// weights come from the preceding EffectiveProb when it saw this
+// histogram.
+func (tk *ThreeMajorityKernel) SampleTransition(r *rng.RNG, counts []int64, n int64, withSelf bool) (from, to int) {
 	nf := float64(n)
 	a := sumSquares(counts)
-	var total float64
-	for c, v := range counts {
-		if v == 0 {
-			continue
+	from = tk.tw.PickFrom(r, counts, n, withSelf, func(p []float64) { threeMajStay(p, counts, nf, a, withSelf) })
+	s2 := secondMoment(counts, nf, a, from, withSelf)
+	return from, tk.tw.PickTo(r, counts, from, func(p []float64) {
+		for d := range counts {
+			if d != from {
+				p[d] = threeMajAdopt(neighborProb(counts, nf, from, d, withSelf), s2)
+			}
 		}
-		qc, s2 := neighborLaw(counts, nf, a, c, c, withSelf)
-		if w := 1 - threeMajAdopt(qc, s2); w > 0 {
-			total += float64(v) * w
-		}
-	}
-	from = WeightedPick(r, total, counts, func(c int, f float64) float64 {
-		if f == 0 {
-			return 0
-		}
-		qc, s2 := neighborLaw(counts, nf, a, c, c, withSelf)
-		w := 1 - threeMajAdopt(qc, s2)
-		if w < 0 {
-			return 0
-		}
-		return f * w
 	})
-	var dTotal float64
-	for d := range counts {
-		if d == from {
-			continue
-		}
-		qd, s2 := neighborLaw(counts, nf, a, from, d, withSelf)
-		dTotal += threeMajAdopt(qd, s2)
-	}
-	to = WeightedPickExcept(r, dTotal, counts, from, func(d int, _ float64) float64 {
-		qd, s2 := neighborLaw(counts, nf, a, from, d, withSelf)
-		return threeMajAdopt(qd, s2)
-	})
-	return from, to
 }
 
 // Flows implements FlowKernel: in the fraction limit the neighbor law is x
 // itself, so F_cd = x_c · threeMajAdopt(x_d, S₂) with S₂ = Σ x_e².
-func (ThreeMajorityKernel) Flows(x, out []float64) {
+func (*ThreeMajorityKernel) Flows(x, out []float64) {
 	k := len(x)
 	var s2 float64
 	for _, f := range x {
@@ -334,6 +320,94 @@ func WeightedPickExcept(r *rng.RNG, total float64, counts []int64, skip int, wei
 	}
 	// Degenerate weights (all zero by rounding): fall back to any index
 	// different from skip; callers guarantee k >= 2.
+	if skip == 0 {
+		return 1
+	}
+	return 0
+}
+
+// TransitionWeights is the per-run scratch of a kernel whose weight totals
+// have no closed form (3-Majority, j-Majority). EffectiveProb's Leave
+// records the leave weights n_c·P(adopt ≠ c) with the counts, n and
+// sampling mode they belong to, and the next PickFrom on that histogram
+// draws from the record instead of evaluating them again. A record serves
+// at most once and any mismatch evaluates afresh, so weights never go
+// stale. The zero value is ready to use.
+type TransitionWeights struct {
+	leave, dest []float64
+	total       float64
+	counts      []int64
+	n           int64
+	withSelf    bool
+	held        bool // recorded by Leave, not yet used by PickFrom
+}
+
+// Leave evaluates the leave weights of counts and records them: stay fills
+// p[c] with the probability that an activated node of color c adopts c, for
+// every nonempty color c, and the leave weight is n_c·(1 − p[c]), or 0 when
+// rounding makes that negative. It returns their total.
+func (tw *TransitionWeights) Leave(counts []int64, n int64, withSelf bool, stay func(p []float64)) float64 {
+	tw.leave = slices.Grow(tw.leave[:0], len(counts))[:len(counts)]
+	stay(tw.leave)
+	var total float64
+	for c, v := range counts {
+		w := 1 - tw.leave[c]
+		tw.leave[c] = 0
+		if v > 0 && w > 0 {
+			tw.leave[c] = float64(v) * w
+			total += tw.leave[c]
+		}
+	}
+	tw.total = total
+	tw.counts = append(tw.counts[:0], counts...)
+	tw.n, tw.withSelf, tw.held = n, withSelf, true
+	return total
+}
+
+// PickFrom draws the source color of a transition with probability
+// proportional to its leave weight, from the record when it belongs to this
+// histogram and through Leave otherwise.
+func (tw *TransitionWeights) PickFrom(r *rng.RNG, counts []int64, n int64, withSelf bool, stay func(p []float64)) int {
+	if !tw.held || tw.n != n || tw.withSelf != withSelf || !slices.Equal(tw.counts, counts) {
+		tw.Leave(counts, n, withSelf, stay)
+	}
+	tw.held = false
+	return pickWeight(r, tw.total, tw.leave, -1)
+}
+
+// PickTo draws the destination color d ≠ from with probability proportional
+// to p[d], which adopt fills for every d ≠ from, evaluating each weight
+// once.
+func (tw *TransitionWeights) PickTo(r *rng.RNG, counts []int64, from int, adopt func(p []float64)) int {
+	tw.dest = slices.Grow(tw.dest[:0], len(counts))[:len(counts)]
+	adopt(tw.dest)
+	var total float64
+	for d, w := range tw.dest {
+		if d != from {
+			total += w
+		}
+	}
+	return pickWeight(r, total, tw.dest, from)
+}
+
+// pickWeight is WeightedPick (skip < 0) and WeightedPickExcept over
+// weights already evaluated into w: the same draw, scan and fallbacks.
+func pickWeight(r *rng.RNG, total float64, w []float64, skip int) int {
+	x := r.Float64() * total
+	last := -1
+	for c, wc := range w {
+		if c == skip || wc <= 0 {
+			continue
+		}
+		if x < wc {
+			return c
+		}
+		x -= wc
+		last = c
+	}
+	if last >= 0 {
+		return last
+	}
 	if skip == 0 {
 		return 1
 	}

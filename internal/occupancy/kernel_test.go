@@ -36,7 +36,7 @@ func builtinRules() []testRule {
 			},
 		},
 		{
-			name: "3-majority", s: 3, kern: ThreeMajorityKernel{},
+			name: "3-majority", s: 3, kern: &ThreeMajorityKernel{},
 			next: func(_ population.Color, sampled []population.Color) population.Color {
 				if sampled[0] == sampled[1] || sampled[0] == sampled[2] {
 					return sampled[0]

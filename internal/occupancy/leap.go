@@ -398,23 +398,10 @@ func (lr *leapRun) exactChunk() (bool, error) {
 			lr.ticks = lr.budget
 			return false, ErrTimeLimit
 		}
-		remaining := lr.budget - lr.ticks
-		var g int64 = 1
-		if p < 1 {
-			u := 1 - lr.r.Float64() // (0, 1]
-			gf := math.Floor(math.Log(u)/math.Log1p(-p)) + 1
-			if !(gf >= 1) {
-				gf = 1
-			}
-			if gf > float64(remaining) {
-				lr.ticks = lr.budget
-				return false, ErrTimeLimit
-			}
-			g = int64(gf)
-			if g > remaining {
-				lr.ticks = lr.budget
-				return false, ErrTimeLimit
-			}
+		g, ok := geometricSkip(lr.r, p, lr.budget-lr.ticks)
+		if !ok {
+			lr.ticks = lr.budget
+			return false, ErrTimeLimit
 		}
 		lr.ticks += g
 		from, to := lr.kern.SampleTransition(lr.r, lr.counts, lr.n, lr.withSelf)

@@ -23,18 +23,18 @@
 // # Leap mode
 //
 // Rules that expose their count-level transition law (Kerneled: Voter,
-// Two-Choices, 3-Majority) run transition by transition instead of tick by
-// tick. Most activations are no-ops — Two-Choices near consensus changes
-// the histogram once in Θ(n) ticks — and the time to the next *effective*
-// activation is geometric in the per-tick effective probability p, so the
-// engine draws the skip length in O(1) instead of walking the no-ops. The
-// trick that keeps this exact end to end is that the *which tick is
-// effective* process is independent of the *when do ticks happen* process:
-// tick times are materialized lazily from Poisson order statistics (the
-// tick budget inside MaxTime is one Poisson(n·rate·MaxTime) draw, the time
-// of the m-th tick given the budget is a Beta order statistic; the
-// sequential model's grid m/n is deterministic), costing O(1) RNG work per
-// run rather than per tick.
+// Two-Choices, 3-Majority, USD and j-Majority) run transition by
+// transition instead of tick by tick. Most activations are no-ops —
+// Two-Choices near consensus changes the histogram once in Θ(n) ticks —
+// and the time to the next *effective* activation is geometric in the
+// per-tick effective probability p, so the engine draws the skip length in
+// O(1) instead of walking the no-ops. The trick that keeps this exact end
+// to end is that the *which tick is effective* process is independent of
+// the *when do ticks happen* process: tick times are materialized lazily
+// from Poisson order statistics (the tick budget inside MaxTime is one
+// Poisson(n·rate·MaxTime) draw, the time of the m-th tick given the budget
+// is a Beta order statistic; the sequential model's grid m/n is
+// deterministic), costing O(1) RNG work per run rather than per tick.
 //
 // # Tick mode
 //
@@ -389,6 +389,28 @@ func leapTimeAt(r *rng.RNG, m, budget, n int64, maxTime float64, sequential bool
 // loop, fine enough that cancellation lands within microseconds.
 const stopCheckStride = 1024
 
+// geometricSkip draws the index offset of the next effective activation
+// when each activation is effective with probability p: Geometric(p) on
+// 1, 2, …, and always 1 when p ≥ 1. ok is false when the skip runs past
+// the remaining tick budget. The draw is computed in float64 so a
+// microscopic p yields +Inf and lands in that branch instead of
+// overflowing.
+func geometricSkip(r *rng.RNG, p float64, remaining int64) (g int64, ok bool) {
+	if p >= 1 {
+		return 1, true
+	}
+	u := 1 - r.Float64() // (0, 1]
+	gf := math.Floor(math.Log(u)/math.Log1p(-p)) + 1
+	if !(gf >= 1) {
+		gf = 1
+	}
+	if gf > float64(remaining) {
+		return 0, false
+	}
+	g = int64(gf)
+	return g, g <= remaining
+}
+
 // runLeap executes the jump chain of the occupancy process: per iteration
 // one geometric skip over the no-op activations and one kernel-sampled
 // histogram transition. counts is mutated in place.
@@ -420,26 +442,9 @@ func runLeap(counts []int64, kern Kernel, cfg Config, n, budget int64, sequentia
 			// have p > 0): the rest of the budget is no-ops.
 			break
 		}
-		var g int64
-		if p >= 1 {
-			g = 1
-		} else {
-			// Geometric(p) skip: the index offset of the next effective
-			// activation. Computed in float64 so a microscopic p yields
-			// +Inf and lands in the timeout branch instead of
-			// overflowing.
-			u := 1 - r.Float64() // (0, 1]
-			gf := math.Floor(math.Log(u)/math.Log1p(-p)) + 1
-			if !(gf >= 1) {
-				gf = 1
-			}
-			if gf > float64(remaining) {
-				break
-			}
-			g = int64(gf)
-			if g > remaining {
-				break
-			}
+		g, ok := geometricSkip(r, p, remaining)
+		if !ok {
+			break
 		}
 		ticks += g
 		from, to := kern.SampleTransition(r, counts, n, cfg.WithSelf)

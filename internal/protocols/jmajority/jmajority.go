@@ -13,8 +13,12 @@
 //
 // The count-level transition law has no product closed form for general j,
 // so Kernel evaluates it exactly with a multinomial dynamic program over
-// the sample composition (O(k²·j²) per adoption probability); it is
-// verified against full enumeration of the rule like the built-in kernels.
+// the sample composition: at most O(k·j³) cell updates per adoption
+// probability, fewer once adoptProb skips the impossible cells. Each
+// effective activation of the occupancy engine evaluates at most 2k − 1
+// adoption probabilities: k in EffectiveProb and k − 1 in
+// SampleTransition. The kernel is verified against full enumeration of the
+// rule like the built-in kernels.
 package jmajority
 
 import (
@@ -110,9 +114,10 @@ type Kernel struct {
 	// J is the sample size.
 	J int
 
-	q        []float64 // neighbor law scratch
-	g, gNext []float64 // DP tables, flattened (s, t)
-	fact     []float64 // factorials 0! … J!
+	q        []float64                   // neighbor law scratch
+	g, gNext []float64                   // DP tables, flattened (s, t)
+	fact     []float64                   // factorials 0! … J!
+	tw       occupancy.TransitionWeights // leave-weight record, pick scratch
 }
 
 // init sizes the scratch for k colors (idempotent).
@@ -152,43 +157,51 @@ func (kn *Kernel) neighborLaw(counts []int64, n int64, c int, withSelf bool) {
 	}
 }
 
-// adoptProb returns P(adopted color = d) under the current kn.q.
+// adoptProb returns P(adopted color = d) under the current kn.q. A maximum
+// m that the other colors cannot make up (others·m < j − m) has a term of
+// exactly 0 and is skipped, and each color's pass visits only the sample
+// totals reachable so far; neither changes a single floating-point
+// operation on the cells that carry weight.
 func (kn *Kernel) adoptProb(d int) float64 {
 	j := kn.J
 	qd := kn.q[d]
 	if qd <= 0 {
 		return 0
 	}
+	others := 0
+	for e, qe := range kn.q {
+		if e != d && qe > 0 {
+			others++
+		}
+	}
 	var p float64
 	qdPow := 1.0 // q_d^m, maintained incrementally
 	for m := 1; m <= j; m++ {
 		qdPow *= qd
 		rest := j - m
-		// tMax bounds the tie count: each tied color consumes m samples.
-		tMax := 0
-		if m > 0 {
-			tMax = rest / m
+		if others*m < rest {
+			continue
 		}
+		// tMax bounds the tie count: each tied color consumes m samples.
+		tMax := rest / m
 		width := tMax + 1
 		// g[s*width+t]: Σ Π q_e^{x_e}/x_e! over assignments to the colors
 		// processed so far with Σx = s, t colors at exactly m, all ≤ m.
-		g := kn.g[:(rest+1)*width]
-		for i := range g {
-			g[i] = 0
-		}
+		// Rows past reach are never read.
+		g, next := kn.g, kn.gNext
+		clear(g[:width])
 		g[0] = 1
-		for e := range kn.q {
-			if e == d || kn.q[e] <= 0 {
+		reach := 0
+		for e, qe := range kn.q {
+			if e == d || qe <= 0 {
 				continue
 			}
-			next := kn.gNext[:(rest+1)*width]
-			for i := range next {
-				next[i] = 0
-			}
+			nextReach := min(reach+m, rest)
+			clear(next[:(nextReach+1)*width])
 			qePow := 1.0
 			for x := 0; x <= m && x <= rest; x++ {
 				w := qePow / kn.fact[x]
-				for s := 0; s+x <= rest; s++ {
+				for s := 0; s <= reach && s+x <= rest; s++ {
 					for t := 0; t <= tMax; t++ {
 						v := g[s*width+t]
 						if v == 0 {
@@ -204,9 +217,9 @@ func (kn *Kernel) adoptProb(d int) float64 {
 						next[(s+x)*width+nt] += v * w
 					}
 				}
-				qePow *= kn.q[e]
+				qePow *= qe
 			}
-			copy(g, next)
+			g, next, reach = next, g, nextReach
 		}
 		base := kn.fact[j] / kn.fact[m] * qdPow
 		for t := 0; t <= tMax; t++ {
@@ -244,56 +257,39 @@ func (kn *Kernel) Flows(x, out []float64) {
 	}
 }
 
-// EffectiveProb implements occupancy.Kernel.
-func (kn *Kernel) EffectiveProb(counts []int64, n int64, withSelf bool) float64 {
-	kn.init(len(counts))
-	nf := float64(n)
-	var sum float64
+// stay fills p[c] = P(adopt = c) for an activated node of every nonempty
+// color c.
+func (kn *Kernel) stay(p []float64, counts []int64, n int64, withSelf bool) {
 	for c, v := range counts {
-		if v == 0 {
-			continue
-		}
-		kn.neighborLaw(counts, n, c, withSelf)
-		if w := 1 - kn.adoptProb(c); w > 0 {
-			sum += float64(v) * w
+		if v > 0 {
+			kn.neighborLaw(counts, n, c, withSelf)
+			p[c] = kn.adoptProb(c)
 		}
 	}
-	return sum / nf
+}
+
+// EffectiveProb implements occupancy.Kernel. It evaluates one DP per
+// nonempty color and records the leave weights for the SampleTransition
+// that follows.
+func (kn *Kernel) EffectiveProb(counts []int64, n int64, withSelf bool) float64 {
+	kn.init(len(counts))
+	return kn.tw.Leave(counts, n, withSelf, func(p []float64) { kn.stay(p, counts, n, withSelf) }) / float64(n)
 }
 
 // SampleTransition implements occupancy.Kernel: own color c with
 // probability proportional to n_c · P(adopt ≠ c), then the adopted color
-// d ≠ c with probability proportional to P(adopt = d). Like the 3-Majority
-// built-in, each stage evaluates its weights twice (total, then pick) to
-// stay allocation-free beyond the kernel's own scratch.
+// d ≠ c with probability proportional to P(adopt = d). After an
+// EffectiveProb on the same histogram it evaluates k − 1 DPs, one per
+// destination.
 func (kn *Kernel) SampleTransition(r *rng.RNG, counts []int64, n int64, withSelf bool) (from, to int) {
 	kn.init(len(counts))
-	leaveWeight := func(c int, f float64) float64 {
-		if f == 0 {
-			return 0
-		}
-		kn.neighborLaw(counts, n, c, withSelf)
-		w := 1 - kn.adoptProb(c)
-		if w < 0 {
-			return 0
-		}
-		return f * w
-	}
-	var total float64
-	for c, v := range counts {
-		total += leaveWeight(c, float64(v))
-	}
-	from = occupancy.WeightedPick(r, total, counts, leaveWeight)
+	from = kn.tw.PickFrom(r, counts, n, withSelf, func(p []float64) { kn.stay(p, counts, n, withSelf) })
 	kn.neighborLaw(counts, n, from, withSelf)
-	var dTotal float64
-	for d := range counts {
-		if d == from {
-			continue
+	return from, kn.tw.PickTo(r, counts, from, func(p []float64) {
+		for d := range counts {
+			if d != from {
+				p[d] = kn.adoptProb(d)
+			}
 		}
-		dTotal += kn.adoptProb(d)
-	}
-	to = occupancy.WeightedPickExcept(r, dTotal, counts, from, func(d int, _ float64) float64 {
-		return kn.adoptProb(d)
 	})
-	return from, to
 }

@@ -1,7 +1,9 @@
 package jmajority
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"plurality/internal/occupancy"
@@ -154,10 +156,58 @@ func TestKernelReproducesVoterAnd3Majority(t *testing.T) {
 					withSelf, counts, j1, voter)
 			}
 			j3 := (&Kernel{J: 3}).EffectiveProb(counts, n, withSelf)
-			maj := occupancy.ThreeMajorityKernel{}.EffectiveProb(counts, n, withSelf)
+			maj := (&occupancy.ThreeMajorityKernel{}).EffectiveProb(counts, n, withSelf)
 			if math.Abs(j3-maj) > 1e-12 {
 				t.Errorf("withSelf=%v counts=%v: j=3 EffectiveProb %.15f != 3-majority %.15f",
 					withSelf, counts, j3, maj)
+			}
+		}
+	}
+}
+
+// TestWeightRecordNeverLeaks checks that the leave weights EffectiveProb
+// records serve only a SampleTransition on the histogram they belong to. A
+// kernel driven through EffectiveProb must draw the same transitions, and
+// leave its RNG in the same state, as a fresh kernel that never recorded
+// any: on the same histogram, after EffectiveProb on a histogram with one
+// node moved, and on a second SampleTransition in a row.
+func TestWeightRecordNeverLeaks(t *testing.T) {
+	kernels := map[string]func() occupancy.Kernel{
+		"3-majority": func() occupancy.Kernel { return &occupancy.ThreeMajorityKernel{} },
+	}
+	for _, j := range []int{1, 2, 3, 4, 5, 8} {
+		kernels[fmt.Sprintf("j-majority:%d", j)] = func() occupancy.Kernel { return &Kernel{J: j} }
+	}
+	for name, mk := range kernels {
+		for _, counts := range testHistograms() {
+			var n int64
+			for _, v := range counts {
+				n += v
+			}
+			moved := slices.Clone(counts)
+			moved[0]--
+			moved[1]++
+			for _, withSelf := range []bool{false, true} {
+				got, fresh := mk(), mk()
+				r := rng.New(7)
+				rFresh := r.Clone()
+				draw := func(step string) {
+					t.Helper()
+					from, to := got.SampleTransition(r, counts, n, withSelf)
+					wantFrom, wantTo := fresh.SampleTransition(rFresh, counts, n, withSelf)
+					if from != wantFrom || to != wantTo || r.State() != rFresh.State() {
+						t.Fatalf("%s counts=%v withSelf=%v %s: drew (%d, %d), fresh kernel (%d, %d)",
+							name, counts, withSelf, step, from, to, wantFrom, wantTo)
+					}
+				}
+				for i := 0; i < 50; i++ {
+					draw("without EffectiveProb")
+					got.EffectiveProb(counts, n, withSelf)
+					draw("after EffectiveProb")
+					draw("on a second SampleTransition")
+					got.EffectiveProb(moved, n, withSelf)
+					draw("after EffectiveProb on a moved histogram")
+				}
 			}
 		}
 	}

@@ -27,7 +27,7 @@ var (
 // OccupancyKernel implements occupancy.Kerneled: the exact count-level
 // transition law that lets the count-collapsed engine leap over no-op
 // activations on the clique.
-func (Rule) OccupancyKernel() occupancy.Kernel { return occupancy.ThreeMajorityKernel{} }
+func (Rule) OccupancyKernel() occupancy.Kernel { return &occupancy.ThreeMajorityKernel{} }
 
 // Name implements dynamics.Rule.
 func (Rule) Name() string { return "3-majority" }
