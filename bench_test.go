@@ -95,6 +95,24 @@ func BenchmarkProtocolTwoChoicesAsync(b *testing.B) {
 	benchProtocol(b, "two-choices", counts, err)
 }
 
+// BenchmarkProtocolTwoChoicesPerNodeClique and
+// BenchmarkProtocolTwoChoicesPerNodeCSR run the per-node engine's staged
+// batch loop, which EngineAuto never picks for Two-Choices on the clique
+// (it runs on the colour histogram), on the clique's direct draws and on a
+// random 8-regular CSR graph's row draws.
+func BenchmarkProtocolTwoChoicesPerNodeClique(b *testing.B) {
+	counts, err := plurality.Biased(100_000, 4, 1)
+	benchProtocol(b, "two-choices", counts, err, plurality.WithEngine(plurality.EnginePerNode))
+}
+
+func BenchmarkProtocolTwoChoicesPerNodeCSR(b *testing.B) {
+	const n = 100_000
+	g, err := plurality.RandomRegularGraph(n, 8, 1)
+	counts, cerr := plurality.Biased(n, 4, 1)
+	benchProtocol(b, "two-choices", counts, errors.Join(err, cerr),
+		plurality.WithEngine(plurality.EnginePerNode), plurality.WithGraph(g))
+}
+
 func BenchmarkProtocolOneExtraBit(b *testing.B) {
 	counts, err := plurality.GapSqrtPolylog(8000, 8, 0.5)
 	benchProtocol(b, "onebit", counts, err)

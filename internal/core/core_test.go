@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -507,5 +508,85 @@ func TestProbeFields(t *testing.T) {
 	if last := got[len(got)-1]; last.PluralityFraction <= first.PluralityFraction {
 		t.Fatalf("plurality fraction did not grow: %.3f -> %.3f",
 			first.PluralityFraction, last.PluralityFraction)
+	}
+}
+
+// TestActionTableMatchesSchedule pins the part-1 action table to the
+// schedule layout it encodes: every in-phase offset carries the
+// instruction the Spec's offsets assign it, with the Two-Choices step, the
+// commit, Bit-Propagation, gadget sampling and the jump taking precedence
+// in that order, and padding everywhere else.
+func TestActionTableMatchesSchedule(t *testing.T) {
+	for _, n := range []int{16, 1000, 100_000, 10_000_000} {
+		for _, cfg := range []Config{{}, {DisableSyncGadget: true}, {Delta: 2}, {Delta: 3, GadgetSamples: 3}, {DeltaFactor: 1}} {
+			spec, err := Plan(cfg, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			actions := buildActions(nil, spec, cfg.DisableSyncGadget)
+			if len(actions) != spec.PhaseTicks {
+				t.Fatalf("n=%d %+v: %d actions for a %d-tick phase", n, cfg, len(actions), spec.PhaseTicks)
+			}
+			for pos, got := range actions {
+				want := actWait
+				switch {
+				case pos == 0:
+					want = actTwoChoices
+				case pos == spec.CommitOffset:
+					want = actCommit
+				case pos >= spec.BPStart && pos < spec.BPEnd:
+					want = actPropagate
+				case !cfg.DisableSyncGadget && pos >= spec.GadgetStart && pos < spec.GadgetStart+spec.GadgetSamples:
+					want = actGadgetSample
+				case !cfg.DisableSyncGadget && pos == spec.JumpOffset:
+					want = actJump
+				}
+				if got != want {
+					t.Fatalf("n=%d %+v: offset %d has action %d, want %d", n, cfg, pos, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSelectKthMatchesSort: selection puts at every index k the value
+// sorting would, keeps smaller-or-equal values before it and
+// larger-or-equal ones after it, and only permutes the input — on inputs
+// with many ties, with none, and already sorted either way.
+func TestSelectKthMatchesSort(t *testing.T) {
+	r := rng.New(4)
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + r.Intn(64)
+		in := make([]int32, n)
+		for i := range in {
+			switch trial % 4 {
+			case 0:
+				in[i] = int32(r.Intn(3)) - 1
+			case 1:
+				in[i] = int32(r.Uint64())
+			case 2:
+				in[i] = int32(i)
+			default:
+				in[i] = int32(n - i)
+			}
+		}
+		sorted := slices.Clone(in)
+		slices.Sort(sorted)
+		for k := 0; k < n; k++ {
+			buf := slices.Clone(in)
+			selectKth(buf, k)
+			if buf[k] != sorted[k] {
+				t.Fatalf("%v: selectKth(%d) put %d there, sorting puts %d", in, k, buf[k], sorted[k])
+			}
+			for i, v := range buf {
+				if (i < k && v > buf[k]) || (i > k && v < buf[k]) {
+					t.Fatalf("%v: selectKth(%d) left %d at %d on the wrong side of %d", in, k, v, i, buf[k])
+				}
+			}
+			slices.Sort(buf)
+			if !slices.Equal(buf, sorted) {
+				t.Fatalf("%v: selectKth(%d) changed the multiset", in, k)
+			}
+		}
 	}
 }

@@ -23,6 +23,18 @@ const (
 	flagCrashed
 )
 
+// Part-1 instructions, one per in-phase offset of the schedule
+// (state.actions).
+const (
+	// actWait is do-nothing padding (tactical waiting).
+	actWait uint8 = iota
+	actTwoChoices
+	actCommit
+	actPropagate
+	actGadgetSample
+	actJump
+)
+
 // maxTimeInt32Safe bounds Config.MaxTime so per-node tick counters fit in
 // int32: real time counts ticks performed, which concentrates around
 // MaxTime per node (rate-1 clocks), so a 2^30 budget leaves a 2x margin
@@ -160,6 +172,10 @@ type state struct {
 	cliqueN    int
 	cliqueSelf bool
 
+	// actions[pos] is the part-1 instruction at in-phase offset pos, one
+	// entry per tick of a phase, built once per run from the spec.
+	actions []uint8
+
 	// Per-node protocol state. Working and real time are int32: the
 	// schedule is O(log n) ticks (bound-checked in Plan) and real time is
 	// bounded by MaxTime (bound-checked in validate), so 32 bits halve the
@@ -238,6 +254,7 @@ func (st *state) reset(pop *population.Population, cfg Config, spec Spec) error 
 	st.samples = grow(st.samples, n*spec.GadgetSamples)
 	st.sampleCount = grow(st.sampleCount, n)
 	st.medianBuf = grow(st.medianBuf, spec.GadgetSamples)
+	st.actions = buildActions(st.actions, spec, cfg.DisableSyncGadget)
 	st.liveCounts = grow(st.liveCounts, pop.K())
 	for u := range st.intermediate {
 		st.intermediate[u] = population.None
@@ -311,6 +328,26 @@ func (st *state) reset(pop *population.Population, cfg Config, spec Spec) error 
 	st.stopped = false
 	st.interruptSeq = -1
 	return nil
+}
+
+// buildActions fills the part-1 action table for spec into buf, reusing its
+// backing array. Instructions are written in reverse order of precedence,
+// so where two offsets could coincide the one the schedule lists first
+// wins.
+func buildActions(buf []uint8, spec Spec, noGadget bool) []uint8 {
+	buf = grow(buf, spec.PhaseTicks) // every offset starts as actWait
+	if !noGadget {
+		buf[spec.JumpOffset] = actJump
+		for pos := spec.GadgetStart; pos < spec.GadgetStart+spec.GadgetSamples; pos++ {
+			buf[pos] = actGadgetSample
+		}
+	}
+	for pos := spec.BPStart; pos < spec.BPEnd; pos++ {
+		buf[pos] = actPropagate
+	}
+	buf[spec.CommitOffset] = actCommit
+	buf[0] = actTwoChoices
+	return buf
 }
 
 // sample returns a uniformly random neighbor of u. On the clique it issues
@@ -398,15 +435,15 @@ func (st *state) run() sched.Tick {
 		last, _ := sched.RunUntil(st.cfg.Scheduler, st.cfg.MaxTime, st.tick)
 		return last
 	}
+	st.tickBuf = grow(st.tickBuf, sched.BatchSize)
+	buf := st.tickBuf
 	probing := st.nextProbe >= 0 && st.cfg.OnProbe != nil
 	if st.delaying || probing || st.cfg.OnObserve != nil {
-		last, _ := sched.RunBatch(st.cfg.Scheduler, st.cfg.MaxTime, st.tick)
+		last, _ := sched.RunBatch(st.cfg.Scheduler, st.cfg.MaxTime, buf, st.tick)
 		return last
 	}
 	last := sched.Tick{Seq: -1}
 	maxTime := st.cfg.MaxTime
-	st.tickBuf = grow(st.tickBuf, sched.BatchSize)
-	buf := st.tickBuf
 	for {
 		if st.cfg.Stop != nil && st.cfg.Stop() {
 			st.stopped = true
@@ -556,10 +593,11 @@ func (st *state) keepGoing() bool {
 }
 
 // part1Tick executes the schedule instruction at working time w (< Part1Ticks).
+// Working times are never negative, so the 32-bit remainder is the in-phase
+// offset.
 func (st *state) part1Tick(u int, w int32, now float64) {
-	pos := int(w) % st.spec.PhaseTicks
-	switch {
-	case pos == 0:
+	switch st.actions[uint32(w)%uint32(len(st.actions))] {
+	case actTwoChoices:
 		// Two-Choices step: sample two nodes with replacement.
 		va := st.sample(u)
 		vb := st.sample(u)
@@ -570,7 +608,7 @@ func (st *state) part1Tick(u int, w int32, now float64) {
 		}
 		st.block2(u, va, vb, now)
 
-	case pos == st.spec.CommitOffset:
+	case actCommit:
 		// Commit step: adopt the intermediate color; the bit records
 		// whether the node executed the adopt action.
 		if c := st.intermediate[u]; c != population.None {
@@ -581,7 +619,7 @@ func (st *state) part1Tick(u int, w int32, now float64) {
 		}
 		st.intermediate[u] = population.None
 
-	case pos >= st.spec.BPStart && pos < st.spec.BPEnd:
+	case actPropagate:
 		// Bit-Propagation: bitless nodes pull until they hit a bit.
 		if st.flags[u]&flagBit == 0 {
 			v := st.sample(u)
@@ -592,7 +630,7 @@ func (st *state) part1Tick(u int, w int32, now float64) {
 			st.block(u, v, now)
 		}
 
-	case !st.cfg.DisableSyncGadget && pos >= st.spec.GadgetStart && pos < st.spec.GadgetStart+st.spec.GadgetSamples:
+	case actGadgetSample:
 		// Sync Gadget sampling: collect the neighbor's real time as a
 		// delta against our own; the delta stays current as both real
 		// times advance at rate one per own tick.
@@ -603,10 +641,10 @@ func (st *state) part1Tick(u int, w int32, now float64) {
 		}
 		st.block(u, v, now)
 
-	case !st.cfg.DisableSyncGadget && pos == st.spec.JumpOffset:
+	case actJump:
 		st.jump(u, w)
 	}
-	// All other positions are do-nothing padding (tactical waiting).
+	// actWait is do-nothing padding (tactical waiting).
 }
 
 // jump executes the Sync Gadget jump step: working time becomes the median
@@ -619,10 +657,13 @@ func (st *state) jump(u int, w int32) {
 	}
 	buf := st.medianBuf[:cnt]
 	copy(buf, st.samples[u*st.spec.GadgetSamples:u*st.spec.GadgetSamples+cnt])
-	slices.Sort(buf)
-	median := int64(buf[cnt/2])
+	h := cnt / 2
+	selectKth(buf, h)
+	median := int64(buf[h])
 	if cnt%2 == 0 {
-		median = (int64(buf[cnt/2-1]) + int64(buf[cnt/2])) / 2
+		// buf[:h] now holds the h smallest samples, so its maximum is the
+		// lower middle one.
+		median = (int64(slices.Max(buf[:h])) + median) / 2
 	}
 	target := median + int64(st.real[u])
 	if target < 0 {
@@ -638,6 +679,39 @@ func (st *state) jump(u int, w int32) {
 	st.working[u] = int32(target)
 	st.sampleCount[u] = 0
 	st.res.Jumps++
+}
+
+// selectKth reorders buf so that buf[k] holds the value sorting would put
+// there, with no larger value before it and no smaller one after it
+// (Hoare's selection, the middle element as pivot). It draws nothing.
+func selectKth(buf []int32, k int) {
+	lo, hi := 0, len(buf)-1
+	for lo < hi {
+		p := buf[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for buf[i] < p {
+				i++
+			}
+			for buf[j] > p {
+				j--
+			}
+			if i <= j {
+				buf[i], buf[j] = buf[j], buf[i]
+				i++
+				j--
+			}
+		}
+		// buf[lo..j] <= p <= buf[i..hi], and anything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // endgameTick executes part 2: asynchronous Two-Choices with immediate

@@ -179,6 +179,43 @@ func TestRunLeapTimeout(t *testing.T) {
 	}
 }
 
+// everEffectiveKernel makes every activation effective on every histogram:
+// one node moves from the larger of buckets 0 and 1 to the other, so p stays
+// 1 and the run never reaches consensus. The flow law is Voter's.
+type everEffectiveKernel struct{ VoterKernel }
+
+func (everEffectiveKernel) EffectiveProb([]int64, int64, bool) float64 { return 1 }
+
+func (everEffectiveKernel) SampleTransition(_ *rng.RNG, counts []int64, _ int64, _ bool) (from, to int) {
+	if counts[0] > counts[1] {
+		return 0, 1
+	}
+	return 1, 0
+}
+
+type everEffectiveRule struct{ dynRule }
+
+func (everEffectiveRule) OccupancyKernel() Kernel { return everEffectiveKernel{} }
+
+// TestRunLeapExactChunkStopsAtBudget: with every activation effective, each
+// exact transition spends one tick, and a budget that runs out inside an
+// exact chunk ends the run on its last tick instead of letting the chunk
+// take further transitions past it.
+func TestRunLeapExactChunkStopsAtBudget(t *testing.T) {
+	counts := []int64{1, 1, 1}
+	res, err := RunLeap(counts, everEffectiveRule{voterRule()}, Config{
+		Scheduler: mkSched(t, "sequential", 3, 1),
+		Rand:      rng.At(1, 1),
+		MaxTime:   10, // a budget of 30 ticks, well inside one exact chunk
+	}, LeapConfig{})
+	if !errors.Is(err, ErrTimeLimit) {
+		t.Fatalf("err = %v, want ErrTimeLimit", err)
+	}
+	if res.Ticks != 30 || res.ExactTransitions != 30 || res.Time > 10 {
+		t.Fatalf("ticks %d, exact transitions %d, time %v: want 30, 30 and at most the budget 10", res.Ticks, res.ExactTransitions, res.Time)
+	}
+}
+
 func TestRunLeapStop(t *testing.T) {
 	calls := 0
 	counts := []int64{500_000, 500_000}

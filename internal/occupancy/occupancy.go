@@ -392,12 +392,12 @@ const stopCheckStride = 1024
 // geometricSkip draws the index offset of the next effective activation
 // when each activation is effective with probability p: Geometric(p) on
 // 1, 2, …, and always 1 when p ≥ 1. ok is false when the skip runs past
-// the remaining tick budget. The draw is computed in float64 so a
-// microscopic p yields +Inf and lands in that branch instead of
-// overflowing.
+// the remaining tick budget, including a skip of 1 with no tick left. The
+// draw is computed in float64 so a microscopic p yields +Inf and lands in
+// that branch instead of overflowing.
 func geometricSkip(r *rng.RNG, p float64, remaining int64) (g int64, ok bool) {
 	if p >= 1 {
-		return 1, true
+		return 1, remaining >= 1
 	}
 	u := 1 - r.Float64() // (0, 1]
 	gf := math.Floor(math.Log(u)/math.Log1p(-p)) + 1

@@ -222,16 +222,21 @@ func (rn *Runner) sampleBuffer(s int) []population.Color {
 	return rn.sampled[:s]
 }
 
-// stagingBuffers returns the pooled tick batch and the pooled buffer for a
-// batch's neighbor draws, s per tick.
-func (rn *Runner) stagingBuffers(s int) ([]sched.Tick, []int) {
+// tickBatch returns the pooled tick batch.
+func (rn *Runner) tickBatch() []sched.Tick {
 	if rn.batch == nil {
 		rn.batch = make([]sched.Tick, sched.BatchSize)
 	}
+	return rn.batch
+}
+
+// stagingBuffers returns the pooled tick batch and the pooled buffer for a
+// batch's neighbor draws, s per tick.
+func (rn *Runner) stagingBuffers(s int) ([]sched.Tick, []int) {
 	if cap(rn.peers) < sched.BatchSize*s {
 		rn.peers = make([]int, sched.BatchSize*s)
 	}
-	return rn.batch, rn.peers[:sched.BatchSize*s]
+	return rn.tickBatch(), rn.peers[:sched.BatchSize*s]
 }
 
 func validateSync(pop *population.Population, rule Rule, cfg SyncConfig) error {
@@ -530,10 +535,6 @@ func (rn *Runner) runPerNode(pop *population.Population, rule Rule, cfg AsyncCon
 	// compatible with it — one poll per batch — but snapshot observation
 	// needs the per-tick time check of the general path.)
 	if bs, ok := cfg.Scheduler.(sched.BatchScheduler); ok && !blocking && !churning && cfg.OnTick == nil && cfg.OnSnapshot == nil && cfg.Adversary == nil {
-		// Devirtualize the dominant topology: a concrete *graph.Adjacency
-		// receiver lets the CSR Sample inline into the loop, removing the
-		// interface dispatch per neighbor draw. Same draws, same results.
-		csr, _ := cfg.Graph.(*graph.Adjacency)
 		batch, peers := rn.stagingBuffers(s)
 		for !res.Done {
 			if cfg.Stop != nil && cfg.Stop() {
@@ -546,25 +547,7 @@ func (rn *Runner) runPerNode(pop *population.Population, rule Rule, cfg AsyncCon
 			for len(ticks) > 0 && ticks[len(ticks)-1].Time > cfg.MaxTime {
 				ticks = ticks[:len(ticks)-1]
 			}
-			touched := 0
-			if csr != nil {
-				// Read every row's degree first, so the row-offset misses
-				// overlap before the draws need them.
-				for _, t := range ticks {
-					touched += csr.Degree(t.Node)
-				}
-				for i, t := range ticks {
-					for j := i * s; j < (i+1)*s; j++ {
-						peers[j] = csr.Sample(cfg.Rand, t.Node)
-					}
-				}
-			} else {
-				for i, t := range ticks {
-					for j := i * s; j < (i+1)*s; j++ {
-						peers[j] = cfg.Graph.Sample(cfg.Rand, t.Node)
-					}
-				}
-			}
+			touched := drawPeers(cfg.Graph, cfg.Rand, ticks, s, peers)
 			for i, t := range ticks {
 				touched += int(pop.ColorOf(t.Node))
 				for _, v := range peers[i*s : (i+1)*s] {
@@ -604,7 +587,7 @@ func (rn *Runner) runPerNode(pop *population.Population, rule Rule, cfg AsyncCon
 	if adv != nil {
 		adv.InitVictims(n)
 	}
-	last, stopped := sched.RunBatch(cfg.Scheduler, cfg.MaxTime, func(t sched.Tick) bool {
+	last, stopped := sched.RunBatch(cfg.Scheduler, cfg.MaxTime, rn.tickBatch(), func(t sched.Tick) bool {
 		if cfg.Stop != nil {
 			if stopCheck--; stopCheck <= 0 {
 				stopCheck = stopCheckStride
@@ -711,6 +694,77 @@ func (rn *Runner) runPerNode(pop *population.Population, rule Rule, cfg AsyncCon
 		return res, fmt.Errorf("dynamics: %s did not converge by time %v: %w", rule.Name(), cfg.MaxTime, ErrTimeLimit)
 	}
 	return res, nil
+}
+
+// drawPeers is pass 1 of the staged loop: it fills peers with s neighbors
+// of each tick's node, in tick order, drawing exactly what s calls of
+// g.Sample(r, node) per tick would. The clique and the CSR graph, the
+// dominant topologies, draw from a local copy of r's state with the
+// bounded draw inlined, and write it back before returning, so before any
+// rule's Next can draw from r; every other graph samples through the
+// interface. It returns the sum of the CSR row degrees it reads ahead of
+// the draws, for the caller's touch pass.
+func drawPeers(g graph.Graph, r *rng.RNG, ticks []sched.Tick, s int, peers []int) (touched int) {
+	switch g := g.(type) {
+	case graph.Complete:
+		// Complete.Sample: Intn(n), or without self-sampling
+		// IntnExcept(n, u), one draw from [0, n-1) remapped around u. A
+		// node index never reaches n, so except = n remaps nothing.
+		n := uint64(g.Nodes)
+		if !g.WithSelf {
+			n--
+		}
+		x := r.Xoshiro
+		for i, t := range ticks {
+			except := t.Node
+			if g.WithSelf {
+				except = g.Nodes
+			}
+			dst := peers[i*s : (i+1)*s]
+			for j := range dst {
+				w := x.Uint64()
+				v, ok := rng.Bound(w, n)
+				if !ok {
+					v = x.Reject(w, n)
+				}
+				if int(v) >= except {
+					v++
+				}
+				dst[j] = int(v)
+			}
+		}
+		r.Xoshiro = x
+	case *graph.Adjacency:
+		// Read every row's degree first, so the row-offset misses overlap
+		// before the draws need them.
+		for _, t := range ticks {
+			touched += g.Degree(t.Node)
+		}
+		// Adjacency.Sample: the row entry at Intn(degree).
+		x := r.Xoshiro
+		for i, t := range ticks {
+			row := g.Neighbors(t.Node)
+			d := uint64(len(row))
+			dst := peers[i*s : (i+1)*s]
+			for j := range dst {
+				w := x.Uint64()
+				v, ok := rng.Bound(w, d)
+				if !ok {
+					v = x.Reject(w, d)
+				}
+				dst[j] = int(row[v])
+			}
+		}
+		r.Xoshiro = x
+	default:
+		for i, t := range ticks {
+			dst := peers[i*s : (i+1)*s]
+			for j := range dst {
+				dst[j] = g.Sample(r, t.Node)
+			}
+		}
+	}
+	return touched
 }
 
 // emitSnapshot delivers one per-node-engine snapshot, reusing the pooled

@@ -8,6 +8,15 @@
 //
 // RNG values are not safe for concurrent use; simulators that run trials in
 // parallel derive one independent stream per trial via At or Jump.
+//
+// The generator's four state words are an Xoshiro, embedded in RNG, and
+// every draw that needs nothing but those words (Uint64, Uint64n, Intn,
+// IntnExcept, Float64, ExpFloat64) is written once, on Xoshiro. A hot loop
+// copies the state into a local (x := r.Xoshiro), draws from the copy with
+// the step and the bounded draw inlined, and writes it back
+// (r.Xoshiro = x) when it is done. The contract: nothing else draws from
+// the RNG while a loop holds its copy, or those draws would be repeated
+// and overwritten by the write-back.
 package rng
 
 import (
@@ -18,7 +27,9 @@ import (
 // RNG is a xoshiro256** pseudo-random number generator.
 // The zero value is not usable; construct instances with New.
 type RNG struct {
-	s [4]uint64
+	// Xoshiro is the generator state, and its methods are RNG's basic
+	// draws. See the package doc for copying it out of a hot loop.
+	Xoshiro
 
 	// spare holds a cached second output of the Box-Muller transform
 	// for NormFloat64.
@@ -29,17 +40,17 @@ type RNG struct {
 // New returns a generator deterministically seeded from seed.
 // Distinct seeds yield (for all practical purposes) independent streams.
 func New(seed uint64) *RNG {
-	var r RNG
+	var s [4]uint64
 	sm := seed
-	for i := range r.s {
-		sm, r.s[i] = splitMix64(sm)
+	for i := range s {
+		sm, s[i] = splitMix64(sm)
 	}
 	// xoshiro256** must not be seeded with the all-zero state. SplitMix64
 	// cannot produce four zero outputs in a row, but guard regardless.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+	if s[0]|s[1]|s[2]|s[3] == 0 {
+		s[0] = 0x9e3779b97f4a7c15
 	}
-	return &r
+	return &RNG{Xoshiro: Xoshiro{s[0], s[1], s[2], s[3]}}
 }
 
 // At returns the i-th derived stream of the generator family identified by
@@ -62,61 +73,87 @@ func splitMix64(state uint64) (uint64, uint64) {
 	return state, z ^ (z >> 31)
 }
 
-// Uint64 returns a uniformly distributed 64-bit value and advances the state.
-func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
+// Xoshiro is the xoshiro256** state by itself. The four words are named
+// fields rather than an array, which keeps Uint64 within the compiler's
+// inlining budget; Uint64 and Bound both inline into a caller's loop.
+type Xoshiro struct{ s0, s1, s2, s3 uint64 }
 
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
+// Uint64 returns a uniformly distributed 64-bit value and advances the state.
+func (x *Xoshiro) Uint64() uint64 {
+	result := bits.RotateLeft64(x.s1*5, 7) * 9
+	t := x.s1 << 17
+	x.s2 ^= x.s0
+	x.s3 ^= x.s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= t
+	x.s3 = bits.RotateLeft64(x.s3, 45)
 	return result
 }
 
-func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
-
-// Uint64n returns a uniform value in [0, n) using Lemire's multiply-shift
-// rejection method. n must be positive.
-func (r *RNG) Uint64n(n uint64) uint64 {
-	if n == 0 {
-		panic("rng: Uint64n with n == 0")
-	}
-	// Fast path for powers of two.
+// Bound maps w, a word just drawn with Uint64, onto [0, n) for n > 0: to
+// its low bits when n is a power of two, else to the high word of Lemire's
+// multiply-shift w·n. It reports ok = false when the low word of w·n falls
+// below n (probability below n/2⁶⁴), the one case where w may lie in
+// Lemire's biased region; the caller then finishes the draw with
+// Xoshiro.Reject(w, n). Bound inlines; Reject is the rare loop out of line:
+//
+//	w := x.Uint64()
+//	v, ok := rng.Bound(w, n)
+//	if !ok {
+//		v = x.Reject(w, n)
+//	}
+func Bound(w, n uint64) (v uint64, ok bool) {
 	if n&(n-1) == 0 {
-		return r.Uint64() & (n - 1)
+		return w & (n - 1), true
 	}
-	// Lemire: multiply a 64-bit uniform by n and keep the high word,
-	// rejecting the small biased region of the low word.
-	hi, lo := bits.Mul64(r.Uint64(), n)
-	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.Uint64(), n)
-		}
+	hi, lo := bits.Mul64(w, n)
+	return hi, lo >= n
+}
+
+// Reject finishes a bounded draw that Bound did not accept: Lemire's
+// rejection loop, which accepts w unless its low word lies below the exact
+// threshold 2⁶⁴ mod n and otherwise draws further words until one clears
+// it. n must not be a power of two (Bound accepts every such draw).
+func (x *Xoshiro) Reject(w, n uint64) uint64 {
+	hi, lo := bits.Mul64(w, n)
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(x.Uint64(), n)
 	}
 	return hi
 }
 
+// Uint64n returns a uniform value in [0, n): one word through Bound, and
+// Reject when Bound cannot accept it. n must be positive.
+func (x *Xoshiro) Uint64n(n uint64) uint64 {
+	if n == 0 {
+		panic("rng: Uint64n with n == 0")
+	}
+	w := x.Uint64()
+	v, ok := Bound(w, n)
+	if !ok {
+		v = x.Reject(w, n)
+	}
+	return v
+}
+
 // Intn returns a uniform int in [0, n). n must be positive.
-func (r *RNG) Intn(n int) int {
+func (x *Xoshiro) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with n <= 0")
 	}
-	return int(r.Uint64n(uint64(n)))
+	return int(x.Uint64n(uint64(n)))
 }
 
 // IntnExcept returns a uniform int in [0, n) \ {except}. n must be at least 2
 // and except must lie in [0, n). It is the "sample a neighbor on the clique"
 // primitive: one draw from [0, n-1) remapped around the excluded index.
-func (r *RNG) IntnExcept(n, except int) int {
+func (x *Xoshiro) IntnExcept(n, except int) int {
 	if n < 2 {
 		panic("rng: IntnExcept with n < 2")
 	}
-	v := int(r.Uint64n(uint64(n - 1)))
+	v := int(x.Uint64n(uint64(n - 1)))
 	if v >= except {
 		v++
 	}
@@ -124,8 +161,15 @@ func (r *RNG) IntnExcept(n, except int) int {
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) * 0x1p-53
+func (x *Xoshiro) Float64() float64 {
+	return float64(x.Uint64()>>11) * 0x1p-53
+}
+
+// ExpFloat64 returns an exponentially distributed value with rate 1
+// (mean 1), via inversion of the CDF.
+func (x *Xoshiro) ExpFloat64() float64 {
+	// 1 - Float64() is in (0, 1], so Log never sees zero.
+	return -math.Log(1 - x.Float64())
 }
 
 // Bool returns true with probability 1/2.
@@ -133,13 +177,6 @@ func (r *RNG) Bool() bool { return r.Uint64()>>63 == 1 }
 
 // Bernoulli returns true with probability p (clamped to [0, 1]).
 func (r *RNG) Bernoulli(p float64) bool { return r.Float64() < p }
-
-// ExpFloat64 returns an exponentially distributed value with rate 1
-// (mean 1), via inversion of the CDF.
-func (r *RNG) ExpFloat64() float64 {
-	// 1 - Float64() is in (0, 1], so Log never sees zero.
-	return -math.Log(1 - r.Float64())
-}
 
 // NormFloat64 returns a standard normal value using the Box-Muller
 // transform with caching of the second variate.
@@ -288,15 +325,15 @@ func (r *RNG) Jump() {
 	for _, j := range jump {
 		for b := 0; b < 64; b++ {
 			if j&(1<<uint(b)) != 0 {
-				s0 ^= r.s[0]
-				s1 ^= r.s[1]
-				s2 ^= r.s[2]
-				s3 ^= r.s[3]
+				s0 ^= r.s0
+				s1 ^= r.s1
+				s2 ^= r.s2
+				s3 ^= r.s3
 			}
 			r.Uint64()
 		}
 	}
-	r.s = [4]uint64{s0, s1, s2, s3}
+	r.Xoshiro = Xoshiro{s0, s1, s2, s3}
 	r.hasSpare = false
 }
 
@@ -309,4 +346,4 @@ func (r *RNG) Clone() *RNG {
 
 // State returns the current 256-bit generator state, for test determinism
 // assertions.
-func (r *RNG) State() [4]uint64 { return r.s }
+func (r *RNG) State() [4]uint64 { return [4]uint64{r.s0, r.s1, r.s2, r.s3} }

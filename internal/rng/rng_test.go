@@ -32,7 +32,7 @@ func TestNewDistinctSeedsDiffer(t *testing.T) {
 
 func TestNewZeroSeedUsable(t *testing.T) {
 	r := New(0)
-	if r.s == [4]uint64{} {
+	if r.State() == [4]uint64{} {
 		t.Fatal("zero seed produced all-zero state")
 	}
 	if a, b := r.Uint64(), r.Uint64(); a == 0 && b == 0 {

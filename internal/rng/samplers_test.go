@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -84,6 +85,79 @@ func TestUint64nZeroPanics(t *testing.T) {
 		}
 	}()
 	New(1).Uint64n(0)
+}
+
+// refUint64n is the bounded draw written out whole over RNG.Uint64, as one
+// function: the low bits of one word when n is a power of two, else
+// Lemire's multiply-shift with its rejection loop inline. It is the
+// reference the split Bound/Reject draw is checked against.
+func refUint64n(r *RNG, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.Uint64(), n)
+		}
+	}
+	return hi
+}
+
+// TestBoundedDrawMatchesReference checks, draw for draw and word for word,
+// that the bounded draw a hot loop makes on a local copy of the state
+// (Uint64, Bound, and Reject when Bound cannot accept) and RNG's Uint64n,
+// Intn and IntnExcept all draw what the whole-algorithm reference draws.
+// n = 1 and 2 are the smallest bounds, 2²⁰ takes the low-bits path, and
+// 3·2⁶¹ rejects about a quarter of its first words, so the rejection loop
+// runs hundreds of times here where at simulable n it would almost never.
+func TestBoundedDrawMatchesReference(t *testing.T) {
+	const draws = 4000
+	for _, n := range []uint64{1, 2, 3, 1 << 20, 1_000_003, 3 << 61, math.MaxUint64} {
+		ref, viaRNG := New(9), New(9)
+		local := New(9).Xoshiro
+		rejected := 0
+		for i := 0; i < draws; i++ {
+			want := refUint64n(ref, n)
+			w := local.Uint64()
+			got, ok := Bound(w, n)
+			if !ok {
+				if _, lo := bits.Mul64(w, n); lo < -n%n {
+					rejected++
+				}
+				got = local.Reject(w, n)
+			}
+			if got != want {
+				t.Fatalf("n=%d draw %d: local %d, reference %d", n, i, got, want)
+			}
+			var rv uint64
+			switch {
+			case i%3 == 1 && n <= math.MaxInt64:
+				rv = uint64(viaRNG.Intn(int(n)))
+			case i%3 == 2 && n < math.MaxInt64:
+				// IntnExcept(n+1, except) draws from [0, n) and skips except.
+				except := int(n / 2)
+				rv = uint64(viaRNG.IntnExcept(int(n)+1, except))
+				if rv > uint64(except) {
+					rv--
+				} else if rv == uint64(except) {
+					t.Fatalf("n=%d draw %d: IntnExcept returned the excluded %d", n, i, except)
+				}
+			default:
+				rv = viaRNG.Uint64n(n)
+			}
+			if rv != want {
+				t.Fatalf("n=%d draw %d: RNG %d, reference %d", n, i, rv, want)
+			}
+		}
+		if st := (&RNG{Xoshiro: local}).State(); st != ref.State() || viaRNG.State() != ref.State() {
+			t.Fatalf("n=%d: states diverged after %d draws", n, draws)
+		}
+		if n == 3<<61 && (rejected < draws/5 || rejected > draws*3/10) {
+			t.Fatalf("n=3·2⁶¹: %d of %d first words rejected, want about a quarter", rejected, draws)
+		}
+	}
 }
 
 // --- GammaFloat64 --------------------------------------------------------

@@ -178,6 +178,52 @@ func TestNextBatchMatchesNext(t *testing.T) {
 	}
 }
 
+// TestNextBatchMatchesNextAtEdgeSizes pins the batch loops of the Poisson
+// and sequential engines, which draw from a local copy of the generator
+// state, to Next at the population sizes that reach every branch of the
+// bounded node draw: n = 1 and 2, n = 2²⁰ (the low-bits path) and
+// n = 3·2⁶¹ (about a quarter of the first words are rejected). Batches of
+// uneven sizes alternate with single Next calls on the batched side, so a
+// state not written back at the end of a batch shows.
+func TestNextBatchMatchesNextAtEdgeSizes(t *testing.T) {
+	mk := map[string]func(n int) BatchScheduler{
+		"sequential": func(n int) BatchScheduler {
+			s, err := NewSequential(n, rng.New(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		"poisson": func(n int) BatchScheduler {
+			s, err := NewPoisson(n, 1, rng.New(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+	}
+	for _, n := range []int{1, 2, 1 << 20, 3 << 61} {
+		for name, newSched := range mk {
+			one, batched := newSched(n), newSched(n)
+			var fromNext, fromBatch []Tick
+			for _, size := range []int{1, 3, 17, 100, 379, BatchSize, 500} {
+				buf := make([]Tick, size)
+				batched.NextBatch(buf)
+				fromBatch = append(fromBatch, buf...)
+				fromBatch = append(fromBatch, batched.Next())
+			}
+			for range fromBatch {
+				fromNext = append(fromNext, one.Next())
+			}
+			for i := range fromBatch {
+				if fromBatch[i] != fromNext[i] {
+					t.Fatalf("%s n=%d: tick %d: batch %+v != next %+v", name, n, i, fromBatch[i], fromNext[i])
+				}
+			}
+		}
+	}
+}
+
 // TestRunBatchMatchesRunUntil verifies the batched driver delivers exactly
 // the ticks RunUntil would, under both stopping rules, and that both report
 // Tick{Seq: -1} as the last tick when the first one lies beyond maxTime.
@@ -199,19 +245,43 @@ func TestRunBatchMatchesRunUntil(t *testing.T) {
 		stopAfter int
 	}{{40, 0}, {1e9, 777}, {1e-9, 0}} {
 		a, lastA, stopA := collect(RunUntil, tc.maxTime, tc.stopAfter)
-		b, lastB, stopB := collect(RunBatch, tc.maxTime, tc.stopAfter)
-		if len(a) != len(b) || lastA != lastB || stopA != stopB {
-			t.Fatalf("maxTime=%v stopAfter=%d: RunUntil (%d ticks, %+v, %v) != RunBatch (%d ticks, %+v, %v)",
-				tc.maxTime, tc.stopAfter, len(a), lastA, stopA, len(b), lastB, stopB)
-		}
-		if lastA.Seq+1 != int64(len(a)) {
-			t.Fatalf("maxTime=%v: last tick %+v after %d delivered", tc.maxTime, lastA, len(a))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("tick %d differs: %+v != %+v", i, a[i], b[i])
+		// Without a buffer RunBatch allocates its own; a pooled one is
+		// reused whatever it held before.
+		for _, buf := range [][]Tick{nil, make([]Tick, BatchSize+3)} {
+			b, lastB, stopB := collect(func(s Scheduler, maxTime float64, step func(Tick) bool) (Tick, bool) {
+				return RunBatch(s, maxTime, buf, step)
+			}, tc.maxTime, tc.stopAfter)
+			if len(a) != len(b) || lastA != lastB || stopA != stopB {
+				t.Fatalf("maxTime=%v stopAfter=%d buffer=%d: RunUntil (%d ticks, %+v, %v) != RunBatch (%d ticks, %+v, %v)",
+					tc.maxTime, tc.stopAfter, len(buf), len(a), lastA, stopA, len(b), lastB, stopB)
+			}
+			if lastA.Seq+1 != int64(len(a)) {
+				t.Fatalf("maxTime=%v: last tick %+v after %d delivered", tc.maxTime, lastA, len(a))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("buffer=%d: tick %d differs: %+v != %+v", len(buf), i, a[i], b[i])
+				}
 			}
 		}
+	}
+}
+
+// TestRunBatchPooledBufferAllocatesNothing: a caller that hands RunBatch a
+// BatchSize buffer pays no allocation for the run.
+func TestRunBatchPooledBufferAllocatesNothing(t *testing.T) {
+	s, err := NewPoisson(1000, 1, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]Tick, BatchSize)
+	ticks := 0
+	step := func(Tick) bool { ticks++; return true }
+	if allocs := testing.AllocsPerRun(10, func() { RunBatch(s, s.now+2, buf, step) }); allocs != 0 {
+		t.Fatalf("RunBatch with a pooled buffer: %v allocations per run, want 0", allocs)
+	}
+	if ticks == 0 {
+		t.Fatal("RunBatch delivered no ticks")
 	}
 }
 

@@ -99,19 +99,23 @@ func (s *Sequential) Next() Tick {
 	return t
 }
 
-// NextBatch implements BatchScheduler.
+// NextBatch implements BatchScheduler. It draws from a local copy of the
+// generator state, written back when the batch is full.
 func (s *Sequential) NextBatch(buf []Tick) {
-	// Divide rather than multiply by a precomputed 1/n: the quotient must
-	// be bit-identical to Next's.
-	n := float64(s.n)
+	x, seq := s.r.Xoshiro, s.seq
+	n, nf := uint64(s.n), float64(s.n)
 	for i := range buf {
-		buf[i] = Tick{
-			Node: s.r.Intn(s.n),
-			Time: float64(s.seq) / n,
-			Seq:  s.seq,
+		w := x.Uint64()
+		v, ok := rng.Bound(w, n)
+		if !ok {
+			v = x.Reject(w, n)
 		}
-		s.seq++
+		// Divide rather than multiply by a precomputed 1/n: the quotient
+		// must be bit-identical to Next's.
+		buf[i] = Tick{Node: int(v), Time: float64(seq) / nf, Seq: seq}
+		seq++
 	}
+	s.r.Xoshiro, s.seq = x, seq
 }
 
 // NextTimes implements TimeScheduler: sequential tick times are the
@@ -174,15 +178,22 @@ func (p *Poisson) Next() Tick {
 	return t
 }
 
-// NextBatch implements BatchScheduler.
+// NextBatch implements BatchScheduler. It draws from a local copy of the
+// generator state, written back when the batch is full.
 func (p *Poisson) NextBatch(buf []Tick) {
-	now, r, invTotal, n := p.now, p.r, p.invTotal, p.n
+	x, now, seq := p.r.Xoshiro, p.now, p.seq
+	invTotal, n := p.invTotal, uint64(p.n)
 	for i := range buf {
-		now += r.ExpFloat64() * invTotal
-		buf[i] = Tick{Node: r.Intn(n), Time: now, Seq: p.seq}
-		p.seq++
+		now += x.ExpFloat64() * invTotal
+		w := x.Uint64()
+		v, ok := rng.Bound(w, n)
+		if !ok {
+			v = x.Reject(w, n)
+		}
+		buf[i] = Tick{Node: int(v), Time: now, Seq: seq}
+		seq++
 	}
-	p.now = now
+	p.r.Xoshiro, p.now, p.seq = x, now, seq
 }
 
 // NextTimes implements TimeScheduler: one exponential gap per tick, no node
@@ -301,16 +312,21 @@ const BatchSize = 512
 // RunBatch behaves exactly like RunUntil — same ticks in the same order,
 // same stopping rule — but pulls ticks from s in BatchSize chunks when s
 // implements BatchScheduler, amortizing the per-tick scheduler dispatch.
-// Ticks generated beyond the stopping point are discarded; callers that
-// share one RNG between the scheduler and the protocol should not rely on
-// the scheduler's generator state after the run.
-func RunBatch(s Scheduler, maxTime float64, step func(Tick) bool) (last Tick, stopped bool) {
+// The chunks fill buf when it holds at least BatchSize ticks, so a caller
+// that pools one pays no allocation per run; otherwise RunBatch allocates
+// its own. Ticks generated beyond the stopping point are discarded;
+// callers that share one RNG between the scheduler and the protocol should
+// not rely on the scheduler's generator state after the run.
+func RunBatch(s Scheduler, maxTime float64, buf []Tick, step func(Tick) bool) (last Tick, stopped bool) {
 	bs, ok := s.(BatchScheduler)
 	if !ok {
 		return RunUntil(s, maxTime, step)
 	}
 	last = Tick{Seq: -1}
-	buf := make([]Tick, BatchSize)
+	if len(buf) < BatchSize {
+		buf = make([]Tick, BatchSize)
+	}
+	buf = buf[:BatchSize]
 	for {
 		bs.NextBatch(buf)
 		for _, t := range buf {

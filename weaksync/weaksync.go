@@ -267,7 +267,7 @@ func Run(p Program, cfg Config) (Result, error) {
 		env:     Env{g: cfg.Graph, r: cfg.Rand},
 	}
 
-	last, stopped := sched.RunBatch(cfg.Scheduler, cfg.MaxTime, rn.tick)
+	last, stopped := sched.RunBatch(cfg.Scheduler, cfg.MaxTime, nil, rn.tick)
 
 	rn.res.Time = last.Time
 	rn.res.Ticks = last.Seq + 1
