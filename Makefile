@@ -99,17 +99,18 @@ topo-smoke:
 		-out BENCH_topo.json -baseline BENCH_exp_baseline.json
 
 # CI node-runtime harness: the net-equivalence sweep at smoke size under
-# the race detector (the runtime is goroutines exchanging messages, so the
-# oracle gate doubles as a race gate), diffed against the committed
-# baseline on machine-portable quantities only (simulated consensus times,
-# deterministic message counts — never wall clock), then the README
-# two-process TCP cluster quickstart end to end. The sweep's own KS gate
-# pins the networked consensus-time distribution to the simulator's. Last,
-# a race stress of the fabric: ten passes of the cluster and fabric tests,
-# whose dispatch runs on whichever node goroutine blocks last while Close
-# arrives from the context watcher. The TCP tests are skipped there: they
-# do not run the fabric, and on wall clock their outcome is not a function
-# of the seed.
+# the race detector (the runtime's nodes are coroutines exchanging
+# messages, each on a goroutine of its own, so the oracle gate doubles as a
+# race gate), diffed against the committed baseline on machine-portable
+# quantities only (simulated consensus times, deterministic message counts
+# — never wall clock), then the README two-process TCP cluster quickstart
+# end to end. The sweep's own KS gate pins the networked consensus-time
+# distribution to the simulator's. Last, a race stress of the fabric: ten
+# passes of the cluster and fabric tests, whose dispatch runs on whichever
+# node blocks last — a coroutine switched to from the cluster's goroutine,
+# or a goroutine a raw fabric's caller started — while Close arrives from
+# the context watcher. The TCP tests are skipped there: they do not run the
+# fabric, and on wall clock their outcome is not a function of the seed.
 net-smoke:
 	$(GO) run -race ./cmd/experiments -sweep net-equivalence -smoke \
 		-out BENCH_net.json -baseline BENCH_exp_baseline.json

@@ -8,7 +8,8 @@
 // from `go run ./cmd/experiments -run all`.
 //
 // The BenchmarkProtocol* group measures single protocol runs at a fixed
-// size, for profiling the simulators themselves.
+// size, for profiling the simulators themselves, and BenchmarkClusterFabric
+// does the same for the node runtime.
 package plurality_test
 
 import (
@@ -140,4 +141,44 @@ func BenchmarkProtocolTwoChoicesAnnealedGnp(b *testing.B) {
 	}
 	counts, cerr := plurality.Biased(n, 4, 3)
 	benchProtocol(b, "two-choices", counts, errors.Join(err, cerr), plurality.WithGraph(g))
+}
+
+// BenchmarkClusterFabric runs Biased(1024, 4, 1) Two-Choices as a live
+// cluster on the in-process fabric, lossless and with exponential edge
+// latency plus drops, and reports node activations per second.
+func BenchmarkClusterFabric(b *testing.B) {
+	counts, err := plurality.Biased(1024, 4, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		tr   plurality.Transport
+	}{
+		{"lossless", plurality.NewChanTransport()},
+		{"lossy", plurality.NewLossyChanTransport(plurality.NetFaults{Latency: 0.25, Drop: 0.01})},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			ctx := context.Background()
+			b.ReportAllocs()
+			var ticks int64
+			for i := 0; i < b.N; i++ {
+				cl, err := plurality.NewCluster(plurality.NodeConfig{
+					Protocol:  "two-choices",
+					Counts:    counts,
+					Seed:      uint64(i + 1),
+					Transport: tc.tr,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rep, err := cl.Run(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ticks += rep.Ticks
+			}
+			b.ReportMetric(float64(ticks)/b.Elapsed().Seconds(), "activations/s")
+		})
+	}
 }

@@ -153,8 +153,8 @@ func (c *collector) snapshot() (done bool, when float64, winner population.Color
 	return c.done, c.when, c.winner, c.undecided, plurality
 }
 
-// Run executes one cluster: bind every local node, start the transport,
-// run the node goroutines to completion, and assemble the Result. The
+// Run executes one cluster: bind every local node, let the transport run
+// their protocol loops to completion, and assemble the Result. The
 // context cancels the run by closing the network; nodes then exit with
 // ErrStopped semantics. A non-nil error is returned exactly when the
 // locally hosted nodes did not reach consensus (time budget, cancellation,
@@ -238,23 +238,14 @@ func Run(ctx context.Context, cfg ClusterConfig) (Result, error) {
 		nd.clock = cfg.Network.Clock(id)
 		nodes[i] = nd
 	}
-	if err := cfg.Network.Start(); err != nil {
-		return Result{}, fmt.Errorf("node: start network: %w", err)
-	}
 	stop := ctxCloser(ctx, cfg.Network)
-
 	results := make([]nodeResult, len(nodes))
-	var wg sync.WaitGroup
-	wg.Add(len(nodes))
-	for i, nd := range nodes {
-		go func(i int, nd *Node) {
-			defer wg.Done()
-			results[i] = nd.run()
-		}(i, nd)
-	}
-	wg.Wait()
+	err := cfg.Network.Run(ids, func(i int) { results[i] = nodes[i].run() })
 	stop()
 	cfg.Network.Close()
+	if err != nil {
+		return Result{}, fmt.Errorf("node: run network: %w", err)
+	}
 
 	var res Result
 	done, when, winner, undecided, plur := coll.snapshot()

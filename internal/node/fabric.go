@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sync"
 
 	"plurality/internal/population"
@@ -41,7 +42,7 @@ const (
 )
 
 // event is one scheduled occurrence on the virtual timeline: a plain value
-// on the heap, so scheduling allocates nothing.
+// in one of the fabric's queue lanes, so scheduling allocates nothing.
 type event struct {
 	at   float64
 	seq  int64 // tiebreaker: schedule order
@@ -62,52 +63,76 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-// fabNode is the fabric's side of one bound node: its handler, the channel
-// its goroutine parks on, and its in-flight pull.
+// fabNode is the fabric's side of one bound node: its handler, the way
+// control reaches it, and its in-flight pull.
 type fabNode struct {
 	handler Handler
-	// wake carries the one token that resumes the node's parked Sleep or
-	// Pull. Its buffer lets the dispatcher hand control on, under f.mu,
-	// without waiting for the woken goroutine to be scheduled. The send
-	// never blocks: a parked node is released exactly once (by its wake,
-	// or by its pull's last reply or timeout, whichever fires first), and
-	// it takes the token before it can park again.
+	// A node Run drives is a coroutine on Run's goroutine: resume switches
+	// to it from Run's loop, and yield suspends it back there.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	// wake is set instead for a node that its caller's goroutine drives
+	// after Start. It carries the one token that resumes the node's parked
+	// Sleep or Pull. Its buffer lets the dispatcher hand control on, under
+	// f.mu, without waiting for the woken goroutine to be scheduled. The
+	// send never blocks: a parked node is released exactly once (by its
+	// wake, or by its pull's last reply or timeout, whichever fires first),
+	// and it takes the token before it can park again.
 	wake chan struct{}
 	// gen numbers the node's pulls. It advances when a pull completes or
 	// times out, so a reply that lands after that is a no-op.
-	gen     uint32
+	gen uint32
+	// replies is the reply buffer every Pull of the node returns, cleared
+	// by the next one.
 	replies []PullReply
 	missing int
-	timeout int  // heap index of the in-flight pull's timeout
-	done    bool // the node called Done
+	// timeout is the in-flight pull's timeout event; prev and next link it
+	// into the fabric's timeout lane.
+	timeout    event
+	prev, next int32
+	live       bool // driven by Run or Start, and Done not called yet
 }
 
 // Fabric is the in-process transport: a conservative virtual-time event
-// heap with no dispatcher of its own. Node goroutines only ever block inside
-// Sleep or Pull, and the last one to block — the call that brings running
-// to 0 — dispatches: it pops the earliest pending event (ties broken by
-// schedule order), advances the shared clock and fires it, until an event
-// wakes a node. It then hands control to that node through the node's own
-// channel, or simply keeps running when the node woken is itself (a pull
-// whose replies all arrive at once). Exactly one goroutine is ever
-// runnable, so execution is globally sequential and bit-deterministic for
-// a fixed seed, while the nodes still communicate exclusively through
-// messages. The events fired, their order and every fault-stream draw
-// depend only on the seed, not on which goroutine happens to dispatch.
+// queue with no dispatcher of its own. Nodes only ever block inside Sleep
+// or Pull, and the last one to block — the call that brings running to 0 —
+// dispatches: it pops the earliest pending event (ties broken by schedule
+// order), advances the shared clock and fires it, until an event wakes a
+// node. It then hands control to that node, or simply keeps running when
+// the node woken is itself (a pull whose replies all arrive at once). The
+// nodes Run drives are coroutines on Run's goroutine, so handing control on
+// is a coroutine switch through Run's loop; the nodes of a fabric armed by
+// Start run on their callers' goroutines and park on a channel each, which
+// the dispatcher sends the woken node's token on. Either way exactly one
+// node runs at any moment, so execution is globally sequential and
+// bit-deterministic for a fixed seed, while the nodes still communicate
+// exclusively through messages. The events fired, their order and every
+// fault-stream draw depend only on the seed, not on which node dispatches
+// or how control moves between nodes.
 type Fabric struct {
 	n      int
 	faults Faults
 	frng   *rng.RNG
 
-	mu      sync.Mutex
-	events  []event // min-heap on (at, seq)
-	seq     int64
-	now     float64
-	running int // node goroutines not blocked in Sleep/Pull
-	live    int // node goroutines that have not called Done
-	closed  bool
-	started bool
-	err     error
+	mu sync.Mutex
+	// Pending events wait in three lanes under the one (at, seq) order, and
+	// pop takes the least of their heads. instant[head:] holds the events
+	// due at the current time in schedule order (every lossless request and
+	// reply); the timeout lane links the in-flight pulls' timeouts through
+	// their nodes, first to fire at tHead; events is a min-heap of the rest
+	// (wakes and delayed messages).
+	instant      []event
+	head         int
+	tHead, tTail int32 // -1: no pull in flight
+	events       []event
+	seq          int64
+	now          float64
+	running      int     // nodes not blocked in Sleep/Pull
+	live         int     // nodes that have not called Done
+	ready        []int32 // coroutine nodes handed control, for Run to resume
+	closed       bool
+	started      bool
+	err          error
 
 	nodes []fabNode
 	bound int
@@ -122,6 +147,8 @@ func NewFabric(n int, seed uint64, f Faults) *Fabric {
 		n:      n,
 		faults: f,
 		frng:   rng.At(seed, faultStream),
+		tHead:  -1,
+		tTail:  -1,
 		nodes:  make([]fabNode, n),
 	}
 }
@@ -131,7 +158,7 @@ func (f *Fabric) Bind(id int, h Handler) (Conn, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.started {
-		return nil, errors.New("node: Bind after Start")
+		return nil, errors.New("node: Bind after the fabric started")
 	}
 	if id < 0 || id >= f.n {
 		return nil, fmt.Errorf("node: Bind id %d out of range [0,%d)", id, f.n)
@@ -139,7 +166,7 @@ func (f *Fabric) Bind(id int, h Handler) (Conn, error) {
 	if f.nodes[id].handler != nil {
 		return nil, fmt.Errorf("node: node %d already bound", id)
 	}
-	f.nodes[id] = fabNode{handler: h, wake: make(chan struct{}, 1)}
+	f.nodes[id] = fabNode{handler: h}
 	f.bound++
 	return fabConn{f: f, id: id}, nil
 }
@@ -150,9 +177,64 @@ func (f *Fabric) Clock(id int) Clock {
 	return fabClock{f: f, id: id}
 }
 
-// Start implements Network: it arms the running/live counters to the
-// bound-node count. No goroutine of the fabric's own runs; the cluster must
-// start exactly one goroutine per bound node after Start. Each counts as
+// Run implements Network: it runs body(i), the loop of node ids[i], for
+// every i as a coroutine on the caller's goroutine, and returns once every
+// body has returned. Each node counts as running until its first Sleep, and
+// the last of them to sleep dispatches the first event; from then on Run
+// resumes whichever node a dispatch wakes. It fails, running no body, when
+// the fabric was started already or an id is unbound or repeated.
+func (f *Fabric) Run(ids []int, body func(i int)) error {
+	if err := f.arm(ids, body); err != nil {
+		return err
+	}
+	for {
+		f.mu.Lock()
+		last := len(f.ready) - 1
+		if last < 0 {
+			f.mu.Unlock()
+			return nil
+		}
+		w := f.ready[last]
+		f.ready = f.ready[:last]
+		f.mu.Unlock()
+		f.nodes[w].resume()
+	}
+}
+
+// arm checks Run's ids, makes each node's coroutine and stacks them all as
+// ready to start, ids[0] on top.
+func (f *Fabric) arm(ids []int, body func(i int)) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.started {
+		return errors.New("node: fabric started twice")
+	}
+	for k, id := range ids {
+		if id < 0 || id >= f.n || f.nodes[id].handler == nil || f.nodes[id].live {
+			for _, id := range ids[:k] {
+				f.nodes[id].live = false
+			}
+			return fmt.Errorf("node: Run of node %d, which is unbound or listed twice", id)
+		}
+		f.nodes[id].live = true
+	}
+	f.started = true
+	f.running, f.live = len(ids), len(ids)
+	for i := len(ids) - 1; i >= 0; i-- {
+		nd := &f.nodes[ids[i]]
+		nd.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+			nd.yield = yield
+			body(i)
+		})
+		f.ready = append(f.ready, int32(ids[i]))
+	}
+	return nil
+}
+
+// Start arms the fabric for callers that drive its nodes from goroutines of
+// their own instead of through Run: it makes each bound node's wake channel
+// and arms the running/live counters to the bound-node count. The caller
+// must then start exactly one goroutine per bound node. Each counts as
 // running until its first Sleep, and the last of them to sleep dispatches
 // the first event.
 func (f *Fabric) Start() error {
@@ -162,13 +244,19 @@ func (f *Fabric) Start() error {
 		return errors.New("node: fabric started twice")
 	}
 	f.started = true
+	for i := range f.nodes {
+		if nd := &f.nodes[i]; nd.handler != nil {
+			nd.wake = make(chan struct{}, 1)
+			nd.live = true
+		}
+	}
 	f.running = f.bound
 	f.live = f.bound
 	return nil
 }
 
 // Close implements Network: it marks the fabric closed and drains the
-// heap, which releases every blocked node (their Sleep/Pull calls return
+// queue, which releases every blocked node (their Sleep/Pull calls return
 // with ok=false / missing replies); later calls return at once. Holding
 // f.mu, it never runs during a dispatch. Idempotent, and safe from any
 // goroutine.
@@ -188,7 +276,7 @@ func (f *Fabric) Stats() Stats {
 }
 
 // Err reports a stall — every live node blocked with no pending event, which
-// the dispatching goroutine detects — and nil otherwise. A stall closes the
+// the dispatching node detects — and nil otherwise. A stall closes the
 // fabric and releases every live node; Run reports it ahead of any
 // consensus outcome.
 func (f *Fabric) Err() error {
@@ -197,42 +285,90 @@ func (f *Fabric) Err() error {
 	return f.err
 }
 
-// schedule enqueues ev at virtual time at. Caller holds f.mu.
+// schedule enqueues ev at virtual time at: in the instant lane when it is
+// due now, on the heap otherwise. Caller holds f.mu.
 func (f *Fabric) schedule(at float64, ev event) {
 	ev.at, ev.seq = at, f.seq
 	f.seq++
+	if at == f.now {
+		f.instant = append(f.instant, ev)
+		return
+	}
 	f.events = append(f.events, ev)
 	f.up(len(f.events) - 1)
 }
 
-// pop removes and returns the earliest event. Caller holds f.mu.
-func (f *Fabric) pop() event {
-	ev := f.events[0]
-	f.removeAt(0)
-	return ev
+// scheduleTimeout enqueues node id's pull timeout at virtual time at, in
+// the timeout lane after every timeout that fires first. node.Run passes
+// one timeout to every pull, so that is the tail. Caller holds f.mu.
+func (f *Fabric) scheduleTimeout(id int32, at float64) {
+	nd := &f.nodes[id]
+	nd.timeout = event{at: at, seq: f.seq, kind: evTimeout, node: id}
+	f.seq++
+	p := f.tTail
+	for p >= 0 && nd.timeout.before(&f.nodes[p].timeout) {
+		p = f.nodes[p].prev
+	}
+	nd.prev = p
+	if p >= 0 {
+		nd.next, f.nodes[p].next = f.nodes[p].next, id
+	} else {
+		nd.next, f.tHead = f.tHead, id
+	}
+	if nd.next >= 0 {
+		f.nodes[nd.next].prev = id
+	} else {
+		f.tTail = id
+	}
 }
 
-// removeAt deletes the event at heap index i. Caller holds f.mu.
-func (f *Fabric) removeAt(i int) {
-	last := len(f.events) - 1
-	moved := f.events[last]
-	f.events = f.events[:last]
-	if i == last {
-		return
+// unlinkTimeout takes node id's pull timeout out of the timeout lane.
+// Caller holds f.mu.
+func (f *Fabric) unlinkTimeout(id int32) {
+	nd := &f.nodes[id]
+	if nd.prev >= 0 {
+		f.nodes[nd.prev].next = nd.next
+	} else {
+		f.tHead = nd.next
 	}
-	f.place(i, moved)
-	if !f.down(i) {
-		f.up(i)
+	if nd.next >= 0 {
+		f.nodes[nd.next].prev = nd.prev
+	} else {
+		f.tTail = nd.prev
 	}
 }
 
-// place stores ev at heap index i, keeping the owning node's record of
-// where its timeout sits.
-func (f *Fabric) place(i int, ev event) {
-	f.events[i] = ev
-	if ev.kind == evTimeout {
-		f.nodes[ev.node].timeout = i
+// pop removes and returns the earliest pending event, the least of the three
+// lanes' heads, and false when no event is pending. Caller holds f.mu.
+func (f *Fabric) pop() (event, bool) {
+	var ev *event
+	if f.head < len(f.instant) {
+		ev = &f.instant[f.head]
 	}
+	fromHeap := len(f.events) > 0 && (ev == nil || f.events[0].before(ev))
+	if fromHeap {
+		ev = &f.events[0]
+	}
+	if h := f.tHead; h >= 0 && (ev == nil || f.nodes[h].timeout.before(ev)) {
+		f.unlinkTimeout(h)
+		return f.nodes[h].timeout, true
+	}
+	if ev == nil {
+		return event{}, false
+	}
+	top := *ev
+	if fromHeap {
+		last := len(f.events) - 1
+		f.events[0] = f.events[last]
+		f.events = f.events[:last]
+		f.down(0)
+		return top, true
+	}
+	f.head++
+	if f.head == len(f.instant) {
+		f.instant, f.head = f.instant[:0], 0
+	}
+	return top, true
 }
 
 func (f *Fabric) up(i int) {
@@ -242,17 +378,18 @@ func (f *Fabric) up(i int) {
 		if !ev.before(&f.events[p]) {
 			break
 		}
-		f.place(i, f.events[p])
+		f.events[i] = f.events[p]
 		i = p
 	}
-	f.place(i, ev)
+	f.events[i] = ev
 }
 
-// down sifts the event at i towards the leaves and reports whether it moved.
-func (f *Fabric) down(i int) bool {
-	ev := f.events[i]
+func (f *Fabric) down(i int) {
 	n := len(f.events)
-	start := i
+	if i >= n {
+		return
+	}
+	ev := f.events[i]
 	for {
 		c := 2*i + 1
 		if c >= n {
@@ -264,11 +401,10 @@ func (f *Fabric) down(i int) bool {
 		if !f.events[c].before(&ev) {
 			break
 		}
-		f.place(i, f.events[c])
+		f.events[i] = f.events[c]
 		i = c
 	}
-	f.place(i, ev)
-	return i > start
+	f.events[i] = ev
 }
 
 // fire applies one event and returns the node it wakes, or -1. Caller
@@ -284,7 +420,7 @@ func (f *Fabric) fire(ev *event) int {
 		}
 		// The handler is the responder's always-responsive network layer:
 		// it reads atomically published state, so invoking it here never
-		// wakes or blocks the responder's protocol goroutine.
+		// wakes or blocks the responder's protocol loop.
 		resp := f.nodes[ev.peer].handler(Message{Kind: KindPull, To: uint32(ev.peer), From: uint32(ev.node)})
 		if f.drop() {
 			f.stats.Dropped++
@@ -304,34 +440,34 @@ func (f *Fabric) fire(ev *event) int {
 		if nd.missing > 0 {
 			return -1
 		}
-		f.removeAt(nd.timeout)
+		f.unlinkTimeout(ev.node)
 	}
 	// The pull is over: its last reply landed, or it timed out (a timeout
-	// still on the heap always belongs to the node's in-flight pull).
+	// still in its lane always belongs to the node's in-flight pull).
 	f.nodes[ev.node].gen++
 	return int(ev.node)
 }
 
 // dispatch pops and fires events until one wakes a node, and returns that
 // node, now counted as running. It returns -1 when no live node is left, or
-// when it finds a stall, which closes the fabric and hands every live node
-// (all parked, the caller too if it is one) its token. Caller holds f.mu,
+// when it finds a stall, which closes the fabric and hands control to every
+// live node (all parked, the caller too if it is one). Caller holds f.mu,
 // and running is 0.
 func (f *Fabric) dispatch() int {
 	for f.live > 0 {
-		if len(f.events) == 0 {
+		ev, ok := f.pop()
+		if !ok {
 			// Unreachable by construction; fail loudly, not silently.
 			f.err = errStall
 			f.closed = true
 			for i := range f.nodes {
-				if nd := &f.nodes[i]; nd.wake != nil && !nd.done {
+				if f.nodes[i].live {
 					f.running++
-					nd.wake <- struct{}{}
+					f.handOff(i)
 				}
 			}
 			return -1
 		}
-		ev := f.pop()
 		f.now = ev.at
 		if w := f.fire(&ev); w >= 0 {
 			f.running++
@@ -344,23 +480,51 @@ func (f *Fabric) dispatch() int {
 // drain fires every remaining event on the closed fabric, which releases
 // every blocked node: each parked node has exactly one event that wakes it
 // (its wake, or its pull's timeout) and a running node has none, so no
-// node gets two tokens. Caller holds f.mu.
+// node is handed control twice. Caller holds f.mu.
 func (f *Fabric) drain() {
-	for len(f.events) > 0 {
-		ev := f.pop()
+	for {
+		ev, ok := f.pop()
+		if !ok {
+			return
+		}
 		if w := f.fire(&ev); w >= 0 {
 			f.running++
-			f.nodes[w].wake <- struct{}{}
+			f.handOff(w)
 		}
 	}
+}
+
+// handOff gives control to node w, which an event just woke: a coroutine
+// goes on the stack Run resumes from, a goroutine gets its token. Caller
+// holds f.mu.
+func (f *Fabric) handOff(w int) {
+	if nd := &f.nodes[w]; nd.wake != nil {
+		nd.wake <- struct{}{}
+		return
+	}
+	f.ready = append(f.ready, int32(w))
+}
+
+// wait suspends node id until it is handed control again: a coroutine
+// yields to Run's loop, a goroutine takes its token. Caller holds f.mu,
+// which wait releases meanwhile and holds again on return.
+func (f *Fabric) wait(id int) {
+	nd := &f.nodes[id]
+	f.mu.Unlock()
+	if nd.wake != nil {
+		<-nd.wake
+	} else {
+		nd.yield(struct{}{})
+	}
+	f.mu.Lock()
 }
 
 // park blocks node id until an event it scheduled wakes it, and returns
 // the clock reading then, with ok false when the fabric closed meanwhile.
 // Caller holds f.mu, which park releases. If id was the last node running,
 // it dispatches first: when the event that wakes a node wakes id itself,
-// id keeps running without a goroutine switch; otherwise it hands control
-// on and waits its turn.
+// id keeps running without a switch; otherwise it hands control on and
+// waits its turn.
 func (f *Fabric) park(id int) (now float64, ok bool) {
 	f.running--
 	if f.running == 0 {
@@ -371,12 +535,10 @@ func (f *Fabric) park(id int) (now float64, ok bool) {
 			return now, true
 		}
 		if w >= 0 {
-			f.nodes[w].wake <- struct{}{}
+			f.handOff(w)
 		}
 	}
-	f.mu.Unlock()
-	<-f.nodes[id].wake
-	f.mu.Lock()
+	f.wait(id)
 	now, ok = f.now, !f.closed
 	f.mu.Unlock()
 	return now, ok
@@ -432,19 +594,19 @@ func (c fabClock) Sleep(d float64) (float64, bool) {
 	return f.park(c.id)
 }
 
-// Done implements Clock: the node goroutine is finished for good. If it
-// was the last node running it dispatches, and hands control to the node
-// woken, before it returns.
+// Done implements Clock: the node is finished for good. If it was the last
+// node running it dispatches, and hands control to the node woken, before
+// it returns.
 func (c fabClock) Done() {
 	f := c.f
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.running--
 	f.live--
-	f.nodes[c.id].done = true
+	f.nodes[c.id].live = false
 	if !f.closed && f.running == 0 {
 		if w := f.dispatch(); w >= 0 {
-			f.nodes[w].wake <- struct{}{}
+			f.handOff(w)
 		}
 	}
 }
@@ -458,18 +620,24 @@ type fabConn struct {
 // Pull implements Conn. Each request is delivered to the responder's
 // handler after its (possibly zero) latency draw; the reply travels back
 // with an independent draw. The requester wakes when all replies landed,
-// which removes its timeout from the heap, or at the timeout — the release
-// path when replies were dropped or the fabric closes.
+// which unlinks its timeout, or at the timeout — the release path when
+// replies were dropped or the fabric closes. The replies are the node's
+// own buffer, which its next Pull clears and refills.
 func (c fabConn) Pull(peers []int, timeout float64) []PullReply {
 	f := c.f
 	f.mu.Lock()
-	replies := make([]PullReply, len(peers))
+	nd := &f.nodes[c.id]
+	if cap(nd.replies) < len(peers) {
+		nd.replies = make([]PullReply, len(peers))
+	}
+	nd.replies = nd.replies[:len(peers)]
+	replies := nd.replies
+	clear(replies)
 	if f.closed {
 		f.mu.Unlock()
 		return replies
 	}
-	nd := &f.nodes[c.id]
-	nd.replies, nd.missing = replies, len(peers)
+	nd.missing = len(peers)
 	for i, p := range peers {
 		f.stats.Requests++
 		if f.drop() {
@@ -480,7 +648,7 @@ func (c fabConn) Pull(peers []int, timeout float64) []PullReply {
 		}
 		f.schedule(f.now+f.delay(), event{kind: evRequest, node: int32(c.id), peer: int32(p), slot: int32(i), gen: nd.gen})
 	}
-	f.schedule(f.now+timeout, event{kind: evTimeout, node: int32(c.id)})
+	f.scheduleTimeout(int32(c.id), f.now+timeout)
 	f.park(c.id)
 	return replies
 }

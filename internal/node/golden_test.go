@@ -11,10 +11,12 @@ import (
 // clusters: three protocols × three fault mixes × four seeds on a 256-node
 // three-colour start. The values were captured from the coordinator-goroutine
 // fabric (commit 24719b3, closures on a container/heap). Dispatching on the
-// last node to block, over a typed heap that cancels answered timeouts, must
-// not change a single bit of any of them: it keeps the event order, the seq
-// tiebreak and the order of fault-stream draws, and a cancelled timeout was a
-// no-op when it fired.
+// last node to block, switching between nodes as coroutines, and queueing
+// events in three lanes (a FIFO for the current instant, a timeout list that
+// unlinks answered timeouts, a heap for the rest) must not change a single
+// bit of any of them: each keeps the event order, the seq tiebreak and the
+// order of fault-stream draws, and a cancelled timeout was a no-op when it
+// fired.
 //
 // The default pull timeout of 8 never lets a reply arrive late, so the last
 // rows shorten it to 0.5 against Latency 0.25 each way: about two fifths of

@@ -2,10 +2,13 @@ package node
 
 import (
 	"context"
+	"errors"
 	"net"
 	"runtime"
 	"testing"
 	"time"
+
+	"plurality/internal/protocols/dynamics"
 )
 
 // waitGoroutines retries until the goroutine count settles at or below
@@ -53,6 +56,32 @@ func TestClusterShutdownNoGoroutineLeak(t *testing.T) {
 			Network: NewFabric(100, uint64(round+1), Faults{Latency: 0.05, Drop: 0.02}),
 		})
 		waitGoroutines(t, before+3)
+	}
+}
+
+// TestClusterCanceledBeforeRun: a context canceled before the run starts
+// closes the network before any node runs, so no node activates, Run
+// reports ErrStopped, and every node's coroutine still unwinds. In the
+// two-node cluster a single activation would reach consensus.
+func TestClusterCanceledBeforeRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, counts := range [][]int64{{1, 1}, {60, 40}} {
+		n := int(counts[0] + counts[1])
+		res, err := Run(ctx, ClusterConfig{
+			Rule:    lookupRule(t, "two-choices"),
+			Counts:  counts,
+			Seed:    1,
+			Network: NewFabric(n, 1, Faults{}),
+		})
+		if !errors.Is(err, dynamics.ErrStopped) {
+			t.Fatalf("%v: got %v, want ErrStopped", counts, err)
+		}
+		if res.Ticks != 0 || res.Messages != 0 {
+			t.Errorf("%v: %d activations and %d messages after cancellation, want none", counts, res.Ticks, res.Messages)
+		}
+		waitGoroutines(t, before)
 	}
 }
 

@@ -91,9 +91,9 @@ func newNode(id, n int, rule dynamics.Rule, initial population.Color, seed uint6
 }
 
 // handle serves one inbound pull. It runs on the transport's delivery
-// path — on the fabric, whichever node goroutine blocked last and is
-// dispatching; on TCP, a serve goroutine — reads only the packed atomic
-// state, and never blocks.
+// path — on the fabric, whichever node blocked last and is dispatching; on
+// TCP, a serve goroutine — reads only the packed atomic state, and never
+// blocks.
 func (nd *Node) handle(req Message) Message {
 	op, decided := unpackState(nd.state.Load())
 	return Message{

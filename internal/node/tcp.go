@@ -121,13 +121,23 @@ func (t *TCP) Clock(id int) Clock {
 	return &tcpClock{t: t}
 }
 
-// Start implements Network: it launches the accept loop. The listener is
-// already bound (NewTCPMesh), so peers that started earlier can connect
-// even before Start — their frames queue in the kernel until the serve
-// loop drains them.
-func (t *TCP) Start() error {
+// Run implements Network: it launches the accept loop, runs every body on
+// a goroutine of its own, and returns once all of them have returned. The
+// listener is already bound (NewTCPMesh), so peers that started earlier can
+// connect even before Run — their frames queue in the kernel until the
+// serve loop drains them.
+func (t *TCP) Run(ids []int, body func(i int)) error {
 	t.start = time.Now()
 	go t.acceptLoop()
+	var wg sync.WaitGroup
+	wg.Add(len(ids))
+	for i := range ids {
+		go func() {
+			defer wg.Done()
+			body(i)
+		}()
+	}
+	wg.Wait()
 	return nil
 }
 

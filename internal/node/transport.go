@@ -1,27 +1,28 @@
 // Package node is the networked runtime: plurality consensus as live
 // message-passing processes instead of a centrally scheduled simulation.
-// Every participant is a goroutine-backed Node running a registered
-// sampling dynamic against its peers — a local Poisson clock (per-node
-// exponential timer off a dedicated rng stream), pull-based neighbor
-// sampling over a Transport, and a local termination gadget that detects
-// consensus without any global view.
+// Every participant is a Node running a registered sampling dynamic against
+// its peers — a local Poisson clock (per-node exponential timer off a
+// dedicated rng stream), pull-based neighbor sampling over a Transport, and
+// a local termination gadget that detects consensus without any global
+// view.
 //
 // Two transports ship. The in-process fabric (NewFabric) delivers messages
-// over a conservative virtual-time event heap with no coordinator: node
-// goroutines block in Sleep/Pull, and the last one to block advances the
-// shared clock to the earliest pending event and fires events one at a
-// time until one wakes a node, which it hands control to. Exactly one
-// goroutine is runnable at any moment, and the event order (time, then
-// schedule order) and every fault draw are functions of the seed alone, so
-// a cluster is bit-deterministic for a fixed seed while still exchanging
-// real request/response messages; which goroutine dispatches changes only
-// who does the work. Because every node draws unit-rate exponential clock
-// gaps, the superposition of the n local clocks is exactly the simulator's
-// rate-n Poisson process with uniform node choice — which is what the
+// over a conservative virtual-time event queue with no coordinator: every
+// node is a coroutine on the goroutine that runs the cluster, nodes block
+// in Sleep/Pull, and the last one to block advances the shared clock to the
+// earliest pending event and fires events one at a time until one wakes a
+// node, which it hands control to by a coroutine switch. Exactly one node
+// runs at any moment, and the event order (time, then schedule order) and
+// every fault draw are functions of the seed alone, so a cluster is
+// bit-deterministic for a fixed seed while still exchanging real
+// request/response messages; which node dispatches changes only who does
+// the work. Because every node draws unit-rate exponential clock gaps, the
+// superposition of the n local clocks is exactly the simulator's rate-n
+// Poisson process with uniform node choice — which is what the
 // net-equivalence sweep (internal/exp) verifies with a KS gate against the
-// simulator oracle. The TCP mesh (NewTCPMesh) runs the same node loop over
-// length-prefixed frames on real sockets with wall-clock timers, and
-// scales across processes.
+// simulator oracle. The TCP mesh (NewTCPMesh) runs the same node loop, one
+// goroutine per node, over length-prefixed frames on real sockets with
+// wall-clock timers, and scales across processes.
 package node
 
 import (
@@ -85,24 +86,28 @@ type Conn interface {
 	// and blocks until each reply arrived or the timeout (in parallel-time
 	// units) expired; replies[i] corresponds to peers[i]. Peers may repeat
 	// (sampling is with replacement across activations, and a node may
-	// draw the same peer twice).
+	// draw the same peer twice). The replies stay valid until the node's
+	// next Pull, which may reuse their storage.
 	Pull(peers []int, timeout float64) []PullReply
 }
 
 // Network is a transport instance serving one cluster: nodes bind their
-// request handlers, then Start begins delivery. Implementations also own
-// the cluster's notion of time (Clock), because the in-process fabric runs
-// on virtual time while the TCP mesh runs on scaled wall clock.
+// request handlers, then Run begins delivery and runs the nodes' protocol
+// loops. Implementations also own the cluster's notion of time (Clock) and
+// of how nodes take turns, because the in-process fabric runs its nodes as
+// coroutines on virtual time while the TCP mesh runs a goroutine per node
+// on scaled wall clock.
 type Network interface {
 	// Bind registers node id's request handler and returns its endpoint.
-	// All Binds must precede Start.
+	// All Binds must precede Run.
 	Bind(id int, h Handler) (Conn, error)
 	// Clock returns node id's clock. Valid after Bind(id).
 	Clock(id int) Clock
-	// Start begins delivery. The fabric starts no goroutine of its own:
-	// it arms its counters, and from then on the last node goroutine to
-	// block dispatches virtual time.
-	Start() error
+	// Run begins delivery, runs body(i), the protocol loop of bound node
+	// ids[i], for every i, and returns once every body has returned. The
+	// fabric runs the bodies as coroutines on the caller's goroutine, the
+	// TCP mesh on a goroutine each. An error means nothing ran.
+	Run(ids []int, body func(i int)) error
 	// Close releases every blocked node and stops delivery; idempotent.
 	Close() error
 	// Stats reports message accounting; call after the cluster finished.
@@ -123,7 +128,7 @@ type Stats struct {
 }
 
 // Clock is a node's local time source. The fabric hands out virtual
-// clocks on its shared event heap, advanced by whichever node blocks last;
+// clocks on its shared event queue, advanced by whichever node blocks last;
 // the TCP mesh hands out scaled wall clocks.
 type Clock interface {
 	// Sleep blocks the caller for d units of parallel time and returns
@@ -135,10 +140,14 @@ type Clock interface {
 	Done()
 }
 
-// ctxCloser closes a Network when ctx is canceled; the returned stop
-// function ends the watch (idempotent).
+// ctxCloser closes a Network when ctx is canceled, at once if it already
+// is; the returned stop function ends the watch (idempotent).
 func ctxCloser(ctx context.Context, n Network) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
+		return func() {}
+	}
+	if ctx.Err() != nil {
+		n.Close()
 		return func() {}
 	}
 	quit := make(chan struct{})
