@@ -105,17 +105,18 @@ topo-smoke:
 # quantities only (simulated consensus times, deterministic message counts
 # — never wall clock), then the README two-process TCP cluster quickstart
 # end to end. The sweep's own KS gate pins the networked consensus-time
-# distribution to the simulator's. Last, a race stress of the fabric: ten
-# passes of the cluster and fabric tests, whose dispatch runs on whichever
-# node blocks last — a coroutine switched to from the cluster's goroutine,
-# or a goroutine a raw fabric's caller started — while Close arrives from
-# the context watcher. The TCP tests are skipped there: they do not run the
-# fabric, and on wall clock their outcome is not a function of the seed.
+# distribution to the simulator's. Last, a race stress of the runtime: ten
+# passes of the cluster, fabric and TCP tests. The fabric's dispatch runs
+# on whichever node blocks last — a coroutine switched to from the
+# cluster's goroutine, or a goroutine a raw fabric's caller started — while
+# Close arrives from the context watcher; the TCP tests run real sockets,
+# and start from counts whose minority never wins, so their majority
+# checks hold on wall clock.
 net-smoke:
 	$(GO) run -race ./cmd/experiments -sweep net-equivalence -smoke \
 		-out BENCH_net.json -baseline BENCH_exp_baseline.json
 	./scripts/net_quickstart.sh
-	$(GO) test -race -count=10 -run 'Cluster|Fabric' -skip 'TCP' ./internal/node
+	$(GO) test -race -count=10 -run 'Cluster|Fabric|TCP' ./internal/node
 
 # Full-size logn-scaling sweep, the nightly job's workload.
 sweep-nightly:

@@ -154,13 +154,16 @@ func TestClusterTrialsDeterministic(t *testing.T) {
 	}
 }
 
+// TestClusterTCPTransport starts from 40:8: on wall clock the winner is not
+// a function of the seed, and from there the minority never won over 10⁴
+// seeds on the lossless fabric.
 func TestClusterTCPTransport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets and wall-clock timers")
 	}
 	c, err := plurality.NewCluster(plurality.NodeConfig{
 		Protocol:  "two-choices",
-		Counts:    []int64{30, 18},
+		Counts:    []int64{40, 8},
 		Seed:      5,
 		MaxTime:   2000,
 		Transport: plurality.NewTCPTransport(2 * time.Millisecond),

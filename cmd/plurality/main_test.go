@@ -382,3 +382,63 @@ func TestRunWorkersFlagApplied(t *testing.T) {
 		t.Fatalf("built %d options, want 2 (seed + trial workers)", len(opts))
 	}
 }
+
+func runOut(t *testing.T, args ...string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run(args, &buf); err != nil {
+		t.Fatalf("plurality %s: %v", strings.Join(args, " "), err)
+	}
+	return buf.String()
+}
+
+// TestRunSynchronousModel: -model synchronous runs the same job as
+// -protocol two-choices-sync.
+func TestRunSynchronousModel(t *testing.T) {
+	a := runOut(t, "-protocol", "two-choices", "-model", "synchronous", "-n", "2000", "-k", "3", "-seed", "11")
+	b := runOut(t, "-protocol", "two-choices-sync", "-n", "2000", "-k", "3", "-seed", "11")
+	if a != strings.Replace(b, "protocol=two-choices-sync", "protocol=two-choices", 1) || !strings.Contains(a, "rounds=") {
+		t.Fatalf("-model synchronous:\n%s\n-protocol two-choices-sync:\n%s", a, b)
+	}
+}
+
+// TestRunLeapTuningZeroIsDefault: -leap-eps 0 and -ode-theta 0 select the
+// engine defaults, as the help says, and -ode-theta -1 still disables the
+// ODE regime.
+func TestRunLeapTuningZeroIsDefault(t *testing.T) {
+	base := []string{"-protocol", "two-choices", "-engine", "leap", "-n", "1000000000000", "-k", "4", "-seed", "15"}
+	def := runOut(t, base...)
+	if got := runOut(t, append(base, "-leap-eps", "0", "-ode-theta", "0")...); got != def {
+		t.Errorf("zero tuning:\n%s\ndefault:\n%s", got, def)
+	}
+	if got := runOut(t, append(base, "-ode-theta", "-1")...); got == def {
+		t.Errorf("-ode-theta -1 ran the default ODE regime:\n%s", got)
+	}
+}
+
+// TestRunZeroBudgetAdversaryReachesPlanner: a named adversary reaches the
+// planner even at zero budget, as in the sweeps, so a path that hosts no
+// adversary rejects it.
+func TestRunZeroBudgetAdversaryReachesPlanner(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-protocol", "two-choices", "-engine", "leap", "-adversary", "corrupt", "-budget", "0", "-n", "100000", "-k", "2"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "WithAdversary") {
+		t.Fatalf("leap with a zero-budget adversary: %v, want the planner's rejection", err)
+	}
+	// Where adversaries are hosted, the zero-budget run is the clean run.
+	clean := runOut(t, "-protocol", "two-choices", "-model", "poisson", "-n", "2000", "-k", "2", "-seed", "16")
+	zero := runOut(t, "-protocol", "two-choices", "-model", "poisson", "-adversary", "corrupt", "-n", "2000", "-k", "2", "-seed", "16")
+	if zero != clean {
+		t.Fatalf("zero-budget run:\n%s\nclean run:\n%s", zero, clean)
+	}
+}
+
+// TestRunCoreNoConsensusMessage: an exhausted core budget names the core
+// protocol once.
+func TestRunCoreNoConsensusMessage(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-protocol", "core", "-n", "2000", "-k", "4", "-maxtime", "5"}, &buf)
+	if want := "core: no consensus within time budget (budget 5)"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}

@@ -29,7 +29,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"plurality/internal/node"
 	"plurality/internal/protocols"
@@ -100,12 +99,6 @@ func run(ctx context.Context, args []string, out, logw io.Writer) error {
 		Network: mesh,
 		Local:   func(id int) bool { return id%len(hosts) == local },
 	})
-	if len(hosts) > 1 {
-		// Keep serving pulls until the peers' gadgets halt too; a process
-		// that slams its listener shut the moment its own nodes finish
-		// would starve the remote tail.
-		mesh.Linger(250*time.Millisecond, 10*time.Second)
-	}
 	if err != nil {
 		return err
 	}

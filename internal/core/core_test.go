@@ -224,6 +224,9 @@ func TestNoConsensusBudget(t *testing.T) {
 	if !errors.Is(err, ErrNoConsensus) {
 		t.Fatalf("err = %v, want ErrNoConsensus", err)
 	}
+	if want := "core: no consensus within time budget (budget 2)"; err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
+	}
 	if res.Done {
 		t.Fatal("cannot be done in 2 time units")
 	}

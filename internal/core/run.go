@@ -105,7 +105,7 @@ func (rn *Runner) Run(pop *population.Population, cfg Config) (Result, error) {
 		// Either the time budget ran out or every live node halted
 		// without agreement; both are protocol failures.
 		st.res.Winner = pop.Plurality()
-		return st.res, fmt.Errorf("core: %w (budget %v)", ErrNoConsensus, cfg.MaxTime)
+		return st.res, fmt.Errorf("%w (budget %v)", ErrNoConsensus, cfg.MaxTime)
 	}
 	return st.res, nil
 }

@@ -6,49 +6,6 @@ import (
 	"testing"
 )
 
-func TestParseBudget(t *testing.T) {
-	for _, tc := range []struct {
-		in      string
-		n       int
-		want    int64
-		wantErr bool
-	}{
-		{in: "", n: 100, want: 0},
-		{in: "0", n: 100, want: 0},
-		{in: "17", n: 100, want: 17},
-		{in: " 17 ", n: 100, want: 17},
-		{in: "sqrt(n)", n: 1024, want: 32},
-		{in: "4sqrt(n)", n: 1024, want: 128},
-		{in: "4*sqrt(n)", n: 1024, want: 128},
-		{in: "0.5sqrt(n)", n: 1024, want: 16},
-		{in: "n^0.5", n: 1024, want: 32},
-		{in: "n^0.3", n: 1024, want: 8},
-		{in: "n^1", n: 50, want: 50},
-		{in: "-3", n: 100, wantErr: true},
-		{in: "x", n: 100, wantErr: true},
-		{in: "n^x", n: 100, wantErr: true},
-		{in: "xsqrt(n)", n: 100, wantErr: true},
-		{in: "sqrt(n)", n: 0, wantErr: true}, // symbolic form needs n
-		{in: "n^0.3", n: 0, wantErr: true},
-		{in: "-1sqrt(n)", n: 100, wantErr: true},
-	} {
-		got, err := parseBudget(tc.in, tc.n)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("parseBudget(%q, %d) = %d, want error", tc.in, tc.n, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("parseBudget(%q, %d): %v", tc.in, tc.n, err)
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("parseBudget(%q, %d) = %d, want %d", tc.in, tc.n, got, tc.want)
-		}
-	}
-}
-
 func advScenario() Scenario {
 	return Scenario{
 		Protocol: "two-choices", N: 1024, K: 2,

@@ -24,15 +24,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 	"time"
 
 	"plurality"
 	"plurality/internal/graph"
-	"plurality/internal/plan"
 	"plurality/internal/rng"
+	"plurality/internal/runspec"
 )
 
 // Scenario is one fully specified simulation configuration. The zero value
@@ -48,10 +45,11 @@ type Scenario struct {
 	// N is the number of nodes; K the number of colors.
 	N int `json:"n"`
 	K int `json:"k"`
-	// Bias names the initial-distribution workload: "biased" (c1 =
-	// (1+param)·c2, Theorem 1.3's regime), "gapsqrt", "tinygap", "zipf"
-	// or "uniform". BiasParam is its parameter (ε, z or the Zipf
-	// exponent; ignored for "uniform").
+	// Bias names the initial-distribution workload, a row of
+	// runspec.Workloads: "biased" (c1 = (1+param)·c2, Theorem 1.3's
+	// regime), "gapsqrt", "gapsqrtpolylog", "tinygap", "uniform" or
+	// "zipf". BiasParam is its parameter (ε, z or the Zipf exponent;
+	// ignored for "uniform").
 	Bias      string  `json:"bias"`
 	BiasParam float64 `json:"biasParam,omitempty"`
 	// Topology and TopologyParam name the communication graph in the
@@ -60,8 +58,9 @@ type Scenario struct {
 	// "annealed-gnp" (p).
 	Topology      string  `json:"topology"`
 	TopologyParam float64 `json:"topologyParam,omitempty"`
-	// Model selects the scheduler engine: "sequential", "poisson" or
-	// "heap-poisson".
+	// Model selects the scheduler, a row of runspec.Models: "sequential",
+	// "poisson" or "heap-poisson". "synchronous" is rejected with
+	// ErrSynchronousCell.
 	Model string `json:"model"`
 	// Crash is the crashed-node fraction (core protocol on the complete
 	// graph only; see core.Config.CrashFraction).
@@ -129,289 +128,119 @@ type Trial struct {
 	Messages int64
 }
 
+// ErrSynchronousCell rejects a cell on a synchronous runner (the
+// synchronous model, or the OneExtraBit protocol): they count rounds, and
+// a sweep cell records consensus time.
+var ErrSynchronousCell = errors.New("exp: synchronous runners count rounds; sweep cells record consensus time")
+
 // Validate checks that the scenario names a runnable configuration: every
-// field parses, and the engine planner (plan.Choose) finds an execution
-// path that hosts the options the scenario's runners pass NewJob.
+// field parses, and NewJob accepts the job its runners build (the graph of
+// a randomized topology drawn for seed 0).
 func (sc Scenario) Validate() error {
-	var desc plurality.Protocol
-	if sc.Protocol != "core" {
-		// Any registered sampling dynamic is a valid protocol; resolving
-		// the spec here validates parameterized families eagerly (the
-		// Compile contract), before any simulation runs.
-		d, err := plurality.LookupProtocol(sc.Protocol)
-		if err != nil {
-			return fmt.Errorf("exp: protocol %q: %w", sc.Protocol, err)
-		}
-		desc = d
-	}
-	if sc.N < 4 {
-		return fmt.Errorf("exp: n = %d, want >= 4", sc.N)
-	}
-	if sc.K < 2 {
-		return fmt.Errorf("exp: k = %d, want >= 2", sc.K)
-	}
-	// Materialize the histogram so a bad bias parameter fails here —
-	// Compile promises eager per-cell validation, and the workload
-	// constructors hold the per-profile parameter rules.
-	if _, err := sc.counts(); err != nil {
-		return fmt.Errorf("exp: bias %s:%v: %w", sc.Bias, sc.BiasParam, err)
-	}
-	if err := sc.topology().Validate(sc.N); err != nil {
-		return fmt.Errorf("exp: %w", err)
-	}
-	switch sc.Runtime {
-	case "", "sim", "node", "node-tcp":
-	default:
-		return fmt.Errorf("exp: unknown runtime %q (want sim, node or node-tcp)", sc.Runtime)
-	}
+	_, _, _, err := sc.compile(0, false)
+	return err
+}
+
+// compile builds the scenario's job for one trial seed, with its initial
+// counts, and with population the shuffled population it runs on; nil for
+// the cells that run on colour counts alone or on the node runtime.
+func (sc Scenario) compile(seed uint64, population bool) (*plurality.Job, []int64, *plurality.Population, error) {
 	switch {
+	case sc.N < 4:
+		return nil, nil, nil, fmt.Errorf("exp: n = %d, want >= 4", sc.N)
+	case sc.K < 2:
+		return nil, nil, nil, fmt.Errorf("exp: k = %d, want >= 2", sc.K)
 	case sc.Crash < 0 || sc.Crash >= 1:
-		return fmt.Errorf("exp: crash = %v, want [0, 1)", sc.Crash)
+		return nil, nil, nil, fmt.Errorf("exp: crash = %v, want [0, 1)", sc.Crash)
 	case sc.Churn < 0 || sc.Churn >= 1:
-		return fmt.Errorf("exp: churn = %v, want [0, 1)", sc.Churn)
+		return nil, nil, nil, fmt.Errorf("exp: churn = %v, want [0, 1)", sc.Churn)
 	case sc.DelayRate < 0:
-		return fmt.Errorf("exp: delayRate = %v, want >= 0", sc.DelayRate)
+		return nil, nil, nil, fmt.Errorf("exp: delayRate = %v, want >= 0", sc.DelayRate)
 	case sc.MaxTime < 0:
-		return fmt.Errorf("exp: maxTime = %v, want >= 0 (0 selects the default budget)", sc.MaxTime)
+		return nil, nil, nil, fmt.Errorf("exp: maxTime = %v, want >= 0 (0 selects the default budget)", sc.MaxTime)
 	}
-	set, err := sc.settings(0)
-	if err != nil {
-		return err
-	}
-	engine, _, _ := sc.engineSpec()
-	req := plan.Request{
-		Runner:    plan.RunDynamic,
-		Want:      engines[engine].c, // zero, EngineAuto's want, for "" and "auto"
-		Topology:  sc.topology().Class(),
-		Model:     models[sc.Model].c,
-		FlowLaw:   desc.Leapable,
-		Histogram: sc.histogram(),
-		N:         int64(sc.N),
-	}
-	if sc.Protocol == "core" {
-		req.Runner = plan.RunCore
-	}
-	for _, st := range set {
-		req.Opts |= plan.Of(st.cap)
-	}
-	if spec, _ := sc.adversarySpec(); spec.Active() {
-		d, _ := spec.Descriptor()
-		req.Family, req.PerNode = d.Family, d.PerNode
-	}
-	if _, err := plan.Choose(req); err != nil {
-		return fmt.Errorf("exp: %w", err)
+	var transport plurality.Transport
+	switch sc.Runtime {
+	case "", "sim":
+	case "node":
+		transport = plurality.NewChanTransport()
+	case "node-tcp":
+		transport = plurality.NewTCPTransport(nodeTCPUnit)
+	default:
+		return nil, nil, nil, fmt.Errorf("exp: unknown runtime %q (want sim, node or node-tcp)", sc.Runtime)
 	}
 	// A harness bound beyond what the paths host: one goroutine (plus
 	// timers and message events) per node, so a mistyped axis cannot ask
 	// the scheduler for millions of processes.
 	const maxNodes = 1 << 16
-	if sc.nodeRuntime() && sc.N > maxNodes {
-		return fmt.Errorf("exp: runtime %s runs one process per node; n = %d exceeds the %d-node bound", sc.Runtime, sc.N, maxNodes)
+	if transport != nil && sc.N > maxNodes {
+		return nil, nil, nil, fmt.Errorf("exp: runtime %s runs one process per node; n = %d exceeds the %d-node bound", sc.Runtime, sc.N, maxNodes)
 	}
-	return nil
-}
-
-// nodeRuntime reports whether the scenario runs on the networked node
-// runtime rather than a simulator engine.
-func (sc Scenario) nodeRuntime() bool {
-	return sc.Runtime == "node" || sc.Runtime == "node-tcp"
-}
-
-// histogram reports whether the scenario runs on colour counts alone: the
-// occupancy and leap engine cells never materialize a population.
-func (sc Scenario) histogram() bool {
-	engine, _, _ := sc.engineSpec()
-	return !sc.nodeRuntime() && (engine == "occupancy" || engine == "leap")
-}
-
-// topology returns the scenario's topology in the shared grammar.
-func (sc Scenario) topology() graph.Spec {
-	return graph.Spec{Name: sc.Topology, Param: sc.TopologyParam}
-}
-
-// setting is one option a scenario passes NewJob, with the capability the
-// engine planner sees for it.
-type setting struct {
-	cap plan.Cap
-	opt plurality.Option
-}
-
-// settings lists every option the scenario's job carries except the graph,
-// which the runner adds once it has built it: the list Validate hands the
-// planner and RunScenarioCtx hands NewJob.
-func (sc Scenario) settings(seed uint64) ([]setting, error) {
-	m, ok := models[sc.Model]
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown model %q", sc.Model)
-	}
-	lat, err := parseLatency(sc.Latency)
+	run, err := sc.run(seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	engine, leapEps, err := sc.engineSpec()
+	// The workload constructors hold the per-profile parameter rules, so
+	// materializing the histogram validates the bias.
+	counts, err := run.Initial()
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, fmt.Errorf("exp: bias %s:%v: %w", sc.Bias, sc.BiasParam, err)
 	}
-	adv, err := sc.adversarySpec()
+	opts, err := run.Options()
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, fmt.Errorf("exp: %w", err)
 	}
-	eng, ok := engines[engine]
-	if !ok && engine != "" && engine != "auto" {
-		return nil, fmt.Errorf("exp: unknown engine %q", sc.Engine)
+	if transport != nil {
+		opts = append(opts, plurality.WithTransport(transport))
 	}
-	set := []setting{{plan.Seed, plurality.WithSeed(seed)}, {plan.Model, plurality.WithModel(m.m)}}
-	add := func(on bool, c plan.Cap, opt plurality.Option) {
-		if on {
-			set = append(set, setting{c, opt})
+	topo := graph.Spec{Name: sc.Topology, Param: sc.TopologyParam}
+	if err := topo.Validate(sc.N); err != nil {
+		return nil, nil, nil, fmt.Errorf("exp: %w", err)
+	}
+	// Cells of an engine that runs on colour counts alone, and node-runtime
+	// cells, never materialize a population.
+	engine, _ := runspec.LookupEngine(run.Engine) // Options vetted it; "" is auto
+	perNode := transport == nil && !engine.Histogram
+	var pop *plurality.Population
+	if perNode && population {
+		if pop, err = plurality.NewPopulation(counts); err != nil {
+			return nil, nil, nil, err
 		}
+		pop.Shuffle(rng.At(seed, shuffleStream))
 	}
-	add(ok, plan.EngineOpt, plurality.WithEngine(eng.e))
-	add(leapEps > 0, plan.LeapEps, plurality.WithLeapEpsilon(leapEps))
-	add(sc.MaxTime > 0, plan.MaxTime, plurality.WithMaxTime(sc.MaxTime))
-	add(sc.Crash > 0, plan.Crashes, plurality.WithCrashes(sc.Crash))
-	add(sc.Churn > 0, plan.Churn, plurality.WithChurn(sc.Churn))
-	add(lat != nil, plan.EdgeLatency, plurality.WithEdgeLatency(lat))
-	add(sc.DelayRate > 0, plan.ResponseDelay, plurality.WithResponseDelay(sc.DelayRate))
-	// A named adversary rides along even at zero budget, where it is
-	// bit-identical to none; paths that cannot host adversaries refuse it.
-	add(adv.Name != "" && adv.Name != "none", plan.Adversary, plurality.WithAdversary(adv))
-	add(sc.Runtime == "node", plan.Transport, plurality.WithTransport(plurality.NewChanTransport()))
-	add(sc.Runtime == "node-tcp", plan.Transport, plurality.WithTransport(plurality.NewTCPTransport(nodeTCPUnit)))
-	return set, nil
-}
-
-// adversarySpec resolves the Adversary/Budget pair into a budgeted spec
-// ready for WithAdversary. The inactive spec (no name, or zero budget) is
-// returned for adversary-free scenarios.
-func (sc Scenario) adversarySpec() (plurality.AdversarySpec, error) {
-	spec, err := plurality.ParseAdversary(sc.Adversary)
-	if err != nil {
-		return plurality.AdversarySpec{}, fmt.Errorf("exp: adversary %q: %w", sc.Adversary, err)
-	}
-	budget, err := parseBudget(sc.Budget, sc.N)
-	if err != nil {
-		return plurality.AdversarySpec{}, err
-	}
-	if budget > 0 && (spec.Name == "" || spec.Name == "none") {
-		return plurality.AdversarySpec{}, fmt.Errorf("exp: budget %q set with no adversary to spend it", sc.Budget)
-	}
-	spec.Budget = budget
-	if err := spec.Validate(); err != nil {
-		return plurality.AdversarySpec{}, fmt.Errorf("exp: adversary %q: %w", sc.Adversary, err)
-	}
-	return spec, nil
-}
-
-// parseBudget decodes a Scenario.Budget string into the concrete budget f.
-// Besides plain integers it accepts "n^<p>" and "<c>sqrt(n)" (coefficient
-// optional), both rounded to the nearest integer after resolving against n;
-// "" and "0" mean no budget.
-func parseBudget(s string, n int) (int64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || s == "0" {
-		return 0, nil
-	}
-	bad := func(why string) error {
-		return fmt.Errorf("exp: budget %q: %s", s, why)
-	}
-	symbolic := func(v float64) (int64, error) {
-		if n <= 0 {
-			return 0, bad("symbolic form needs n set first")
-		}
-		if math.IsNaN(v) || v < 0 {
-			return 0, bad("resolves to a negative or undefined budget")
-		}
-		return int64(math.Round(v)), nil
-	}
-	if p, ok := strings.CutPrefix(s, "n^"); ok {
-		pow, err := strconv.ParseFloat(p, 64)
+	if perNode || topo.Class() != graph.SymClique {
+		// Randomized topologies derive their seed from the trial seed, so
+		// distinct trials see independent graph samples.
+		g, err := topo.Build(sc.N, rng.At(seed, graphStream).Uint64())
 		if err != nil {
-			return 0, bad("bad exponent")
+			return nil, nil, nil, err
 		}
-		return symbolic(math.Pow(float64(n), pow))
+		opts = append(opts, plurality.WithGraph(g))
 	}
-	if coef, ok := strings.CutSuffix(s, "sqrt(n)"); ok {
-		coef = strings.TrimSuffix(strings.TrimSpace(coef), "*")
-		c := 1.0
-		if coef != "" {
-			v, err := strconv.ParseFloat(coef, 64)
-			if err != nil {
-				return 0, bad("bad coefficient")
-			}
-			c = v
-		}
-		return symbolic(c * math.Sqrt(float64(n)))
+	job, err := plurality.NewJob(sc.Protocol, counts, opts...)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("exp: %w", err)
 	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || v < 0 {
-		return 0, bad("want a non-negative integer, \"n^<p>\" or \"<c>sqrt(n)\"")
+	if k := job.Kind(); k == plurality.KindSyncDynamic || k == plurality.KindOneExtraBit {
+		return nil, nil, nil, ErrSynchronousCell
 	}
-	return v, nil
+	return job, counts, pop, nil
 }
 
-// engineSpec splits Scenario.Engine into the engine name and — for the
-// "leap:<eps>" spelling — the explicit tau-leap error budget (0 means the
-// engine default).
-func (sc Scenario) engineSpec() (engine string, leapEps float64, err error) {
-	if eps, ok := strings.CutPrefix(sc.Engine, "leap:"); ok {
-		v, perr := strconv.ParseFloat(eps, 64)
-		if perr != nil || math.IsNaN(v) || v <= 0 || v > 0.5 {
-			return "", 0, fmt.Errorf("exp: leap engine budget %q, want a number in (0, 0.5]", eps)
-		}
-		return "leap", v, nil
+// run is the scenario's view in the shared run vocabulary, under the
+// given trial seed. The engine axis spells the leap budget inline
+// ("leap:<eps>").
+func (sc Scenario) run(seed uint64) (runspec.Run, error) {
+	engine, eps, err := runspec.ParseEngine(sc.Engine)
+	if err != nil {
+		return runspec.Run{}, fmt.Errorf("exp: %w", err)
 	}
-	return sc.Engine, 0, nil
-}
-
-// parseLatency decodes a Scenario.Latency string into an edge-latency
-// model; "" and "none" mean nil (instant edges).
-func parseLatency(s string) (plurality.EdgeLatency, error) {
-	if s == "" || s == "none" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ":")
-	switch parts[0] {
-	case "exp":
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("exp: latency %q, want exp:<mean>", s)
-		}
-		mean, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || mean <= 0 {
-			return nil, fmt.Errorf("exp: latency %q has bad mean", s)
-		}
-		return plurality.ExpEdgeLatency(mean), nil
-	case "uniform":
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("exp: latency %q, want uniform:<lo>:<hi>", s)
-		}
-		lo, err1 := strconv.ParseFloat(parts[1], 64)
-		hi, err2 := strconv.ParseFloat(parts[2], 64)
-		if err1 != nil || err2 != nil || lo < 0 || hi <= lo {
-			return nil, fmt.Errorf("exp: latency %q has bad bounds", s)
-		}
-		return plurality.UniformEdgeLatency(lo, hi), nil
-	default:
-		return nil, fmt.Errorf("exp: unknown latency model %q", s)
-	}
-}
-
-// counts materializes the scenario's initial color histogram.
-func (sc Scenario) counts() ([]int64, error) {
-	switch sc.Bias {
-	case "biased":
-		return plurality.Biased(sc.N, sc.K, sc.BiasParam)
-	case "gapsqrt":
-		return plurality.GapSqrt(sc.N, sc.K, sc.BiasParam)
-	case "tinygap":
-		return plurality.TinyGap(sc.N, sc.K, sc.BiasParam)
-	case "zipf":
-		return plurality.Zipf(sc.N, sc.K, sc.BiasParam)
-	case "uniform":
-		return plurality.Uniform(sc.N, sc.K)
-	default:
-		return nil, fmt.Errorf("exp: unknown bias profile %q", sc.Bias)
-	}
+	return runspec.Run{
+		Protocol: sc.Protocol, Workload: sc.Bias, N: sc.N, K: sc.K, Param: sc.BiasParam,
+		Seed: seed, Model: sc.Model, Engine: engine, LeapEps: eps, MaxTime: sc.MaxTime,
+		Crash: sc.Crash, Churn: sc.Churn, ResponseDelay: sc.DelayRate, Latency: sc.Latency,
+		Adversary: sc.Adversary, Budget: sc.Budget,
+	}, nil
 }
 
 // Derived-stream indices for the per-trial seed. The library runners
@@ -420,27 +249,6 @@ func (sc Scenario) counts() ([]int64, error) {
 const (
 	shuffleStream = 1 << 10
 	graphStream   = 1<<10 + 1
-)
-
-// models and engines map the scenario's scheduler and engine names to the
-// public option values and the planner's capabilities.
-var (
-	models = map[string]struct {
-		m plurality.Model
-		c plan.Cap
-	}{
-		"sequential":   {plurality.Sequential, plan.Sequential},
-		"poisson":      {plurality.Poisson, plan.Poisson},
-		"heap-poisson": {plurality.HeapPoisson, plan.HeapPoisson},
-	}
-	engines = map[string]struct {
-		e plurality.Engine
-		c plan.Cap
-	}{
-		"per-node":  {plurality.EnginePerNode, plan.WantPerNode},
-		"occupancy": {plurality.EngineOccupancy, plan.WantOccupancy},
-		"leap":      {plurality.EngineLeap, plan.WantLeap},
-	}
 )
 
 // RunScenario executes one trial of the scenario under the given seed with
@@ -459,20 +267,9 @@ func RunScenario(sc Scenario, seed uint64) (Trial, error) {
 // index blocks, which spatial topologies would read as clustered opinions.
 // Histogram and node-runtime cells run from the counts alone.
 func RunScenarioCtx(ctx context.Context, sc Scenario, seed uint64) (Trial, error) {
-	if err := sc.Validate(); err != nil {
-		return Trial{}, err
-	}
-	counts, err := sc.counts()
+	job, counts, pop, err := sc.compile(seed, true)
 	if err != nil {
 		return Trial{}, err
-	}
-	set, err := sc.settings(seed)
-	if err != nil {
-		return Trial{}, err
-	}
-	opts := make([]plurality.Option, len(set), len(set)+1)
-	for i, st := range set {
-		opts[i] = st.opt
 	}
 	// The workloads designate the most frequent color (lowest index on
 	// ties) as the plurality, same rule as Population.Plurality.
@@ -481,26 +278,6 @@ func RunScenarioCtx(ctx context.Context, sc Scenario, seed uint64) (Trial, error
 		if counts[c] > counts[plurColor] {
 			plurColor = plurality.Color(c)
 		}
-	}
-	var pop *plurality.Population
-	if !sc.nodeRuntime() && !sc.histogram() {
-		if pop, err = plurality.NewPopulation(counts); err != nil {
-			return Trial{}, err
-		}
-		pop.Shuffle(rng.At(seed, shuffleStream))
-	}
-	if topo := sc.topology(); !sc.nodeRuntime() && (pop != nil || topo.Class() != graph.SymClique) {
-		// Randomized topologies derive their seed from the trial seed, so
-		// distinct trials see independent graph samples.
-		g, err := topo.Build(sc.N, rng.At(seed, graphStream).Uint64())
-		if err != nil {
-			return Trial{}, err
-		}
-		opts = append(opts, plurality.WithGraph(g))
-	}
-	job, err := plurality.NewJob(sc.Protocol, counts, opts...)
-	if err != nil {
-		return Trial{}, err
 	}
 	var rep plurality.Report
 	if pop != nil {
@@ -530,7 +307,7 @@ func trialFromReport(sc Scenario, rep plurality.Report, plurColor plurality.Colo
 		Biased:      rep.Biased,
 		Messages:    rep.Messages,
 	}
-	if sc.Protocol == "core" || sc.nodeRuntime() {
+	if sc.Protocol == "core" || sc.Runtime == "node" || sc.Runtime == "node-tcp" {
 		// The core protocol and the node runtime report the consensus
 		// instant separately from the run's total time (the node runtime's
 		// total includes the termination gadget's halting tail); the

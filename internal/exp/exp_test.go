@@ -23,7 +23,7 @@ func TestScenarioValidate(t *testing.T) {
 		{"bad protocol", func(s *Scenario) { s.Protocol = "gossip" }, "unknown protocol"},
 		{"bad n", func(s *Scenario) { s.N = 2 }, "n ="},
 		{"bad k", func(s *Scenario) { s.K = 1 }, "k ="},
-		{"bad bias", func(s *Scenario) { s.Bias = "lopsided" }, "unknown bias"},
+		{"bad bias", func(s *Scenario) { s.Bias = "lopsided" }, "unknown workload"},
 		{"bad topology", func(s *Scenario) { s.Topology = "hypercube" }, "unknown topology"},
 		{"non-square torus", func(s *Scenario) { s.Topology = "torus"; s.N = 60 }, "square"},
 		{"gnp without p", func(s *Scenario) { s.Topology = "gnp" }, "gnp"},
@@ -49,26 +49,6 @@ func TestScenarioValidate(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestParseLatency(t *testing.T) {
-	for _, s := range []string{"", "none"} {
-		m, err := parseLatency(s)
-		if err != nil || m != nil {
-			t.Fatalf("parseLatency(%q) = %v, %v; want nil, nil", s, m, err)
-		}
-	}
-	for _, s := range []string{"exp:1", "exp:0.5", "uniform:0:2", "uniform:1:3"} {
-		m, err := parseLatency(s)
-		if err != nil || m == nil {
-			t.Fatalf("parseLatency(%q) = %v, %v; want model, nil", s, m, err)
-		}
-	}
-	for _, s := range []string{"exp", "exp:0", "exp:-1", "exp:x", "uniform:2:1", "uniform:1", "pareto:2"} {
-		if _, err := parseLatency(s); err == nil {
-			t.Fatalf("parseLatency(%q) should fail", s)
-		}
 	}
 }
 

@@ -228,10 +228,14 @@ func TestScenarioCountsProfiles(t *testing.T) {
 		name  string
 		param float64
 	}{
-		{"biased", 1}, {"gapsqrt", 1}, {"tinygap", 1}, {"zipf", 1.1}, {"uniform", 0},
+		{"biased", 1}, {"gapsqrt", 1}, {"gapsqrtpolylog", 1}, {"tinygap", 1}, {"zipf", 1.1}, {"uniform", 0},
 	} {
 		sc := Scenario{N: 1000, K: 4, Bias: bias.name, BiasParam: bias.param}
-		counts, err := sc.counts()
+		run, err := sc.run(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts, err := run.Initial()
 		if err != nil {
 			t.Fatalf("%s: %v", bias.name, err)
 		}

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -90,6 +91,38 @@ func TestCompileRejectsBadCells(t *testing.T) {
 	for i, s := range cases {
 		if _, err := s.Compile(); err == nil {
 			t.Errorf("case %d should fail to compile", i)
+		}
+	}
+}
+
+// TestSweepAcceptsGapSqrtPolylog: the bias axis reads the shared workload
+// table, so every workload cmd/plurality runs is a sweep cell too.
+func TestSweepAcceptsGapSqrtPolylog(t *testing.T) {
+	s := Sweep{
+		Name:   "t",
+		Base:   Scenario{Protocol: "two-choices", N: 2000, K: 3, Topology: "complete", Model: "poisson", Engine: "occupancy"},
+		Axes:   []Axis{{Name: "bias", Values: []string{"gapsqrtpolylog:1.5"}}},
+		Trials: 2,
+		Seed:   3,
+	}
+	rep, err := s.Run(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := rep.Cells[0]; c.Label != "bias=gapsqrtpolylog:1.5" || c.Failures != 0 {
+		t.Fatalf("cell = %+v", c)
+	}
+}
+
+// TestSynchronousCellsRejected: a sweep cell records consensus time, so
+// the synchronous runners, which count rounds, fail with one named error.
+func TestSynchronousCellsRejected(t *testing.T) {
+	for _, sc := range []Scenario{
+		{Protocol: "two-choices", N: 200, K: 3, Bias: "biased", BiasParam: 1, Topology: "complete", Model: "synchronous"},
+		{Protocol: "onebit", N: 200, K: 3, Bias: "biased", BiasParam: 1, Topology: "complete"},
+	} {
+		if err := sc.Validate(); !errors.Is(err, ErrSynchronousCell) {
+			t.Errorf("%s under %s: Validate = %v, want ErrSynchronousCell", sc.Protocol, sc.Model, err)
 		}
 	}
 }

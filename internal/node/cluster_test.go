@@ -179,6 +179,10 @@ func TestClusterRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestTCPClusterConverges: on wall clock the winner is not a function of
+// the seed, so the start is one whose minority never won over 10⁴ seeds on
+// the lossless fabric; a transport that biases runs toward the minority
+// still fails the majority check.
 func TestTCPClusterConverges(t *testing.T) {
 	mesh, err := NewTCPMesh([]string{"127.0.0.1:0"}, 0, 48, 2*time.Millisecond)
 	if err != nil {
@@ -186,7 +190,7 @@ func TestTCPClusterConverges(t *testing.T) {
 	}
 	res, err := Run(context.Background(), ClusterConfig{
 		Rule:    lookupRule(t, "two-choices"),
-		Counts:  []int64{30, 18},
+		Counts:  []int64{40, 8},
 		Seed:    9,
 		MaxTime: 2000,
 		Network: mesh,
@@ -204,7 +208,11 @@ func TestTCPClusterConverges(t *testing.T) {
 
 // TestTCPTwoProcessMesh exercises the multi-process demux path in one
 // process: two meshes on distinct listeners, each hosting half the node
-// ids, pulling across real sockets.
+// ids, pulling across real sockets. Each mesh keeps serving after its own
+// nodes halt, so neither side loses a pull: the unit is long enough that
+// no pull times out on a loaded machine, and the side that halts first
+// still answers the other's last ones. From 27:5 the minority never won
+// over 10⁴ seeds on the lossless fabric.
 func TestTCPTwoProcessMesh(t *testing.T) {
 	const n = 32
 	// Reserve two concrete loopback addresses so both meshes can be built
@@ -219,18 +227,19 @@ func TestTCPTwoProcessMesh(t *testing.T) {
 		return l.Addr().String()
 	}
 	hosts := []string{free(), free()}
-	lisA, err := NewTCPMesh(hosts, 0, n, 2*time.Millisecond)
+	const unit = 25 * time.Millisecond // an 8-unit pull timeout is 200ms
+	lisA, err := NewTCPMesh(hosts, 0, n, unit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lisB, err := NewTCPMesh(hosts, 1, n, 2*time.Millisecond)
+	lisB, err := NewTCPMesh(hosts, 1, n, unit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lisA.Close()
 	defer lisB.Close()
 
-	counts := []int64{20, 12}
+	counts := []int64{27, 5}
 	rule := lookupRule(t, "two-choices")
 	type out struct {
 		res Result
@@ -238,18 +247,15 @@ func TestTCPTwoProcessMesh(t *testing.T) {
 	}
 	results := make(chan out, 2)
 	for i, mesh := range []*TCP{lisA, lisB} {
-		local := i
-		m := mesh
 		go func() {
 			res, err := Run(context.Background(), ClusterConfig{
 				Rule:    rule,
 				Counts:  counts,
 				Seed:    13,
 				MaxTime: 2000,
-				Network: m,
-				Local:   func(id int) bool { return id%2 == local },
+				Network: mesh,
+				Local:   func(id int) bool { return id%2 == i },
 			})
-			m.Linger(150*time.Millisecond, 5*time.Second)
 			results <- out{res, err}
 		}()
 	}
@@ -261,6 +267,9 @@ func TestTCPTwoProcessMesh(t *testing.T) {
 		}
 		if !o.res.Done {
 			t.Fatalf("process %d: no local consensus", i)
+		}
+		if o.res.Dropped != 0 {
+			t.Errorf("process %d: %d of %d pulls dropped", i, o.res.Dropped, o.res.Messages)
 		}
 		winners = append(winners, o.res.Winner)
 	}

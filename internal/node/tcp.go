@@ -122,10 +122,16 @@ func (t *TCP) Clock(id int) Clock {
 }
 
 // Run implements Network: it launches the accept loop, runs every body on
-// a goroutine of its own, and returns once all of them have returned. The
-// listener is already bound (NewTCPMesh), so peers that started earlier can
-// connect even before Run — their frames queue in the kernel until the
-// serve loop drains them.
+// a goroutine of its own, and waits for all of them. The listener is
+// already bound (NewTCPMesh), so peers that started earlier can connect
+// even before Run — their frames queue in the kernel until the serve loop
+// drains them.
+//
+// On a multi-host mesh Run then keeps serving: the peers' nodes may still
+// be running, and their last pulls, the termination gadget's confirmations
+// among them, need answers from this process's halted nodes. It returns
+// once inbound pulls have been idle for lingerIdle, after lingerMax at
+// most, or when Close stops the mesh.
 func (t *TCP) Run(ids []int, body func(i int)) error {
 	t.start = time.Now()
 	go t.acceptLoop()
@@ -138,7 +144,35 @@ func (t *TCP) Run(ids []int, body func(i int)) error {
 		}()
 	}
 	wg.Wait()
+	if len(t.hosts) > 1 {
+		t.linger()
+	}
 	return nil
+}
+
+// How long a multi-host mesh keeps serving after its local nodes halt.
+const (
+	lingerIdle = 250 * time.Millisecond
+	lingerMax  = 10 * time.Second
+)
+
+// linger serves inbound pulls until they have been idle for lingerIdle,
+// lingerMax has passed, or the mesh closes.
+func (t *TCP) linger() {
+	deadline := time.Now().Add(lingerMax)
+	t.lastInbound.CompareAndSwap(0, time.Now().UnixNano())
+	for {
+		idle := time.Since(time.Unix(0, t.lastInbound.Load()))
+		wait := min(lingerIdle-idle, time.Until(deadline))
+		if wait <= 0 {
+			return
+		}
+		select {
+		case <-t.stop:
+			return
+		case <-time.After(wait):
+		}
+	}
 }
 
 // Close implements Network: it stops the accept loop, closes every
@@ -177,27 +211,6 @@ func (t *TCP) Stats() Stats {
 		Requests:  t.requests.Load(),
 		Responses: t.responses.Load(),
 		Dropped:   t.dropped.Load(),
-	}
-}
-
-// Linger keeps the process serving inbound requests after its local nodes
-// halted, until the mesh has been idle for idle (or max elapsed). In a
-// multi-process mesh a process that exits the moment its own nodes finish
-// would refuse its peers' final confirmation pulls and stall their
-// termination gadgets.
-func (t *TCP) Linger(idle, max time.Duration) {
-	deadline := time.Now().Add(max)
-	t.lastInbound.CompareAndSwap(0, time.Now().UnixNano())
-	for time.Now().Before(deadline) {
-		last := time.Unix(0, t.lastInbound.Load())
-		if time.Since(last) > idle {
-			return
-		}
-		select {
-		case <-t.stop:
-			return
-		case <-time.After(idle / 4):
-		}
 	}
 }
 

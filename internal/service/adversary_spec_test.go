@@ -82,6 +82,12 @@ func TestAdversarySpecRejects(t *testing.T) {
 			t.Errorf("%s: compile accepted the spec", name)
 		}
 	}
+	// An inactive adversary normalizes away before planning, so the daemon
+	// runs it on any engine, leap included, as the clean run it is.
+	inert := JobSpec{Protocol: "two-choices", Counts: []int64{600, 400}, Engine: "leap", Adversary: "corrupt"}
+	if _, _, err := inert.compile(nil); err != nil {
+		t.Errorf("zero-budget adversary on leap rejected: %v", err)
+	}
 	// The supported pairs still compile.
 	ok := JobSpec{Protocol: "two-choices", Counts: []int64{600, 400}, Model: "poisson", Adversary: "corruption", Budget: 8}
 	if _, _, err := ok.compile(nil); err != nil {

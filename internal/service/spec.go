@@ -17,12 +17,15 @@
 package service
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"plurality"
+	"plurality/internal/runspec"
 )
 
 // JobSpec is the JSON body of POST /v1/jobs: a declarative protocol run.
@@ -90,20 +93,15 @@ type JobSpec struct {
 	CancelOnDisconnect bool `json:"cancelOnDisconnect,omitempty"`
 }
 
-// specModels maps the wire model names onto the library enum.
-var specModels = map[string]plurality.Model{
-	"sequential":   plurality.Sequential,
-	"poisson":      plurality.Poisson,
-	"heap-poisson": plurality.HeapPoisson,
-	"synchronous":  plurality.Synchronous,
-}
-
-// specEngines maps the wire engine names onto the library enum.
-var specEngines = map[string]plurality.Engine{
-	"auto":      plurality.EngineAuto,
-	"per-node":  plurality.EnginePerNode,
-	"occupancy": plurality.EngineOccupancy,
-	"leap":      plurality.EngineLeap,
+// run is the spec's view in the shared run vocabulary.
+func (sp JobSpec) run() runspec.Run {
+	return runspec.Run{
+		Protocol: sp.Protocol, Counts: sp.Counts, Seed: sp.Seed, Model: sp.Model, Engine: sp.Engine,
+		LeapEps: sp.LeapEpsilon, ODETheta: sp.ODEThreshold,
+		MaxTime: sp.MaxTime, MaxRounds: sp.MaxRounds, MaxPhases: sp.MaxPhases,
+		Churn: sp.Churn, ResponseDelay: sp.ResponseDelay,
+		Adversary: sp.Adversary, Budget: strconv.FormatInt(sp.Budget, 10), Lag: sp.AdversaryLag,
+	}
 }
 
 // normalize fills the defaults that do not change the run (seed, trials,
@@ -119,22 +117,19 @@ func (sp JobSpec) normalize() (JobSpec, error) {
 	if sp.Trials < 0 {
 		return sp, fmt.Errorf("trials = %d, want >= 0", sp.Trials)
 	}
-	if sp.Model == "" {
-		sp.Model = "sequential"
+	// The first row of each table is the library default.
+	sp.Model = cmp.Or(sp.Model, runspec.Models[0].Name)
+	sp.Engine = cmp.Or(sp.Engine, runspec.Engines[0].Name)
+	if _, err := runspec.LookupModel(sp.Model); err != nil {
+		return sp, err
 	}
-	if _, ok := specModels[sp.Model]; !ok {
-		return sp, fmt.Errorf("unknown model %q (sequential, poisson, heap-poisson, synchronous)", sp.Model)
-	}
-	if sp.Engine == "" {
-		sp.Engine = "auto"
-	}
-	if _, ok := specEngines[sp.Engine]; !ok {
-		return sp, fmt.Errorf("unknown engine %q (auto, per-node, occupancy, leap)", sp.Engine)
+	if _, err := runspec.LookupEngine(sp.Engine); err != nil {
+		return sp, err
 	}
 	if sp.ObserveInterval < 0 {
 		return sp, fmt.Errorf("observeInterval = %v, want >= 0", sp.ObserveInterval)
 	}
-	spec, err := sp.adversarySpec()
+	spec, err := sp.run().AdversarySpec()
 	if err != nil {
 		return sp, err
 	}
@@ -158,74 +153,6 @@ func (sp JobSpec) normalize() (JobSpec, error) {
 	return sp, nil
 }
 
-// options compiles the spec into library options, applying only the fields
-// the spec sets so Job.Validate's ignored-option rejection stays exact. The
-// observer is bound later by the executing task (it owns the snapshot
-// fan-out).
-func (sp JobSpec) options() []plurality.Option {
-	opts := []plurality.Option{
-		plurality.WithSeed(sp.Seed),
-		plurality.WithModel(specModels[sp.Model]),
-	}
-	if sp.Engine != "auto" {
-		opts = append(opts, plurality.WithEngine(specEngines[sp.Engine]))
-	}
-	if sp.MaxTime > 0 {
-		opts = append(opts, plurality.WithMaxTime(sp.MaxTime))
-	}
-	if sp.MaxRounds > 0 {
-		opts = append(opts, plurality.WithMaxRounds(sp.MaxRounds))
-	}
-	if sp.MaxPhases > 0 {
-		opts = append(opts, plurality.WithMaxPhases(sp.MaxPhases))
-	}
-	if sp.Churn > 0 {
-		opts = append(opts, plurality.WithChurn(sp.Churn))
-	}
-	if sp.ResponseDelay > 0 {
-		opts = append(opts, plurality.WithResponseDelay(sp.ResponseDelay))
-	}
-	if sp.LeapEpsilon != 0 {
-		opts = append(opts, plurality.WithLeapEpsilon(sp.LeapEpsilon))
-	}
-	if sp.ODEThreshold != 0 {
-		theta := sp.ODEThreshold
-		if theta < 0 {
-			theta = 0 // the public "disable the ODE regime" encoding
-		}
-		opts = append(opts, plurality.WithODEThreshold(theta))
-	}
-	if spec, err := sp.adversarySpec(); err == nil && spec.Active() {
-		// normalize already vetted the spec; an error here cannot happen on
-		// a normalized JobSpec.
-		opts = append(opts, plurality.WithAdversary(spec))
-	}
-	return opts
-}
-
-// adversarySpec assembles the spec's adversary fields into a library
-// AdversarySpec, resolving the name against the registry.
-func (sp JobSpec) adversarySpec() (plurality.AdversarySpec, error) {
-	spec, err := plurality.ParseAdversary(sp.Adversary)
-	if err != nil {
-		return plurality.AdversarySpec{}, err
-	}
-	spec.Budget = sp.Budget
-	if sp.AdversaryLag != 0 {
-		if spec.Lag != 0 {
-			return plurality.AdversarySpec{}, fmt.Errorf("adversary %q already carries a lag; drop the adversaryLag field", sp.Adversary)
-		}
-		spec.Lag = sp.AdversaryLag
-	}
-	if err := spec.Validate(); err != nil {
-		return plurality.AdversarySpec{}, err
-	}
-	if sp.Budget > 0 && !spec.Active() {
-		return plurality.AdversarySpec{}, fmt.Errorf("budget = %d set with no adversary to spend it", sp.Budget)
-	}
-	return spec, nil
-}
-
 // compile normalizes the spec and binds it through plurality.NewJob — the
 // exact validation path library callers get, so the daemon rejects
 // everything the library would (ignored options included) before anything
@@ -237,7 +164,12 @@ func (sp JobSpec) compile(observe func(plurality.Snapshot)) (JobSpec, *plurality
 	if err != nil {
 		return norm, nil, err
 	}
-	opts := norm.options()
+	// The observer is bound here, not by the run: the executing task owns
+	// the snapshot fan-out.
+	opts, err := norm.run().Options()
+	if err != nil {
+		return norm, nil, err
+	}
 	if norm.ObserveInterval > 0 {
 		opts = append(opts, plurality.WithObserver(norm.ObserveInterval, observe))
 	}

@@ -81,6 +81,7 @@ func TestNormalizeRejects(t *testing.T) {
 		"streaming multi-trial":   {Protocol: "voter", Counts: []int64{2, 1}, Trials: 3, ObserveInterval: 5},
 		"disconnect no streaming": {Protocol: "voter", Counts: []int64{2, 1}, CancelOnDisconnect: true},
 		"negative interval":       {Protocol: "voter", Counts: []int64{2, 1}, ObserveInterval: -2},
+		"inline leap budget":      {Protocol: "voter", Counts: []int64{2, 1}, Engine: "leap:0.05"},
 	}
 	for name, sp := range cases {
 		if _, err := sp.normalize(); err == nil {
