@@ -35,8 +35,16 @@ test:
 test-short:
 	$(GO) test -shuffle=on -short ./...
 
+# Race-enabled short tests of every package, then five race passes of the
+# tick feed: a clique run under Poisson clocks draws its ticks on a second
+# goroutine and passes them to the engine through channels, so the feed's
+# own tests and the two engine equivalence tests that reach its producer
+# run again.
 test-race:
 	$(GO) test -race -shuffle=on -short ./...
+	$(GO) test -race -count=5 -short \
+		-run '^(TestFeed.*|TestStagedLoopMatchesGeneralPath|TestBatchedRunMatchesPerTick)$$' \
+		./internal/sched ./internal/protocols/dynamics ./internal/core
 
 # Statement coverage of the experiment engine, the scheduler, the engine
 # planner and the generator, with a minimum-coverage gate (override the

@@ -143,6 +143,35 @@ func BenchmarkProtocolTwoChoicesAnnealedGnp(b *testing.B) {
 	benchProtocol(b, "two-choices", counts, errors.Join(err, cerr), plurality.WithGraph(g))
 }
 
+// BenchmarkTrialsShortRuns and BenchmarkTrialsLongRuns run per-node
+// Two-Choices trials on the clique under Poisson clocks on every worker, on
+// both sides of the tick feed's synchronous prefix: 2000 trials at
+// n = 10³, whose runs all end within it and never start a goroutine, and
+// 400 at n = 2·10⁴, whose runs draw their ticks ahead and discard what
+// they drew past their end.
+func BenchmarkTrialsShortRuns(b *testing.B) { benchTrials(b, 1000, 2000) }
+
+func BenchmarkTrialsLongRuns(b *testing.B) { benchTrials(b, 20_000, 400) }
+
+func benchTrials(b *testing.B, n, trials int) {
+	counts, err := plurality.Biased(n, 4, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		job, err := plurality.NewJob("two-choices", counts, plurality.WithSeed(uint64(i+1)),
+			plurality.WithModel(plurality.Poisson), plurality.WithEngine(plurality.EnginePerNode))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := job.Trials(ctx, trials); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkClusterFabric runs Biased(1024, 4, 1) Two-Choices as a live
 // cluster on the in-process fabric, lossless and with exponential edge
 // latency plus drops, and reports node activations per second.

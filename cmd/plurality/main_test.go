@@ -147,6 +147,9 @@ func TestRunErrors(t *testing.T) {
 		// spend it, and budgets are non-negative.
 		{name: "budget without adversary", args: []string{"-adversary", "none", "-budget", "5", "-n", "100"}},
 		{name: "negative budget", args: []string{"-adversary", "corrupt", "-budget", "-3", "-n", "100"}},
+		// Rates reach NewJob's validation instead of switching off.
+		{name: "negative delay", args: []string{"-protocol", "core", "-delay", "-1", "-n", "100"}},
+		{name: "negative crash", args: []string{"-protocol", "core", "-crash", "-0.1", "-n", "100"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -19,7 +19,9 @@ func (w nextOnly) N() int           { return w.s.N() }
 // TestBatchedRunMatchesPerTick pins down the batching refactor: for a fixed
 // seed, Run must produce bit-identical results whether ticks are delivered
 // one at a time or in batches, under every engine and under the probe/delay
-// configurations that route through the general path.
+// configurations that route through the general path. On the clique the
+// Poisson runs outlast the feed's synchronous prefix, so the fast loop's
+// draw-ahead path is pinned too.
 func TestBatchedRunMatchesPerTick(t *testing.T) {
 	const n = 600
 	mkSched := map[string]func(r *rng.RNG) (sched.Scheduler, error){
@@ -64,8 +66,14 @@ func TestBatchedRunMatchesPerTick(t *testing.T) {
 				}
 				return res
 			}
-			if a, b := runOnce(false), runOnce(true); a != b {
+			a, b := runOnce(false), runOnce(true)
+			if a != b {
 				t.Errorf("%s/%s: per-tick result %+v != batched result %+v", schedName, varName, a, b)
+			}
+			// Past the feed's synchronous prefix the batched Poisson runs
+			// of the fast loop take their ticks from its producer.
+			if schedName == "poisson" && b.Ticks <= sched.FeedSyncTicks {
+				t.Errorf("%s/%s: %d ticks end the run before the feed runs ahead", schedName, varName, b.Ticks)
 			}
 		}
 	}

@@ -72,9 +72,19 @@ const (
 	DefaultEndgameFactor = 6.0
 )
 
-// ErrNoConsensus reports a run that exhausted MaxTime (or halted all nodes)
-// without reaching consensus.
+// ErrNoConsensus reports a run that ended without consensus: it exhausted
+// MaxTime, or every live node halted first (ErrAllHalted, which matches
+// ErrNoConsensus too).
 var ErrNoConsensus = errors.New("core: no consensus within time budget")
+
+// ErrAllHalted reports a run in which every live node halted before
+// consensus. errors.Is matches it against ErrNoConsensus as well.
+var ErrAllHalted error = allHalted{}
+
+type allHalted struct{}
+
+func (allHalted) Error() string        { return "core: every live node halted before consensus" }
+func (allHalted) Is(target error) bool { return target == ErrNoConsensus }
 
 // ErrStopped reports a run interrupted by its Stop hook (context
 // cancellation at the public layer) before completing.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -229,6 +230,36 @@ func TestNoConsensusBudget(t *testing.T) {
 	}
 	if res.Done {
 		t.Fatal("cannot be done in 2 time units")
+	}
+}
+
+// TestAllHaltedBeforeConsensus: a schedule too short for k = 16 colours
+// (∆ = 10 at n = 1000) halts every node before consensus. The run ends at
+// the last halt with ErrAllHalted, which still matches ErrNoConsensus, and
+// its message names the halt time, not a budget.
+func TestAllHaltedBeforeConsensus(t *testing.T) {
+	const n = 1000
+	g, err := graph.NewComplete(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.NewPoisson(n, 1, rng.At(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop := biasedPop(t, n, 16, 1)
+	res, err := Run(pop, Config{Graph: g, Scheduler: s, Rand: rng.At(1, 1), MaxTime: 1e5, Delta: 10})
+	if !errors.Is(err, ErrAllHalted) || !errors.Is(err, ErrNoConsensus) {
+		t.Fatalf("err = %v, want ErrAllHalted matching ErrNoConsensus", err)
+	}
+	if want := fmt.Sprintf("core: every live node halted before consensus, the last at time %v", res.Time); err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
+	}
+	if res.Done || res.FirstHaltTime <= 0 || res.FirstHaltTime > res.Time || res.Time >= 1e5 {
+		t.Errorf("res = %+v, want a run that ended undecided at its last halt", res)
+	}
+	if errors.Is(ErrNoConsensus, ErrAllHalted) {
+		t.Error("an exhausted budget matches ErrAllHalted")
 	}
 }
 

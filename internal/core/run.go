@@ -102,9 +102,13 @@ func (rn *Runner) Run(pop *population.Population, cfg Config) (Result, error) {
 		return st.res, fmt.Errorf("core: run stopped at time %v: %w", st.res.Time, ErrStopped)
 	}
 	if !st.res.Done {
-		// Either the time budget ran out or every live node halted
-		// without agreement; both are protocol failures.
+		// Either every live node halted without agreement, at the last
+		// delivered tick, or the time budget ran out; both are protocol
+		// failures.
 		st.res.Winner = pop.Plurality()
+		if st.haltedCount == int(st.liveN) {
+			return st.res, fmt.Errorf("%w, the last at time %v", ErrAllHalted, st.res.Time)
+		}
 		return st.res, fmt.Errorf("%w (budget %v)", ErrNoConsensus, cfg.MaxTime)
 	}
 	return st.res, nil
@@ -215,6 +219,7 @@ type state struct {
 	nextObserve float64
 	probeBuf    []int32
 	tickBuf     []sched.Tick
+	feed        sched.Feed
 }
 
 // grow returns buf resized to n and zeroed, reusing its backing array when
@@ -429,28 +434,30 @@ func (st *state) block2(u, v1, v2 int, now float64) {
 // closure or interface call; the general per-tick path is kept for delay
 // models and probing. Both paths consume the protocol RNG
 // identically, so results for a fixed seed do not depend on which one runs.
+// On the clique the specialized loop's feed may draw the ticks ahead on a
+// second goroutine, which changes no draw either.
 func (st *state) run() sched.Tick {
 	bs, ok := st.cfg.Scheduler.(sched.BatchScheduler)
 	if !ok {
 		last, _ := sched.RunUntil(st.cfg.Scheduler, st.cfg.MaxTime, st.tick)
 		return last
 	}
-	st.tickBuf = grow(st.tickBuf, sched.BatchSize)
-	buf := st.tickBuf
 	probing := st.nextProbe >= 0 && st.cfg.OnProbe != nil
 	if st.delaying || probing || st.cfg.OnObserve != nil {
-		last, _ := sched.RunBatch(st.cfg.Scheduler, st.cfg.MaxTime, buf, st.tick)
+		st.tickBuf = grow(st.tickBuf, sched.BatchSize)
+		last, _ := sched.RunBatch(st.cfg.Scheduler, st.cfg.MaxTime, st.tickBuf, st.tick)
 		return last
 	}
 	last := sched.Tick{Seq: -1}
 	maxTime := st.cfg.MaxTime
+	st.feed.Start(bs, st.cfg.Rand, st.cliqueN > 0)
+	defer st.feed.Close()
 	for {
 		if st.cfg.Stop != nil && st.cfg.Stop() {
 			st.stopped = true
 			return last
 		}
-		bs.NextBatch(buf)
-		for _, t := range buf {
+		for _, t := range st.feed.Next() {
 			if t.Time > maxTime {
 				return last
 			}

@@ -43,7 +43,7 @@ var ErrStopped = errors.New("dynamics: run stopped")
 type Snapshot = occupancy.Snapshot
 
 // Runner executes dynamics runs while pooling the per-run scratch state —
-// the neighbor-sample buffer, the per-node engine's tick batch and staged
+// the neighbor-sample buffer, the per-node engine's tick batches and staged
 // neighbor draws, the per-node pending-update slice of blocking runs, the
 // synchronous staging buffer and the count-collapsed engine's histogram
 // scratch — so trial loops stop paying an allocation-and-zero cost per run.
@@ -53,6 +53,7 @@ type Snapshot = occupancy.Snapshot
 type Runner struct {
 	sampled []population.Color
 	batch   []sched.Tick
+	feed    sched.Feed
 	peers   []int
 	// touched folds the loads of the staged loop's touch pass, so the
 	// compiler keeps them.
@@ -230,13 +231,13 @@ func (rn *Runner) tickBatch() []sched.Tick {
 	return rn.batch
 }
 
-// stagingBuffers returns the pooled tick batch and the pooled buffer for a
-// batch's neighbor draws, s per tick.
-func (rn *Runner) stagingBuffers(s int) ([]sched.Tick, []int) {
+// peerBuffer returns the pooled buffer for a batch's neighbor draws, s per
+// tick.
+func (rn *Runner) peerBuffer(s int) []int {
 	if cap(rn.peers) < sched.BatchSize*s {
 		rn.peers = make([]int, sched.BatchSize*s)
 	}
-	return rn.tickBatch(), rn.peers[:sched.BatchSize*s]
+	return rn.peers[:sched.BatchSize*s]
 }
 
 func validateSync(pop *population.Population, rule Rule, cfg SyncConfig) error {
@@ -533,17 +534,22 @@ func (rn *Runner) runPerNode(pop *population.Population, rule Rule, cfg AsyncCon
 	// Graph.Sample depends only on the graph, the node and the RNG, so
 	// pass 1 draws what one activation after another would. (Stop stays
 	// compatible with it — one poll per batch — but snapshot observation
-	// needs the per-tick time check of the general path.)
+	// needs the per-tick time check of the general path.) On the clique
+	// the feed may draw the ticks ahead on a second goroutine; a CSR
+	// batch waits on memory, not on the scheduler, and gained nothing
+	// dependable from a contended second core.
 	if bs, ok := cfg.Scheduler.(sched.BatchScheduler); ok && !blocking && !churning && cfg.OnTick == nil && cfg.OnSnapshot == nil && cfg.Adversary == nil {
-		batch, peers := rn.stagingBuffers(s)
+		peers := rn.peerBuffer(s)
+		_, clique := cfg.Graph.(graph.Complete)
+		rn.feed.Start(bs, cfg.Rand, clique)
+		defer rn.feed.Close()
 		for !res.Done {
 			if cfg.Stop != nil && cfg.Stop() {
 				res.Winner = pop.Plurality()
 				res.Undecided = pop.Undecided()
 				return res, fmt.Errorf("dynamics: %s stopped at time %v: %w", rule.Name(), res.Time, ErrStopped)
 			}
-			bs.NextBatch(batch)
-			ticks := batch
+			ticks := rn.feed.Next()
 			for len(ticks) > 0 && ticks[len(ticks)-1].Time > cfg.MaxTime {
 				ticks = ticks[:len(ticks)-1]
 			}
@@ -565,7 +571,7 @@ func (rn *Runner) runPerNode(pop *population.Population, rule Rule, cfg AsyncCon
 					break
 				}
 			}
-			if !res.Done && len(ticks) < len(batch) {
+			if !res.Done && len(ticks) < sched.BatchSize {
 				res.Winner = pop.Plurality()
 				res.Undecided = pop.Undecided()
 				return res, fmt.Errorf("dynamics: %s did not converge by time %v: %w", rule.Name(), cfg.MaxTime, ErrTimeLimit)

@@ -23,7 +23,7 @@ import (
 // the clique with and without self-sampling, the cycle (the interface
 // Sample path) and a random regular CSR graph, under both clocks. The small
 // populations make every batch dense with nodes written and then read
-// within the batch.
+// within the batch; a few longer clique runs reach the feed's producer.
 func TestStagedLoopMatchesGeneralPath(t *testing.T) {
 	rules := []dynamics.Rule{twochoices.Rule{}, voter.Rule{}, threemajority.Rule{}, usd.Rule{}, jmajority.Rule{J: 1}}
 	seeds := uint64(6)
@@ -61,6 +61,37 @@ func TestStagedLoopMatchesGeneralPath(t *testing.T) {
 		}
 	}
 	t.Logf("%d cases, %d converged within the time budget", cases, converged)
+
+	// Clique runs past the feed's synchronous prefix: with a scheduler
+	// generator of their own (odd seeds) the staged loop then takes its
+	// ticks from the feed's producer goroutine, and with a shared one
+	// (even seeds) never. Voter runs to the time budget, Two-Choices to
+	// consensus. These cases run under -short too.
+	for _, c := range []struct {
+		rule dynamics.Rule
+		n    int
+		done bool
+	}{{voter.Rule{}, 4000, false}, {twochoices.Rule{}, 12000, true}} {
+		for _, g := range []namedGraph{{"clique", graph.Complete{Nodes: c.n}}, {"clique+self", graph.Complete{Nodes: c.n, WithSelf: true}}} {
+			for seed := uint64(1); seed <= 2; seed++ {
+				name := fmt.Sprintf("%s n=%d %s seed=%d", c.rule.Name(), c.n, g.name, seed)
+				want, wantPop, wantErr := runStagedCase(t, new(dynamics.Runner), c.rule, g.g, true, seed,
+					func(sched.Tick, *population.Population) {})
+				got, gotPop, gotErr := runStagedCase(t, &staged, c.rule, g.g, true, seed, nil)
+				if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s: staged (%+v, %v) != general (%+v, %v)", name, got, gotErr, want, wantErr)
+				}
+				for u := 0; u < c.n; u++ {
+					if gotPop.ColorOf(u) != wantPop.ColorOf(u) {
+						t.Fatalf("%s: node %d ends on colour %d staged, %d general", name, u, gotPop.ColorOf(u), wantPop.ColorOf(u))
+					}
+				}
+				if got.Ticks <= sched.FeedSyncTicks || got.Done != c.done {
+					t.Fatalf("%s: %d ticks, done %v; want more than %d, done %v", name, got.Ticks, got.Done, sched.FeedSyncTicks, c.done)
+				}
+			}
+		}
+	}
 }
 
 // namedGraph is one topology of TestStagedLoopMatchesGeneralPath.

@@ -182,9 +182,7 @@ func ParseBudget(s string, n int64) (int64, error) {
 
 // Run is one run in the canonical spellings. A zero field leaves the
 // library default: the builder emits an option only for a field that is
-// set. The run budgets and the leap tuning pass any other value on, for
-// NewJob to validate; the rates (Crash, Churn, ResponseDelay) are off
-// unless positive.
+// set, and passes any other value on for NewJob to validate.
 type Run struct {
 	// Protocol is the NewJob spec: "core", "onebit" or a registry protocol.
 	Protocol string
@@ -314,9 +312,9 @@ func (r Run) Options() ([]plurality.Option, error) {
 	add(r.MaxTime != 0, plurality.WithMaxTime(r.MaxTime))
 	add(r.MaxRounds != 0, plurality.WithMaxRounds(r.MaxRounds))
 	add(r.MaxPhases != 0, plurality.WithMaxPhases(r.MaxPhases))
-	add(r.Crash > 0, plurality.WithCrashes(r.Crash))
-	add(r.Churn > 0, plurality.WithChurn(r.Churn))
-	add(r.ResponseDelay > 0, plurality.WithResponseDelay(r.ResponseDelay))
+	add(r.Crash != 0, plurality.WithCrashes(r.Crash))
+	add(r.Churn != 0, plurality.WithChurn(r.Churn))
+	add(r.ResponseDelay != 0, plurality.WithResponseDelay(r.ResponseDelay))
 	add(lat != nil, plurality.WithEdgeLatency(lat))
 	add(named(adv), plurality.WithAdversary(adv))
 	return opts, nil

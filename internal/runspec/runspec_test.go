@@ -129,7 +129,7 @@ func TestOptionsOnlyForSetFields(t *testing.T) {
 		{"leap tuning", func(r *Run) { r.LeapEps, r.ODETheta = 0.05, -1 }, 2},
 		{"budgets", func(r *Run) { r.MaxTime, r.MaxRounds, r.MaxPhases = 5, 6, 7 }, 3},
 		{"rates", func(r *Run) { r.Crash, r.Churn, r.ResponseDelay = 0.1, 0.001, 2 }, 3},
-		{"rates off unless positive", func(r *Run) { r.Crash, r.Churn, r.ResponseDelay = -0.1, -0.001, -2 }, 0},
+		{"negative rates", func(r *Run) { r.Crash, r.Churn, r.ResponseDelay = -0.1, -0.001, -2 }, 3},
 		{"latency", func(r *Run) { r.Latency = "exp:1" }, 1},
 		{"no latency", func(r *Run) { r.Latency = "none" }, 0},
 		{"adversary", func(r *Run) { r.Adversary, r.Budget = "corrupt", "8" }, 1},
@@ -153,6 +153,24 @@ func TestOptionsOnlyForSetFields(t *testing.T) {
 	}
 	if _, err := plurality.NewJob("two-choices", []int64{600, 400}, opts...); err == nil {
 		t.Error("leap accepted a zero-budget adversary")
+	}
+}
+
+// TestNegativeRatesReachNewJob: a negative rate is passed on, so NewJob
+// rejects it instead of running without the extension.
+func TestNegativeRatesReachNewJob(t *testing.T) {
+	for _, r := range []Run{
+		{Protocol: "core", Crash: -0.1},
+		{Protocol: "two-choices", Engine: "per-node", Churn: -0.1},
+		{Protocol: "two-choices", Engine: "per-node", ResponseDelay: -1},
+	} {
+		opts, err := r.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plurality.NewJob(r.Protocol, []int64{600, 400}, opts...); err == nil {
+			t.Errorf("NewJob accepted %+v", r)
+		}
 	}
 }
 

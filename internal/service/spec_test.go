@@ -108,6 +108,17 @@ func TestCompileUsesLibraryValidation(t *testing.T) {
 		t.Fatal("compile accepted an unknown protocol")
 	}
 
+	// A negative rate reaches the library's range checks rather than
+	// switching the extension off.
+	for _, sp := range []JobSpec{
+		{Protocol: "two-choices", Counts: []int64{600, 400}, Engine: "per-node", ResponseDelay: -1},
+		{Protocol: "two-choices", Counts: []int64{600, 400}, Engine: "per-node", Churn: -0.1},
+	} {
+		if _, _, err := sp.compile(nil); err == nil {
+			t.Fatalf("compile accepted %+v", sp)
+		}
+	}
+
 	// And the happy path compiles.
 	norm, job, err := (JobSpec{Protocol: "two-choices", Counts: []int64{600, 400}}).compile(nil)
 	if err != nil {

@@ -165,6 +165,16 @@ func (j *Job) Validate() error {
 			return fmt.Errorf("plurality: job %s: MaxPhases = %d, want > 0", j.spec, j.o.maxPhases)
 		}
 	}
+	// The negated comparisons reject NaN too.
+	if r := j.o.delayRate; j.o.set.Has(plan.ResponseDelay) && !(r > 0 && r < math.Inf(1)) {
+		return fmt.Errorf("plurality: job %s: WithResponseDelay(%v), want a finite rate > 0", j.spec, r)
+	}
+	if p := j.o.churnRate; j.o.set.Has(plan.Churn) && !(p >= 0 && p < 1) {
+		return fmt.Errorf("plurality: job %s: WithChurn(%v), want [0, 1)", j.spec, p)
+	}
+	if f := j.o.crashFraction; j.o.set.Has(plan.Crashes) && !(f >= 0 && f < 1) {
+		return fmt.Errorf("plurality: job %s: WithCrashes(%v), want [0, 1)", j.spec, f)
+	}
 	if j.kind != KindSyncDynamic && j.kind != KindOneExtraBit {
 		if j.o.maxTime <= 0 {
 			return fmt.Errorf("plurality: job %s: MaxTime = %v, want > 0", j.spec, j.o.maxTime)
@@ -368,6 +378,15 @@ func (j *Job) newTrialState(base *Population) *trialState {
 // counts jobs — are reused instead of reallocated and rezeroed, for every
 // registered protocol and engine. Pooling cannot change results: a trial's
 // outcome is a pure function of its seed.
+//
+// A trial can use a second goroutine of its own. A per-node or core run on
+// the complete graph under Poisson clocks draws its ticks ahead on one once
+// it passes its first 2¹⁶ ticks, and joins it before the run returns. Runs
+// on other graphs, under the other models, or too short to pass that
+// prefix draw on their worker alone: a CSR run waits on memory rather than
+// on the scheduler, and the sequential draw is too cheap to hand off.
+// Results never depend on it, since the scheduler draws from a stream of
+// its own.
 //
 // ctx cancels the whole fan-out: trials that already ran keep their
 // reports, and the first canceled trial's context error is returned.

@@ -3,6 +3,8 @@ package plurality
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -346,6 +348,53 @@ func TestJobValidateEager(t *testing.T) {
 	if _, err := NewJob("onebit", good, WithMaxPhases(5), WithPropagationRounds(3),
 		WithPhaseObserver(func(PhaseInfo) {})); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJobValidateRates: NewJob rejects a response-delay rate that is not
+// finite and positive, and a churn rate or crash fraction outside [0, 1),
+// NaN included, on every kind that takes the option; a boundary value that
+// is in range stays accepted.
+func TestJobValidateRates(t *testing.T) {
+	option := map[string]func(float64) Option{
+		"WithResponseDelay": WithResponseDelay, "WithChurn": WithChurn, "WithCrashes": WithCrashes,
+	}
+	for _, tc := range []struct {
+		option string
+		value  float64
+		spec   string
+		ok     bool
+	}{
+		{"WithResponseDelay", -1, "two-choices", false},
+		{"WithResponseDelay", 0, "two-choices", false},
+		{"WithResponseDelay", math.NaN(), "two-choices", false},
+		{"WithResponseDelay", math.Inf(1), "core", false},
+		{"WithResponseDelay", 1e-9, "core", true},
+		{"WithChurn", -0.1, "two-choices", false},
+		{"WithChurn", math.NaN(), "two-choices", false},
+		{"WithChurn", 1, "two-choices", false},
+		{"WithChurn", -0.1, "core", false},
+		{"WithChurn", 0, "core", true},
+		{"WithCrashes", -0.1, "core", false},
+		{"WithCrashes", math.NaN(), "core", false},
+		{"WithCrashes", 1, "core", false},
+		{"WithCrashes", 0, "core", true},
+	} {
+		t.Run(fmt.Sprintf("%s(%v)/%s", tc.option, tc.value, tc.spec), func(t *testing.T) {
+			opts := []Option{option[tc.option](tc.value)}
+			if tc.spec != "core" {
+				opts = append(opts, WithEngine(EnginePerNode))
+			}
+			_, err := NewJob(tc.spec, []int64{600, 400}, opts...)
+			switch {
+			case tc.ok && err != nil:
+				t.Fatalf("rejected an in-range value: %v", err)
+			case !tc.ok && err == nil:
+				t.Fatal("accepted an out-of-range value")
+			case !tc.ok && !strings.Contains(err.Error(), tc.option):
+				t.Fatalf("err = %v, want mention of %s", err, tc.option)
+			}
+		})
 	}
 }
 

@@ -116,6 +116,9 @@ const None = population.None
 var (
 	// ErrNoConsensus reports a core run that ended without agreement.
 	ErrNoConsensus = core.ErrNoConsensus
+	// ErrAllHalted reports a core run whose live nodes all halted before
+	// agreeing; it matches ErrNoConsensus too.
+	ErrAllHalted = core.ErrAllHalted
 	// ErrTimeLimit reports a dynamics run that exhausted its budget.
 	ErrTimeLimit = dynamics.ErrTimeLimit
 	// ErrPhaseLimit reports a OneExtraBit run that exhausted its phases.

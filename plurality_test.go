@@ -157,6 +157,21 @@ func TestRunCoreBudgetError(t *testing.T) {
 	}
 }
 
+// TestRunCoreAllHaltedError: with k = 16 colours and ∆ = 10 at n = 8000,
+// where most runs halt every node before consensus, the public error says
+// so while still matching ErrNoConsensus; an exhausted budget does not
+// match ErrAllHalted.
+func TestRunCoreAllHaltedError(t *testing.T) {
+	rep, err := runJob(t, "core", biasedCounts(t, 8000, 16, 1), WithSeed(1), WithModel(Poisson), WithDelta(10))
+	if !errors.Is(err, ErrAllHalted) || !errors.Is(err, ErrNoConsensus) || rep.Converged {
+		t.Fatalf("rep = %+v, err = %v; want ErrAllHalted", rep, err)
+	}
+	_, err = runJob(t, "core", biasedCounts(t, 2000, 4, 0.5), WithMaxTime(1))
+	if errors.Is(err, ErrAllHalted) {
+		t.Fatalf("budget error %v matches ErrAllHalted", err)
+	}
+}
+
 func TestRunTwoChoicesSync(t *testing.T) {
 	rep, err := runJob(t, "two-choices", gapSqrtCounts(t, 4000, 4, 1.5), WithSeed(10), WithModel(Synchronous))
 	if err != nil {
