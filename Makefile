@@ -10,7 +10,7 @@ GO ?= go
 # leaves headroom for refactors while catching untested new code.
 COVER_MIN ?= 85
 
-.PHONY: build test test-short test-race cover bench bench-smoke \
+.PHONY: build test test-short test-race cover bench bench-smoke examples-smoke \
 	serve-smoke sweep-smoke sweep-baseline sweep-nightly \
 	adv-smoke topo-smoke net-smoke lint fmt api api-check
 
@@ -64,6 +64,14 @@ bench:
 # compile or crash, without paying measurement time.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# Run every example program once; the first non-zero exit fails the
+# target. `go build ./...` compiles them, but only this runs them.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
 
 # CI serve harness: the curl quickstart script from README.md against a
 # live daemon. The service contract itself (cache hit and byte-identical

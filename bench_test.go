@@ -81,9 +81,13 @@ func benchProtocol(b *testing.B, spec string, counts []int64, err error, opts ..
 	}
 }
 
+// BenchmarkProtocolCore and the two per-node Two-Choices benchmarks below
+// run under the paper's model, unit-rate Poisson clocks (WithModel(Poisson)),
+// so they reach the Poisson scheduler and, on the clique, the tick feed
+// that draws ahead past a run's first 2¹⁶ ticks.
 func BenchmarkProtocolCore(b *testing.B) {
 	counts, err := plurality.Biased(4000, 4, 1)
-	benchProtocol(b, "core", counts, err)
+	benchProtocol(b, "core", counts, err, plurality.WithModel(plurality.Poisson))
 }
 
 func BenchmarkProtocolTwoChoicesSync(b *testing.B) {
@@ -100,10 +104,11 @@ func BenchmarkProtocolTwoChoicesAsync(b *testing.B) {
 // BenchmarkProtocolTwoChoicesPerNodeCSR run the per-node engine's staged
 // batch loop, which EngineAuto never picks for Two-Choices on the clique
 // (it runs on the colour histogram), on the clique's direct draws and on a
-// random 8-regular CSR graph's row draws.
+// random 8-regular CSR graph's row draws, both under Poisson clocks.
 func BenchmarkProtocolTwoChoicesPerNodeClique(b *testing.B) {
 	counts, err := plurality.Biased(100_000, 4, 1)
-	benchProtocol(b, "two-choices", counts, err, plurality.WithEngine(plurality.EnginePerNode))
+	benchProtocol(b, "two-choices", counts, err,
+		plurality.WithEngine(plurality.EnginePerNode), plurality.WithModel(plurality.Poisson))
 }
 
 func BenchmarkProtocolTwoChoicesPerNodeCSR(b *testing.B) {
@@ -111,7 +116,7 @@ func BenchmarkProtocolTwoChoicesPerNodeCSR(b *testing.B) {
 	g, err := plurality.RandomRegularGraph(n, 8, 1)
 	counts, cerr := plurality.Biased(n, 4, 1)
 	benchProtocol(b, "two-choices", counts, errors.Join(err, cerr),
-		plurality.WithEngine(plurality.EnginePerNode), plurality.WithGraph(g))
+		plurality.WithEngine(plurality.EnginePerNode), plurality.WithGraph(g), plurality.WithModel(plurality.Poisson))
 }
 
 func BenchmarkProtocolOneExtraBit(b *testing.B) {

@@ -23,7 +23,6 @@ var goldenRuns = [][]string{
 	{"-protocol", "two-choices", "-n", "2000", "-k", "4", "-workload", "zipf", "-zipf-s", "1.1", "-seed", "8"},
 	{"-protocol", "two-choices", "-model", "sequential", "-n", "2000", "-k", "2", "-seed", "9"},
 	{"-protocol", "two-choices", "-model", "poisson", "-n", "2000", "-k", "2", "-seed", "9"},
-	{"-protocol", "core", "-model", "heap-poisson", "-n", "1000", "-k", "2", "-bias", "1", "-seed", "10"},
 	{"-protocol", "two-choices-sync", "-n", "2000", "-k", "3", "-seed", "11"},
 	{"-protocol", "onebit", "-n", "2000", "-k", "3", "-seed", "12"},
 	{"-protocol", "two-choices", "-engine", "auto", "-n", "5000", "-k", "3", "-seed", "13"},

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"plurality"
@@ -417,38 +416,5 @@ func TestAutoJobAtTrillionNodesRunsOnLeap(t *testing.T) {
 	}
 	if !rep.Converged || rep.Winner != 0 || rep.Engine != "leap" {
 		t.Fatalf("%+v, want plurality consensus on the leap engine", rep)
-	}
-}
-
-// TestHeapPoissonStaysOffTheCollapsedEngines: the event-heap scheduler
-// keeps one pending event per node, so the planner keeps it off the
-// count-collapsed engines, whose promise is O(k) memory. Required, they
-// refuse it; under EngineAuto it runs per node.
-func TestHeapPoissonStaysOffTheCollapsedEngines(t *testing.T) {
-	heap := plurality.WithModel(plurality.HeapPoisson)
-	annealed, err := plurality.AnnealedRegularGraph(100, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		opts []plurality.Option
-		want string
-	}{
-		{"clique", nil, "the occupancy engine cannot host WithModel(HeapPoisson) (counts runs promise O(k) memory"},
-		{"annealed", []plurality.Option{plurality.WithGraph(annealed)}, "the lumped engine cannot host WithModel(HeapPoisson)"},
-	} {
-		opts := append([]plurality.Option{heap, plurality.WithSeed(3)}, tc.opts...)
-		_, err := plurality.NewJob("two-choices", []int64{60, 40}, append(opts, plurality.WithEngine(plurality.EngineOccupancy))...)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: EngineOccupancy with HeapPoisson: err = %v, want %q", tc.name, err, tc.want)
-		}
-		job, err := plurality.NewJob("two-choices", []int64{60, 40}, opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if rep, err := job.Run(context.Background()); err != nil || !rep.Converged || rep.Engine != "per-node" {
-			t.Errorf("%s: EngineAuto with HeapPoisson: rep=%+v err=%v, want a converged per-node run", tc.name, rep, err)
-		}
 	}
 }

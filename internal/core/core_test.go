@@ -141,6 +141,9 @@ func TestRunValidation(t *testing.T) {
 		{name: "bad crash fraction", pop: pop, cfg: Config{Graph: g, Scheduler: s, Rand: r, MaxTime: 1, CrashFraction: 1}},
 		{name: "bad desync fraction", pop: pop, cfg: Config{Graph: g, Scheduler: s, Rand: r, MaxTime: 1, DesyncFraction: -0.1}},
 		{name: "desync without spread", pop: pop, cfg: Config{Graph: g, Scheduler: s, Rand: r, MaxTime: 1, DesyncFraction: 0.1}},
+		{name: "NaN desync fraction", pop: pop, cfg: Config{Graph: g, Scheduler: s, Rand: r, MaxTime: 1, DesyncFraction: math.NaN(), DesyncSpread: 10}},
+		{name: "infinite time", pop: pop, cfg: Config{Graph: g, Scheduler: s, Rand: r, MaxTime: math.Inf(1)}},
+		{name: "NaN probe interval", pop: pop, cfg: Config{Graph: g, Scheduler: s, Rand: r, MaxTime: 1, ProbeInterval: math.NaN()}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -6,6 +6,10 @@ import (
 
 	"plurality"
 	. "plurality/internal/core"
+	"plurality/internal/graph"
+	"plurality/internal/population"
+	"plurality/internal/rng"
+	"plurality/internal/sched"
 )
 
 // TestRunGoldenBitIdentical pins the exact Result of fixed-seed runs across
@@ -35,8 +39,9 @@ func TestRunGoldenBitIdentical(t *testing.T) {
 			Result{Done: true, Winner: 0, ConsensusTime: 1246.911054837703, FirstHaltTime: 0, EndgameSafe: true, Time: 1246.911054837703, Ticks: 4988997, Jumps: 16133, Churns: 0, MaxJumpAdjustment: 85},
 		},
 		{
-			"heap-poisson", 1000, 3, 1,
-			[]plurality.Option{plurality.WithSeed(9), plurality.WithModel(plurality.HeapPoisson)},
+			// No public model spells the event-heap reference, so this
+			// row calls Run directly, on the streams of seed 9.
+			"heap-poisson", 1000, 3, 1, nil,
 			Result{Done: true, Winner: 0, ConsensusTime: 1122.9101548491255, FirstHaltTime: 0, EndgameSafe: true, Time: 1122.9101548491255, Ticks: 1122708, Jumps: 4046, Churns: 0, MaxJumpAdjustment: 66},
 		},
 		{
@@ -91,18 +96,46 @@ func TestRunGoldenBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			job, err := plurality.NewJob("core", counts, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
+			var got Result
+			if tc.name == "heap-poisson" {
+				got = runHeap(t, counts)
+			} else {
+				job, err := plurality.NewJob("core", counts, tc.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := job.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _ = rep.Core()
 			}
-			rep, err := job.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _ := rep.Core()
 			if got != tc.want {
 				t.Fatalf("result drifted from the pre-packing engine:\n got  %+v\n want %+v", got, tc.want)
 			}
 		})
 	}
+}
+
+// runHeap runs the protocol on the complete graph under the event-heap
+// scheduler, with the streams and budget a Job seeded with 9 would use.
+func runHeap(t *testing.T, counts []int64) Result {
+	t.Helper()
+	pop, err := population.FromCounts(counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.NewComplete(pop.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.NewHeapPoisson(pop.N(), 1, rng.At(9, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(pop, Config{Graph: g, Scheduler: s, Rand: rng.At(9, 1), MaxTime: plurality.DefaultMaxTime})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -124,24 +124,13 @@ func validate(pop *population.Population, cfg Config) error {
 		return errors.New("core: nil scheduler")
 	case cfg.Rand == nil:
 		return errors.New("core: nil rand")
-	case cfg.MaxTime <= 0:
-		return fmt.Errorf("core: MaxTime = %v, want > 0", cfg.MaxTime)
-	case cfg.MaxTime > maxTimeInt32Safe:
-		return fmt.Errorf("core: MaxTime = %v exceeds %d, the bound that keeps per-node tick counters in int32", cfg.MaxTime, int64(maxTimeInt32Safe))
 	case cfg.Graph.N() != pop.N():
 		return fmt.Errorf("core: graph has %d nodes, population %d", cfg.Graph.N(), pop.N())
 	case cfg.Scheduler.N() != pop.N():
 		return fmt.Errorf("core: scheduler has %d nodes, population %d", cfg.Scheduler.N(), pop.N())
-	case cfg.CrashFraction < 0 || cfg.CrashFraction >= 1:
-		return fmt.Errorf("core: CrashFraction = %v, want [0, 1)", cfg.CrashFraction)
-	case cfg.ChurnRate < 0 || cfg.ChurnRate >= 1:
-		return fmt.Errorf("core: ChurnRate = %v, want [0, 1)", cfg.ChurnRate)
-	case cfg.DesyncFraction < 0 || cfg.DesyncFraction >= 1:
-		return fmt.Errorf("core: DesyncFraction = %v, want [0, 1)", cfg.DesyncFraction)
-	case cfg.DesyncFraction > 0 && cfg.DesyncSpread <= 0:
-		return fmt.Errorf("core: DesyncFraction set but DesyncSpread = %d", cfg.DesyncSpread)
-	case cfg.DesyncSpread > math.MaxInt32:
-		return fmt.Errorf("core: DesyncSpread = %d does not fit the int32 working-time representation", cfg.DesyncSpread)
+	}
+	if err := cfg.Check(); err != nil {
+		return err
 	}
 	if adv := cfg.Adversary; adv != nil && adv.Family() == adversary.FamilyByzantine {
 		return fmt.Errorf("core: the %s adversary has no lying channel here — protocol samples carry bits and real times alongside colors; use the generic rule engines for Byzantine sampling", adv.Desc().Name)
@@ -156,6 +145,31 @@ func validate(pop *population.Population, cfg Config) error {
 		if _, ok := cfg.Graph.(graph.Complete); !ok {
 			return fmt.Errorf("core: CrashFraction = %v requires the complete graph, got %T (crashed nodes remain sampled; a sparse neighborhood of crashed nodes would deadlock)", cfg.CrashFraction, cfg.Graph)
 		}
+	}
+	return nil
+}
+
+// Check reports the first of cfg's numeric settings that is out of range:
+// the checks of Run that need no population, graph, scheduler or
+// generator. The negated comparisons reject NaN too.
+func (cfg Config) Check() error {
+	switch {
+	case !(cfg.MaxTime > 0):
+		return fmt.Errorf("core: MaxTime = %v, want > 0", cfg.MaxTime)
+	case cfg.MaxTime > maxTimeInt32Safe:
+		return fmt.Errorf("core: MaxTime = %v exceeds %d, the bound that keeps per-node tick counters in int32", cfg.MaxTime, int64(maxTimeInt32Safe))
+	case !(cfg.CrashFraction >= 0 && cfg.CrashFraction < 1):
+		return fmt.Errorf("core: CrashFraction = %v, want [0, 1)", cfg.CrashFraction)
+	case !(cfg.ChurnRate >= 0 && cfg.ChurnRate < 1):
+		return fmt.Errorf("core: ChurnRate = %v, want [0, 1)", cfg.ChurnRate)
+	case !(cfg.DesyncFraction >= 0 && cfg.DesyncFraction < 1):
+		return fmt.Errorf("core: DesyncFraction = %v, want [0, 1)", cfg.DesyncFraction)
+	case cfg.DesyncFraction > 0 && cfg.DesyncSpread <= 0:
+		return fmt.Errorf("core: DesyncFraction set but DesyncSpread = %d", cfg.DesyncSpread)
+	case cfg.DesyncSpread > math.MaxInt32:
+		return fmt.Errorf("core: DesyncSpread = %d does not fit the int32 working-time representation", cfg.DesyncSpread)
+	case math.IsNaN(cfg.ProbeInterval):
+		return errors.New("core: ProbeInterval is NaN")
 	}
 	return nil
 }

@@ -58,9 +58,8 @@ type Scenario struct {
 	// "annealed-gnp" (p).
 	Topology      string  `json:"topology"`
 	TopologyParam float64 `json:"topologyParam,omitempty"`
-	// Model selects the scheduler, a row of runspec.Models: "sequential",
-	// "poisson" or "heap-poisson". "synchronous" is rejected with
-	// ErrSynchronousCell.
+	// Model selects the scheduler, a row of runspec.Models: "sequential"
+	// or "poisson". "synchronous" is rejected with ErrSynchronousCell.
 	Model string `json:"model"`
 	// Crash is the crashed-node fraction (core protocol on the complete
 	// graph only; see core.Config.CrashFraction).

@@ -28,6 +28,7 @@ func TestScenarioValidate(t *testing.T) {
 		{"non-square torus", func(s *Scenario) { s.Topology = "torus"; s.N = 60 }, "square"},
 		{"gnp without p", func(s *Scenario) { s.Topology = "gnp" }, "gnp"},
 		{"bad model", func(s *Scenario) { s.Model = "round-robin" }, "unknown model"},
+		{"heap-poisson model", func(s *Scenario) { s.Model = "heap-poisson" }, `unknown model "heap-poisson"`},
 		{"crash on dynamics", func(s *Scenario) { s.Protocol = "voter"; s.Crash = 0.1 }, "crash injection"},
 		{"crash on cycle", func(s *Scenario) { s.Topology = "cycle"; s.Crash = 0.1 }, "complete topology"},
 		{"bad churn", func(s *Scenario) { s.Churn = 1.5 }, "churn"},

@@ -187,7 +187,7 @@ func TestApplyAxisCoverage(t *testing.T) {
 	sc := baseScenario()
 	good := []struct{ name, value string }{
 		{"protocol", "voter"},
-		{"model", "heap-poisson"},
+		{"model", "poisson"},
 		{"bias", "zipf:1.2"},
 		{"bias", "uniform"},
 		{"topology", "gnp:0.3"},

@@ -59,8 +59,8 @@ type Config struct {
 	// Classes is the degree-class partition (graph.Classed.Classes()).
 	// Required; class counts must match the matrix row sums.
 	Classes []graph.Class
-	// Scheduler supplies the asynchronous time model; its node count must
-	// equal the class total. Required.
+	// Scheduler supplies the asynchronous time model. Required: a
+	// sched.TimeScheduler whose node count equals the class total.
 	Scheduler sched.Scheduler
 	// Rand drives all engine sampling. Required.
 	Rand *rng.RNG
@@ -101,7 +101,6 @@ type Runner struct {
 	deg     []int64
 	sampled []population.Color
 	times   []float64
-	ticks   []sched.Tick
 }
 
 // Run is Runner's buffer-reusing equivalent of the package-level Run.
@@ -152,6 +151,9 @@ func (rn *Runner) Run(m, und []int64, rule occupancy.Rule, cfg Config) (occupanc
 	}
 	if cfg.Scheduler == nil {
 		return occupancy.Result{}, errors.New("lumped: nil scheduler")
+	}
+	if _, ok := cfg.Scheduler.(sched.TimeScheduler); !ok {
+		return occupancy.Result{}, fmt.Errorf("lumped: scheduler %T has no NextTimes; use *sched.Sequential or *sched.Poisson", cfg.Scheduler)
 	}
 	if int64(cfg.Scheduler.N()) != n {
 		return occupancy.Result{}, fmt.Errorf("lumped: scheduler has %d nodes, classes total %d", cfg.Scheduler.N(), n)
@@ -413,10 +415,6 @@ func plurality(counts []int64) population.Color {
 	return population.Color(best)
 }
 
-// stopCheckStride mirrors the occupancy engine: Stop polls happen once per
-// batch (or per stride on the generic path), never per activation.
-const stopCheckStride = 1024
-
 // runMatrix executes the per-activation matrix engine, consuming tick times
 // from the scheduler in batches; it mirrors the occupancy engine's tick
 // mode with the class dimension added.
@@ -493,81 +491,27 @@ func (rn *Runner) runMatrix(m []int64, rule occupancy.Rule, cfg Config, n int64,
 		return fmt.Errorf("lumped: rule %s returned population.None; rules with an undecided state must implement occupancy.Undecided", rule.Name())
 	}
 
-	switch sc := cfg.Scheduler.(type) {
-	case sched.TimeScheduler:
-		if cap(rn.times) < sched.BatchSize {
-			rn.times = make([]float64, sched.BatchSize)
+	sc := cfg.Scheduler.(sched.TimeScheduler) // Run checked
+	if cap(rn.times) < sched.BatchSize {
+		rn.times = make([]float64, sched.BatchSize)
+	}
+	buf := rn.times[:sched.BatchSize]
+	for {
+		if cfg.Stop != nil && cfg.Stop() {
+			return finish(occupancy.ErrStopped)
 		}
-		buf := rn.times[:sched.BatchSize]
-		for {
-			if cfg.Stop != nil && cfg.Stop() {
-				return finish(occupancy.ErrStopped)
-			}
-			sc.NextTimes(buf)
-			for _, now := range buf {
-				if now > cfg.MaxTime {
-					return finish(occupancy.ErrTimeLimit)
-				}
-				ticks++
-				last = now
-				mr.step()
-				if mr.badNone {
-					return occupancy.Result{}, badNoneErr()
-				}
-				mr.maybeObserve(now, ticks)
-				if mr.done {
-					return finish(nil)
-				}
-			}
-		}
-	case sched.BatchScheduler:
-		if cap(rn.ticks) < sched.BatchSize {
-			rn.ticks = make([]sched.Tick, sched.BatchSize)
-		}
-		buf := rn.ticks[:sched.BatchSize]
-		for {
-			if cfg.Stop != nil && cfg.Stop() {
-				return finish(occupancy.ErrStopped)
-			}
-			sc.NextBatch(buf)
-			for _, t := range buf {
-				if t.Time > cfg.MaxTime {
-					return finish(occupancy.ErrTimeLimit)
-				}
-				ticks++
-				last = t.Time
-				mr.step()
-				if mr.badNone {
-					return occupancy.Result{}, badNoneErr()
-				}
-				mr.maybeObserve(t.Time, ticks)
-				if mr.done {
-					return finish(nil)
-				}
-			}
-		}
-	default:
-		stopCheck := 0
-		for {
-			if cfg.Stop != nil {
-				if stopCheck--; stopCheck <= 0 {
-					stopCheck = stopCheckStride
-					if cfg.Stop() {
-						return finish(occupancy.ErrStopped)
-					}
-				}
-			}
-			t := cfg.Scheduler.Next()
-			if t.Time > cfg.MaxTime {
+		sc.NextTimes(buf)
+		for _, now := range buf {
+			if now > cfg.MaxTime {
 				return finish(occupancy.ErrTimeLimit)
 			}
 			ticks++
-			last = t.Time
+			last = now
 			mr.step()
 			if mr.badNone {
 				return occupancy.Result{}, badNoneErr()
 			}
-			mr.maybeObserve(t.Time, ticks)
+			mr.maybeObserve(now, ticks)
 			if mr.done {
 				return finish(nil)
 			}

@@ -2,6 +2,7 @@ package lumped_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"plurality/internal/graph"
@@ -367,6 +368,7 @@ func TestLumpedValidation(t *testing.T) {
 		und  []int64
 		rule occupancy.Rule
 		mut  func(*lumped.Config)
+		want string // a substring of the error, when set
 	}{
 		{name: "nil rule", m: ok, rule: nil},
 		{name: "no classes", m: ok, rule: voter.Rule{}, mut: func(c *lumped.Config) { c.Classes = nil }},
@@ -376,6 +378,8 @@ func TestLumpedValidation(t *testing.T) {
 		{name: "undecided without rule", m: []int64{6, 3, 5, 5}, und: []int64{1, 0}, rule: voter.Rule{}},
 		{name: "undecided length", m: ok, und: []int64{0}, rule: usd.Rule{}},
 		{name: "nil scheduler", m: ok, rule: voter.Rule{}, mut: func(c *lumped.Config) { c.Scheduler = nil }},
+		{name: "no NextTimes", m: ok, rule: voter.Rule{}, mut: func(c *lumped.Config) { c.Scheduler, _ = sched.NewHeapPoisson(20, 1, rng.At(1, 0)) },
+			want: "scheduler *sched.HeapPoisson has no NextTimes"},
 		{name: "scheduler size", m: ok, rule: voter.Rule{}, mut: func(c *lumped.Config) { c.Scheduler = poisson(t, 21, 1) }},
 		{name: "nil rand", m: ok, rule: voter.Rule{}, mut: func(c *lumped.Config) { c.Rand = nil }},
 		{name: "max time", m: ok, rule: voter.Rule{}, mut: func(c *lumped.Config) { c.MaxTime = 0 }},
@@ -386,8 +390,8 @@ func TestLumpedValidation(t *testing.T) {
 			tc.mut(&cfg)
 		}
 		mm := append([]int64(nil), tc.m...)
-		if _, err := lumped.Run(mm, tc.und, tc.rule, cfg); err == nil {
-			t.Errorf("%s: expected error", tc.name)
+		if _, err := lumped.Run(mm, tc.und, tc.rule, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -18,7 +18,7 @@
 // per-node engines' distributions of consensus time, tick counts and
 // winners — gated by the KS/chi-square equivalence tests in this package —
 // while consuming the RNG differently, so fixed-seed trajectories differ
-// between engines the way the Poisson and HeapPoisson schedulers differ.
+// between engines.
 //
 // # Leap mode
 //
@@ -38,10 +38,10 @@
 //
 // # Tick mode
 //
-// Rules without a kernel, churn injection, and the HeapPoisson reference
-// scheduler run activation by activation: the activated node's color and
-// the neighbor samples are drawn from the cumulative histogram in O(k),
-// still O(k) memory, with tick times consumed from the scheduler.
+// Rules without a kernel, churn injection, observers and adversaries run
+// activation by activation: the activated node's color and the neighbor
+// samples are drawn from the cumulative histogram in O(k), still O(k)
+// memory, with tick times consumed from the scheduler's NextTimes.
 package occupancy
 
 import (
@@ -118,8 +118,8 @@ type Config struct {
 	WithSelf bool
 	// Scheduler supplies the asynchronous time model. Leap mode reads only
 	// its type and parameters (*sched.Sequential grid or *sched.Poisson
-	// rate); tick mode consumes its tick stream. Required; its node count
-	// must equal the histogram total.
+	// rate); tick mode consumes its tick times. Required: a
+	// sched.TimeScheduler whose node count equals the histogram total.
 	Scheduler sched.Scheduler
 	// Rand drives all engine sampling. Required.
 	Rand *rng.RNG
@@ -198,7 +198,6 @@ func Run(counts []int64, rule Rule, cfg Config) (Result, error) {
 type Runner struct {
 	sampled []population.Color
 	times   []float64
-	ticks   []sched.Tick
 	hist    []int64
 }
 
@@ -295,6 +294,9 @@ func validate(counts []int64, rule Rule, cfg Config) (int64, error) {
 	}
 	if cfg.Scheduler == nil {
 		return 0, errors.New("occupancy: nil scheduler")
+	}
+	if _, ok := cfg.Scheduler.(sched.TimeScheduler); !ok {
+		return 0, fmt.Errorf("occupancy: scheduler %T has no NextTimes; use *sched.Sequential or *sched.Poisson", cfg.Scheduler)
 	}
 	if cfg.Rand == nil {
 		return 0, errors.New("occupancy: nil rand")
@@ -689,81 +691,27 @@ func (rn *Runner) runTick(counts []int64, rule Rule, cfg Config, n int64, colors
 		return tr.res, err
 	}
 
-	switch sc := cfg.Scheduler.(type) {
-	case sched.TimeScheduler:
-		if cap(rn.times) < sched.BatchSize {
-			rn.times = make([]float64, sched.BatchSize)
+	sc := cfg.Scheduler.(sched.TimeScheduler) // validate checked
+	if cap(rn.times) < sched.BatchSize {
+		rn.times = make([]float64, sched.BatchSize)
+	}
+	buf := rn.times[:sched.BatchSize]
+	for {
+		if cfg.Stop != nil && cfg.Stop() {
+			return finish(ErrStopped)
 		}
-		buf := rn.times[:sched.BatchSize]
-		for {
-			if cfg.Stop != nil && cfg.Stop() {
-				return finish(ErrStopped)
-			}
-			sc.NextTimes(buf)
-			for _, now := range buf {
-				if now > cfg.MaxTime {
-					return finish(ErrTimeLimit)
-				}
-				ticks++
-				last = now
-				tr.step(now)
-				if tr.badNone {
-					return Result{}, badNoneErr(rule)
-				}
-				tr.maybeObserve(now, ticks)
-				if tr.done {
-					return finish(nil)
-				}
-			}
-		}
-	case sched.BatchScheduler:
-		if cap(rn.ticks) < sched.BatchSize {
-			rn.ticks = make([]sched.Tick, sched.BatchSize)
-		}
-		buf := rn.ticks[:sched.BatchSize]
-		for {
-			if cfg.Stop != nil && cfg.Stop() {
-				return finish(ErrStopped)
-			}
-			sc.NextBatch(buf)
-			for _, t := range buf {
-				if t.Time > cfg.MaxTime {
-					return finish(ErrTimeLimit)
-				}
-				ticks++
-				last = t.Time
-				tr.step(t.Time)
-				if tr.badNone {
-					return Result{}, badNoneErr(rule)
-				}
-				tr.maybeObserve(t.Time, ticks)
-				if tr.done {
-					return finish(nil)
-				}
-			}
-		}
-	default:
-		stopCheck := 0
-		for {
-			if cfg.Stop != nil {
-				if stopCheck--; stopCheck <= 0 {
-					stopCheck = stopCheckStride
-					if cfg.Stop() {
-						return finish(ErrStopped)
-					}
-				}
-			}
-			t := cfg.Scheduler.Next()
-			if t.Time > cfg.MaxTime {
+		sc.NextTimes(buf)
+		for _, now := range buf {
+			if now > cfg.MaxTime {
 				return finish(ErrTimeLimit)
 			}
 			ticks++
-			last = t.Time
-			tr.step(t.Time)
+			last = now
+			tr.step(now)
 			if tr.badNone {
 				return Result{}, badNoneErr(rule)
 			}
-			tr.maybeObserve(t.Time, ticks)
+			tr.maybeObserve(now, ticks)
 			if tr.done {
 				return finish(nil)
 			}

@@ -49,7 +49,7 @@ func voterRule() dynRule         { return dynRule{builtinRules()[1]} }
 func threeMajorityRule() dynRule { return dynRule{builtinRules()[2]} }
 
 func TestRunReachesConsensus(t *testing.T) {
-	for _, model := range []string{"sequential", "poisson", "heap-poisson"} {
+	for _, model := range []string{"sequential", "poisson"} {
 		for _, rule := range []Rule{twoChoicesRule(), voterRule(), threeMajorityRule()} {
 			counts := []int64{600, 300, 300}
 			res, err := Run(counts, rule, Config{
@@ -147,18 +147,21 @@ func TestRunValidation(t *testing.T) {
 		name   string
 		counts []int64
 		cfg    Config
+		want   string
 	}{
-		{"nil-rand", []int64{5, 5}, Config{Scheduler: good.Scheduler, MaxTime: 1}},
-		{"nil-sched", []int64{5, 5}, Config{Rand: good.Rand, MaxTime: 1}},
-		{"bad-maxtime", []int64{5, 5}, Config{Scheduler: good.Scheduler, Rand: good.Rand}},
-		{"bad-churn", []int64{5, 5}, Config{Scheduler: good.Scheduler, Rand: good.Rand, MaxTime: 1, Churn: 1}},
-		{"negative-count", []int64{11, -1}, good},
-		{"empty", nil, good},
-		{"sched-mismatch", []int64{5, 6}, good},
+		{"nil-rand", []int64{5, 5}, Config{Scheduler: good.Scheduler, MaxTime: 1}, "nil rand"},
+		{"nil-sched", []int64{5, 5}, Config{Rand: good.Rand, MaxTime: 1}, "nil scheduler"},
+		{"no-next-times", []int64{5, 5}, Config{Scheduler: mkSched(t, "heap-poisson", 10, 1), Rand: good.Rand, MaxTime: 1},
+			"scheduler *sched.HeapPoisson has no NextTimes"},
+		{"bad-maxtime", []int64{5, 5}, Config{Scheduler: good.Scheduler, Rand: good.Rand}, "MaxTime"},
+		{"bad-churn", []int64{5, 5}, Config{Scheduler: good.Scheduler, Rand: good.Rand, MaxTime: 1, Churn: 1}, "Churn"},
+		{"negative-count", []int64{11, -1}, good, "negative count"},
+		{"empty", nil, good, "empty histogram"},
+		{"sched-mismatch", []int64{5, 6}, good, "scheduler has 10 nodes"},
 	}
 	for _, tc := range cases {
-		if _, err := Run(tc.counts, twoChoicesRule(), tc.cfg); err == nil {
-			t.Errorf("%s: no error", tc.name)
+		if _, err := Run(tc.counts, twoChoicesRule(), tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

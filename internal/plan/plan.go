@@ -98,7 +98,6 @@ const (
 	// Scheduler models.
 	Sequential
 	Poisson
-	HeapPoisson
 	Synchronous
 	// Adversary families, and adversaries that target individual nodes.
 	Scheduling
@@ -128,8 +127,7 @@ var capNames = [numCaps]string{
 	LeapEps: "WithLeapEpsilon", ODEThreshold: "WithODEThreshold", Adversary: "WithAdversary",
 	TickObserver: "an OnTick observer",
 	Clique:       "the complete topology", Annealed: "an annealed topology", Quenched: "a quenched topology",
-	Sequential: "WithModel(Sequential)", Poisson: "WithModel(Poisson)",
-	HeapPoisson: "WithModel(HeapPoisson)", Synchronous: "WithModel(Synchronous)",
+	Sequential: "WithModel(Sequential)", Poisson: "WithModel(Poisson)", Synchronous: "WithModel(Synchronous)",
 	Scheduling: "a scheduling adversary", Corruption: "a corruption adversary",
 	Byzantine: "a Byzantine adversary", PerNodeAdversary: "a per-node adversary",
 	FlowLaw: "a protocol without a flow law", AutoN: "automatic escalation below LeapAutoN",
@@ -159,7 +157,7 @@ type Request struct {
 	Runner   Cap            // RunDynamic (also the zero value), RunSync, RunCore or RunOneBit
 	Want     Cap            // WantAuto (also the zero value), WantPerNode, WantOccupancy or WantLeap
 	Topology graph.Symmetry // the communication graph's class
-	Model    Cap            // Sequential, Poisson, HeapPoisson, Synchronous; 0 leaves it open
+	Model    Cap            // Sequential, Poisson, Synchronous; 0 leaves it open
 	Opts     Set            // the applied options, and TickObserver
 	// Family is the active adversary's family (0: none); PerNode marks one
 	// that targets individual nodes.

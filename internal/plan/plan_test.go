@@ -92,7 +92,7 @@ func requests(yield func(Request)) {
 		for _, runtime := range []Set{0, Of(Transport)} {
 			for _, want := range []Cap{WantAuto, WantPerNode, WantOccupancy, WantLeap} {
 				for topo := graph.SymClique; topo <= graph.SymQuenched; topo++ {
-					for _, model := range []Cap{0, Sequential, Poisson, HeapPoisson, Synchronous} {
+					for _, model := range []Cap{0, Sequential, Poisson, Synchronous} {
 						for _, o := range opts {
 							for _, a := range advs {
 								for _, flow := range []bool{false, true} {

@@ -32,8 +32,7 @@ type Row struct {
 var (
 	common      = Of(Seed, TrialWorkers, Observer)
 	async       = common | Of(Model, MaxTime, GraphOpt, EngineOpt)
-	asyncModels = Of(Sequential, Poisson, HeapPoisson)
-	o1Models    = Of(Sequential, Poisson) // the models with an O(1)-state clock
+	asyncModels = Of(Sequential, Poisson)
 	everywhere  = Of(Clique, Annealed, Quenched)
 	perNode     = Of(WantAuto, WantPerNode)
 )
@@ -42,11 +41,11 @@ var (
 // dynamics row that hosts a run — leap, then occupancy, lumped, per-node.
 var rows = []Row{
 	{Engine: Leap, Runner: RunDynamic, Want: Of(WantAuto, WantLeap), Options: async | Of(LeapEps, ODEThreshold),
-		Topology: Of(Clique), Models: o1Models, Histogram: true, Needs: Of(FlowLaw), AutoN: LeapAutoN},
+		Topology: Of(Clique), Models: asyncModels, Histogram: true, Needs: Of(FlowLaw), AutoN: LeapAutoN},
 	{Engine: Occupancy, Runner: RunDynamic, Want: Of(WantAuto, WantOccupancy), Options: async | Of(Churn, Adversary),
-		Topology: Of(Clique), Models: o1Models, Adversaries: Of(Scheduling, Corruption, Byzantine), Histogram: true},
+		Topology: Of(Clique), Models: asyncModels, Adversaries: Of(Scheduling, Corruption, Byzantine), Histogram: true},
 	{Engine: Lumped, Runner: RunDynamic, Want: Of(WantAuto, WantOccupancy), Options: async | Of(Churn, Adversary),
-		Topology: Of(Annealed), Models: o1Models, Histogram: true},
+		Topology: Of(Annealed), Models: asyncModels, Histogram: true},
 	{Engine: PerNode, Runner: RunDynamic, Want: perNode, Options: async | Of(ResponseDelay, EdgeLatency, TickObserver, Churn, Adversary),
 		Topology: everywhere, Models: asyncModels, Adversaries: Of(Scheduling, Corruption, Byzantine, PerNodeAdversary)},
 	{Engine: Sync, Runner: RunSync, Want: perNode, Options: common | Of(Model, MaxRounds, GraphOpt, EngineOpt, Adversary),
@@ -81,15 +80,12 @@ var whys = []struct {
 	{Leap, Of(Annealed, Quenched), "its flow laws need the complete topology"},
 	{Leap, Of(Churn), "churn breaks its flow laws; use EngineOccupancy"},
 	{Leap, Of(Adversary), "corruption and bias break its exchangeability-preserving flow laws; use an exact engine"},
-	{Leap, Of(HeapPoisson), "tau-leaping needs an O(1) rate law: the Sequential or Poisson model"},
 	{Leap, Of(FlowLaw), "tau-leaping advances the histogram along the protocol's flow law"},
 	{Occupancy, Of(Annealed, Quenched), "only the complete topology collapses to colour counts"},
-	{Occupancy, Of(HeapPoisson), heapPoissonWhy},
 	{Occupancy, Of(PerNodeAdversary), "it targets individual nodes, which the count-collapsed engine does not track"},
 	{Lumped, Of(Scheduling, Corruption, Byzantine, PerNodeAdversary), "the degree-class matrix represents neither the concrete nodes nor the clique histogram that bias and corruption act on"},
 	{Lumped, Of(Quenched), "quenched wiring is per-node state; only the complete graph and degree-class lumpable (annealed) topologies are count-collapsible"},
 	{Lumped, Of(Clique), "the clique collapses in the occupancy engine"},
-	{Lumped, Of(HeapPoisson), heapPoissonWhy},
 	{PerNode, Of(Histogram), "it needs a per-node population; materialize one for the per-node engine"},
 	{Sync, Of(WantOccupancy, WantLeap), "synchronous rounds run every node each round"},
 	{Sync, Of(Scheduling), "synchronous rounds have no activation order to bias"},
@@ -104,7 +100,7 @@ var whys = []struct {
 	{Node, Of(RunSync, RunCore, RunOneBit), "it runs asynchronous registry sampling dynamics only (two-choices, voter, 3-majority, usd, j-majority)"},
 	{Node, Of(WantPerNode, WantOccupancy, WantLeap, EngineOpt), "engines select simulator execution strategies; an engine choice does not apply to the node runtime, its own execution path"},
 	{Node, Of(GraphOpt, Annealed, Quenched), "live nodes sample every peer uniformly, so it needs the complete topology; topologies (WithGraph) are simulator-only"},
-	{Node, Of(Sequential, HeapPoisson), "each node runs a local Exp(1) clock: use the poisson model (WithModel(Poisson)) or omit WithModel"},
+	{Node, Of(Sequential), "each node runs a local Exp(1) clock: use the poisson model (WithModel(Poisson)) or omit WithModel"},
 	{Node, Of(ResponseDelay, EdgeLatency), "response delays and edge latencies are a transport property on the node runtime; inject latency with NewLossyChanTransport"},
 	{Node, Of(Churn, Observer, Crashes, Desync, Adversary, LeapEps, ODEThreshold), "live nodes share no global scheduler or engine state: churn, crash schedules, desynchronized starts, snapshot observation, adversaries and the leap error budget are simulator-only"},
 	{None, Of(ResponseDelay, EdgeLatency, TickObserver), "response delays, edge latencies and per-tick observers need per-node pending state"},
@@ -114,10 +110,6 @@ var whys = []struct {
 	{None, Of(MaxRounds), "rounds bound the synchronous runners only"},
 	{None, Of(Crashes), "crash injection is defined for the core protocol only"},
 }
-
-// heapPoissonWhy is why the count-collapsed engines refuse the O(n)-state
-// event-heap scheduler.
-const heapPoissonWhy = "counts runs promise O(k) memory, but the HeapPoisson scheduler is O(n); use Poisson (the same process) or Sequential"
 
 // why explains the path's lack of c.
 func why(e Engine, c Cap) string {

@@ -797,14 +797,13 @@ func request(cfg AsyncConfig, rule Rule, k int, n int64, histogram bool) plan.Re
 		Histogram: histogram,
 		N:         n,
 	}
+	// Any other scheduler leaves the model open; the engine the planner
+	// picks validates it.
 	switch cfg.Scheduler.(type) {
 	case *sched.Sequential:
 		r.Model = plan.Sequential
 	case *sched.Poisson:
 		r.Model = plan.Poisson
-	default:
-		// HeapPoisson, or any other scheduler without an O(1) rate law.
-		r.Model = plan.HeapPoisson
 	}
 	if _, zero := cfg.Delay.(sched.ZeroDelay); cfg.Delay != nil && !zero {
 		r.Opts |= plan.Of(plan.ResponseDelay)

@@ -268,12 +268,20 @@ func validate(pop *population.Population, cfg Config) error {
 		return errors.New("onebit: nil graph")
 	case cfg.Rand == nil:
 		return errors.New("onebit: nil rand")
+	case cfg.Graph.N() != pop.N():
+		return fmt.Errorf("onebit: graph has %d nodes, population %d", cfg.Graph.N(), pop.N())
+	}
+	return cfg.Check()
+}
+
+// Check reports the first of cfg's budgets that is out of range: the
+// checks of Run that need no population, graph or generator.
+func (cfg Config) Check() error {
+	switch {
 	case cfg.MaxPhases <= 0:
 		return fmt.Errorf("onebit: MaxPhases = %d, want > 0", cfg.MaxPhases)
 	case cfg.PropagationRounds < 0:
 		return fmt.Errorf("onebit: PropagationRounds = %d, want >= 0", cfg.PropagationRounds)
-	case cfg.Graph.N() != pop.N():
-		return fmt.Errorf("onebit: graph has %d nodes, population %d", cfg.Graph.N(), pop.N())
 	}
 	return nil
 }

@@ -73,8 +73,7 @@ func TestDescriptorIntegrity(t *testing.T) {
 }
 
 // TestValidateCounts pins the histogram guards every entry point shares —
-// they live on the descriptor so new protocols cannot skip them. (The
-// planner keeps the O(n) HeapPoisson scheduler off the counts runs.)
+// they live on the descriptor so new protocols cannot skip them.
 func TestValidateCounts(t *testing.T) {
 	d, _, err := Lookup("two-choices")
 	if err != nil {

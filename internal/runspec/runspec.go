@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"plurality"
+	"plurality/internal/sched"
 )
 
 // Model is one scheduler model: its canonical name and library value.
@@ -31,7 +32,6 @@ type Model struct {
 var Models = []Model{
 	{"sequential", plurality.Sequential},
 	{"poisson", plurality.Poisson},
-	{"heap-poisson", plurality.HeapPoisson},
 	{"synchronous", plurality.Synchronous},
 }
 
@@ -132,15 +132,19 @@ func ParseLatency(s string) (plurality.EdgeLatency, error) {
 		}
 		v = append(v, f)
 	}
+	var m plurality.EdgeLatency
 	switch {
 	case s == "" || s == "none":
 		return nil, nil
-	case name == "exp" && len(v) == 1 && v[0] > 0:
-		return plurality.ExpEdgeLatency(v[0]), nil
-	case name == "uniform" && len(v) == 2 && 0 <= v[0] && v[0] < v[1]:
-		return plurality.UniformEdgeLatency(v[0], v[1]), nil
+	case name == "exp" && len(v) == 1:
+		m = plurality.ExpEdgeLatency(v[0])
+	case name == "uniform" && len(v) == 2:
+		m = plurality.UniformEdgeLatency(v[0], v[1])
 	}
-	return nil, fmt.Errorf("latency %q, want none, exp:<mean> or uniform:<lo>:<hi>", s)
+	if m == nil || sched.CheckLatency(m) != nil {
+		return nil, fmt.Errorf("latency %q, want none, exp:<mean> or uniform:<lo>:<hi>", s)
+	}
+	return m, nil
 }
 
 // ParseBudget decodes an adversary budget f: a non-negative integer, or

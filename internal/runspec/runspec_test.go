@@ -63,7 +63,7 @@ func TestParseLatency(t *testing.T) {
 			t.Fatalf("ParseLatency(%q) = %v, %v; want model, nil", s, m, err)
 		}
 	}
-	for _, s := range []string{"exp", "exp:0", "exp:-1", "exp:x", "exp:1:x", "exp:1:2", "uniform:2:1", "uniform:1", "uniform:0:2:3", "uniform:0:x", "pareto:2"} {
+	for _, s := range []string{"exp", "exp:0", "exp:-1", "exp:nan", "exp:inf", "exp:x", "exp:1:x", "exp:1:2", "uniform:2:1", "uniform:-1:1", "uniform:0:inf", "uniform:1", "uniform:0:2:3", "uniform:0:x", "pareto:2"} {
 		if _, err := ParseLatency(s); err == nil {
 			t.Fatalf("ParseLatency(%q) should fail", s)
 		}
@@ -95,7 +95,7 @@ func TestParseEngine(t *testing.T) {
 // spellings, in table order.
 func TestLookupNamesTheTable(t *testing.T) {
 	_, err := LookupModel("warp")
-	if err == nil || err.Error() != `unknown model "warp" (sequential, poisson, heap-poisson, synchronous)` {
+	if err == nil || err.Error() != `unknown model "warp" (sequential, poisson, synchronous)` {
 		t.Errorf("LookupModel: %v", err)
 	}
 	_, err = LookupEngine("quantum")

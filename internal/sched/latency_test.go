@@ -70,3 +70,31 @@ func TestMaxLatencyDistribution(t *testing.T) {
 		t.Fatalf("E[max of two Exp(1)] = %v, want ≈ 1.5", got)
 	}
 }
+
+// TestCheckLatency: the parameter ranges the library and the run spec
+// grammar accept, and a model of another type passing unchecked.
+func TestCheckLatency(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		m  LatencyModel
+		ok bool
+	}{
+		{nil, true},
+		{negLatency{}, true},
+		{ExpLatency{Mean: 0.2}, true},
+		{ExpLatency{Mean: 0}, false},
+		{ExpLatency{Mean: -1}, false},
+		{ExpLatency{Mean: nan}, false},
+		{ExpLatency{Mean: inf}, false},
+		{UniformLatency{Min: 0, Max: 0.3}, true},
+		{UniformLatency{Min: 2, Max: 1}, false},
+		{UniformLatency{Min: 1, Max: 1}, false},
+		{UniformLatency{Min: -1, Max: 1}, false},
+		{UniformLatency{Min: nan, Max: 1}, false},
+		{UniformLatency{Min: 0, Max: inf}, false},
+	} {
+		if err := CheckLatency(tc.m); (err == nil) != tc.ok {
+			t.Errorf("CheckLatency(%#v) = %v, want ok = %v", tc.m, err, tc.ok)
+		}
+	}
+}

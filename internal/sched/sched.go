@@ -19,6 +19,7 @@ package sched
 import (
 	"container/heap"
 	"fmt"
+	"math"
 
 	"plurality/internal/rng"
 )
@@ -401,6 +402,24 @@ type UniformLatency struct {
 // SampleLatency implements LatencyModel.
 func (m UniformLatency) SampleLatency(r *rng.RNG, _, _ int) float64 {
 	return m.Min + (m.Max-m.Min)*r.Float64()
+}
+
+// CheckLatency reports an ExpLatency or UniformLatency whose parameters
+// are out of range: the mean must be finite and > 0, and 0 <= Min < Max
+// with both finite. Other models pass.
+func CheckLatency(m LatencyModel) error {
+	inf := math.Inf(1)
+	switch m := m.(type) {
+	case ExpLatency:
+		if !(m.Mean > 0 && m.Mean < inf) {
+			return fmt.Errorf("sched: exponential latency mean %v, want finite and > 0", m.Mean)
+		}
+	case UniformLatency:
+		if !(0 <= m.Min && m.Min < m.Max && m.Max < inf) {
+			return fmt.Errorf("sched: uniform latency on [%v, %v), want 0 <= lo < hi, both finite", m.Min, m.Max)
+		}
+	}
+	return nil
 }
 
 // MaxLatency returns the slower of two independent latency draws for the

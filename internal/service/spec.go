@@ -42,8 +42,8 @@ type JobSpec struct {
 	Counts []int64 `json:"counts"`
 	// Seed roots the run's determinism; 0 selects the library default (1).
 	Seed uint64 `json:"seed,omitempty"`
-	// Model is the communication model: "sequential" (default), "poisson",
-	// "heap-poisson" or "synchronous".
+	// Model is the communication model: "sequential" (default), "poisson"
+	// or "synchronous".
 	Model string `json:"model,omitempty"`
 	// Engine selects the dynamics execution engine: "auto" (default),
 	// "per-node", "occupancy" or "leap".

@@ -76,6 +76,7 @@ func TestKeyCanonicalization(t *testing.T) {
 func TestNormalizeRejects(t *testing.T) {
 	cases := map[string]JobSpec{
 		"unknown model":           {Protocol: "voter", Counts: []int64{2, 1}, Model: "warp"},
+		"heap-poisson model":      {Protocol: "voter", Counts: []int64{2, 1}, Model: "heap-poisson"},
 		"unknown engine":          {Protocol: "voter", Counts: []int64{2, 1}, Engine: "quantum"},
 		"negative trials":         {Protocol: "voter", Counts: []int64{2, 1}, Trials: -1},
 		"streaming multi-trial":   {Protocol: "voter", Counts: []int64{2, 1}, Trials: 3, ObserveInterval: 5},

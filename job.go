@@ -144,9 +144,40 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("plurality: job %s: graph has %d nodes, histogram %d", j.spec, g.N(), j.total)
 	}
 
+	// The negated comparisons reject NaN too.
+	if r := j.o.delayRate; j.o.set.Has(plan.ResponseDelay) && !(r > 0 && r < math.Inf(1)) {
+		return fmt.Errorf("plurality: job %s: WithResponseDelay(%v), want a finite rate > 0", j.spec, r)
+	}
+	if p := j.o.churnRate; j.o.set.Has(plan.Churn) && !(p >= 0 && p < 1) {
+		return fmt.Errorf("plurality: job %s: WithChurn(%v), want [0, 1)", j.spec, p)
+	}
+	if f := j.o.crashFraction; j.o.set.Has(plan.Crashes) && !(f >= 0 && f < 1) {
+		return fmt.Errorf("plurality: job %s: WithCrashes(%v), want [0, 1)", j.spec, f)
+	}
+	if err := sched.CheckLatency(j.o.latency); err != nil {
+		return fmt.Errorf("plurality: job %s: WithEdgeLatency: %w", j.spec, err)
+	}
+	if j.o.set.Has(plan.Observer) && math.IsNaN(j.o.observeInterval) {
+		return fmt.Errorf("plurality: job %s: WithObserver(NaN), want an interval (<= 0 observes every activation)", j.spec)
+	}
+	if j.kind != KindSyncDynamic && j.kind != KindOneExtraBit {
+		if j.o.maxTime <= 0 {
+			return fmt.Errorf("plurality: job %s: MaxTime = %v, want > 0", j.spec, j.o.maxTime)
+		}
+		if math.IsNaN(j.o.maxTime) {
+			return fmt.Errorf("plurality: job %s: MaxTime is NaN", j.spec)
+		}
+	}
+
+	// The core and OneExtraBit runners check their own ranges with the
+	// same functions their Run calls.
 	switch j.kind {
 	case KindCore:
-		if _, err := core.Plan(j.o.coreConfig(nil), int(j.total)); err != nil {
+		cfg := j.o.coreConfig(nil)
+		if err := cfg.Check(); err != nil {
+			return fmt.Errorf("plurality: job %s: %w", j.spec, err)
+		}
+		if _, err := core.Plan(cfg, int(j.total)); err != nil {
 			return err
 		}
 	case KindDynamic:
@@ -161,26 +192,8 @@ func (j *Job) Validate() error {
 			return fmt.Errorf("plurality: job %s: MaxRounds = %d, want > 0", j.spec, j.o.maxRounds)
 		}
 	case KindOneExtraBit:
-		if j.o.maxPhases <= 0 {
-			return fmt.Errorf("plurality: job %s: MaxPhases = %d, want > 0", j.spec, j.o.maxPhases)
-		}
-	}
-	// The negated comparisons reject NaN too.
-	if r := j.o.delayRate; j.o.set.Has(plan.ResponseDelay) && !(r > 0 && r < math.Inf(1)) {
-		return fmt.Errorf("plurality: job %s: WithResponseDelay(%v), want a finite rate > 0", j.spec, r)
-	}
-	if p := j.o.churnRate; j.o.set.Has(plan.Churn) && !(p >= 0 && p < 1) {
-		return fmt.Errorf("plurality: job %s: WithChurn(%v), want [0, 1)", j.spec, p)
-	}
-	if f := j.o.crashFraction; j.o.set.Has(plan.Crashes) && !(f >= 0 && f < 1) {
-		return fmt.Errorf("plurality: job %s: WithCrashes(%v), want [0, 1)", j.spec, f)
-	}
-	if j.kind != KindSyncDynamic && j.kind != KindOneExtraBit {
-		if j.o.maxTime <= 0 {
-			return fmt.Errorf("plurality: job %s: MaxTime = %v, want > 0", j.spec, j.o.maxTime)
-		}
-		if math.IsNaN(j.o.maxTime) {
-			return fmt.Errorf("plurality: job %s: MaxTime is NaN", j.spec)
+		if err := (onebit.Config{MaxPhases: j.o.maxPhases, PropagationRounds: j.o.propagationRounds}).Check(); err != nil {
+			return fmt.Errorf("plurality: job %s: %w", j.spec, err)
 		}
 	}
 	return nil
@@ -616,8 +629,6 @@ func (o *options) scheduler(n int) (sched.Scheduler, error) {
 		return sched.NewSequential(n, rng.At(o.seed, 0))
 	case Poisson:
 		return sched.NewPoisson(n, 1, rng.At(o.seed, 0))
-	case HeapPoisson:
-		return sched.NewHeapPoisson(n, 1, rng.At(o.seed, 0))
 	case Synchronous:
 		return nil, fmt.Errorf("plurality: the Synchronous model has no asynchronous scheduler; it selects the round-based dynamics engine")
 	default:

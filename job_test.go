@@ -320,8 +320,6 @@ func TestJobValidateEager(t *testing.T) {
 		{name: "tiny total", spec: "voter", counts: []int64{1}},
 		{name: "core n too small", spec: "core", counts: []int64{2, 1}},
 		{name: "core synchronous", spec: "core", counts: good, opts: []Option{WithModel(Synchronous)}},
-		{name: "counts heap-poisson", spec: "voter", counts: good,
-			opts: []Option{WithEngine(EngineOccupancy), WithModel(HeapPoisson)}},
 		{name: "graph size mismatch", spec: "voter", counts: good,
 			opts: []Option{WithGraph(mustGraph(t, 12))}},
 	}
@@ -393,6 +391,56 @@ func TestJobValidateRates(t *testing.T) {
 				t.Fatal("accepted an out-of-range value")
 			case !tc.ok && !strings.Contains(err.Error(), tc.option):
 				t.Fatalf("err = %v, want mention of %s", err, tc.option)
+			}
+		})
+	}
+}
+
+// TestJobValidateRanges: NewJob rejects what a run would reject, or
+// silently ignore, for options whose ranges the runners or the latency
+// models define; the in-range rows stay accepted.
+func TestJobValidateRanges(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		spec string
+		opt  Option
+		want string // a substring of the error; "" for an accepted value
+	}{
+		{"WithDesync(-0.1,10)", "core", WithDesync(-0.1, 10), "DesyncFraction"},
+		{"WithDesync(NaN,10)", "core", WithDesync(nan, 10), "DesyncFraction"},
+		{"WithDesync(0.5,0)", "core", WithDesync(0.5, 0), "DesyncSpread"},
+		{"WithDesync(0.1,10)", "core", WithDesync(0.1, 10), ""},
+		{"WithMaxTime(+Inf)", "core", WithMaxTime(inf), "MaxTime"},
+		{"WithProbe(NaN)", "core", WithProbe(nan, func(CoreProbe) {}), "ProbeInterval"},
+		{"WithProbe(-1)", "core", WithProbe(-1, func(CoreProbe) {}), ""},
+		{"WithPropagationRounds(-1)", "onebit", WithPropagationRounds(-1), "PropagationRounds"},
+		{"WithPropagationRounds(0)", "onebit", WithPropagationRounds(0), ""},
+		{"ExpEdgeLatency(-1)", "two-choices", WithEdgeLatency(ExpEdgeLatency(-1)), "latency mean"},
+		{"ExpEdgeLatency(NaN)", "two-choices", WithEdgeLatency(ExpEdgeLatency(nan)), "latency mean"},
+		{"ExpEdgeLatency(+Inf)", "core", WithEdgeLatency(ExpEdgeLatency(inf)), "latency mean"},
+		{"ExpEdgeLatency(0.5)", "two-choices", WithEdgeLatency(ExpEdgeLatency(0.5)), ""},
+		{"UniformEdgeLatency(2,1)", "two-choices", WithEdgeLatency(UniformEdgeLatency(2, 1)), "uniform latency"},
+		{"UniformEdgeLatency(-1,1)", "core", WithEdgeLatency(UniformEdgeLatency(-1, 1)), "uniform latency"},
+		{"UniformEdgeLatency(0,+Inf)", "two-choices", WithEdgeLatency(UniformEdgeLatency(0, inf)), "uniform latency"},
+		{"UniformEdgeLatency(0,0.3)", "core", WithEdgeLatency(UniformEdgeLatency(0, 0.3)), ""},
+		{"WithObserver(NaN)/two-choices", "two-choices", WithObserver(nan, func(Snapshot) {}), "WithObserver"},
+		{"WithObserver(NaN)/core", "core", WithObserver(nan, func(Snapshot) {}), "WithObserver"},
+		{"WithObserver(-1)", "two-choices", WithObserver(-1, func(Snapshot) {}), ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := []Option{tc.opt}
+			if tc.spec == "two-choices" {
+				opts = append(opts, WithEngine(EnginePerNode))
+			}
+			_, err := NewJob(tc.spec, []int64{600, 400}, opts...)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("rejected an in-range value: %v", err)
+			case tc.want != "" && err == nil:
+				t.Fatal("accepted an out-of-range value")
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("err = %v, want mention of %s", err, tc.want)
 			}
 		})
 	}

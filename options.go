@@ -21,10 +21,6 @@ const (
 	// superposition formulation (one global rate-n clock plus a uniform
 	// node choice).
 	Poisson
-	// HeapPoisson is the same continuous model generated by the O(log n)
-	// per-node event-heap engine, retained as the validated reference for
-	// Poisson. Prefer Poisson for large n.
-	HeapPoisson
 	// Synchronous selects the synchronous model for sampling dynamics:
 	// discrete simultaneous rounds (Theorem 1.1's setting) instead of an
 	// asynchronous scheduler. A Job over a registry protocol with

@@ -32,7 +32,7 @@ func TestReportEngineMatchesPlan(t *testing.T) {
 	for _, spec := range []string{"two-choices", "usd", "core", "onebit"} {
 		for _, eng := range []Option{nil, WithEngine(EnginePerNode), WithEngine(EngineOccupancy), WithEngine(EngineLeap)} {
 			for _, g := range []Graph{nil, annealed, cycle} {
-				for _, model := range []Option{nil, WithModel(Poisson), WithModel(HeapPoisson), WithModel(Synchronous)} {
+				for _, model := range []Option{nil, WithModel(Poisson), WithModel(Synchronous)} {
 					for _, extra := range []Option{nil, WithEdgeLatency(ExpEdgeLatency(0.1)), WithChurn(0.001),
 						WithAdversary(corrupt), WithObserver(1, func(Snapshot) {}), WithTransport(NewChanTransport())} {
 						counts := []int64{40, 24}

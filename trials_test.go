@@ -94,17 +94,3 @@ func TestRunCoreTrialsValidation(t *testing.T) {
 		t.Error("trials=0 should fail")
 	}
 }
-
-func TestRunCoreHeapPoissonModel(t *testing.T) {
-	counts, err := Biased(800, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := runJob(t, "core", counts, WithSeed(2), WithModel(HeapPoisson))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Converged || rep.Winner != 0 {
-		t.Fatalf("heap-poisson run failed: %+v", rep)
-	}
-}
