@@ -57,6 +57,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkModeFlags(fs, *sweep != ""); err != nil {
+		return err
+	}
 
 	if *sweep != "" {
 		return runSweeps(out, sweepConfig{
@@ -114,6 +117,29 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "(%s completed in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
 	}
 	return nil
+}
+
+// modeFlags names the flags only one mode reads: the table mode (-run,
+// -list) or the sweep mode (-sweep). -seed serves both.
+var modeFlags = map[string]string{
+	"run": "table", "list": "table", "quick": "table",
+	"smoke": "sweep", "trials": "sweep", "workers": "sweep", "timeout": "sweep",
+	"out": "sweep", "baseline": "sweep", "tol": "sweep",
+}
+
+// checkModeFlags rejects a set flag that the selected mode would ignore.
+func checkModeFlags(fs *flag.FlagSet, sweeping bool) error {
+	mode := "table"
+	if sweeping {
+		mode = "sweep"
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if m, ok := modeFlags[f.Name]; ok && m != mode && err == nil {
+			err = fmt.Errorf("-%s is a %s-mode flag; the %s mode ignores it", f.Name, m, mode)
+		}
+	})
+	return err
 }
 
 // sweepConfig carries the -sweep flag group.

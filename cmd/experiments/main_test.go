@@ -138,3 +138,41 @@ func TestSweepBadBaselinePath(t *testing.T) {
 		t.Fatal("missing baseline file should fail")
 	}
 }
+
+// TestFlagsOfTheOtherModeRejected: each mode rejects, by name, a flag only
+// the other mode reads instead of dropping it.
+func TestFlagsOfTheOtherModeRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-run", "e6", "-timeout", "1s"}, "-timeout"},
+		{[]string{"-run", "e6", "-smoke"}, "-smoke"},
+		{[]string{"-run", "e6", "-trials", "2"}, "-trials"},
+		{[]string{"-run", "e6", "-workers", "2"}, "-workers"},
+		{[]string{"-run", "e6", "-out", "x.json"}, "-out"},
+		{[]string{"-list", "-baseline", "x.json"}, "-baseline"},
+		{[]string{"-quick", "-tol", "0.1"}, "-tol"},
+		{[]string{"-sweep", "list", "-run", "e6"}, "-run"},
+		{[]string{"-sweep", "list", "-list"}, "-list"},
+		{[]string{"-sweep", "topology", "-quick"}, "-quick"},
+	} {
+		var buf bytes.Buffer
+		err := run(tc.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" is a") {
+			t.Errorf("%v: err = %v, want one naming %s", tc.args, err, tc.flag)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%v: wrote output before rejecting:\n%s", tc.args, buf.String())
+		}
+	}
+
+	// -seed serves both modes.
+	var buf bytes.Buffer
+	if err := run([]string{"-sweep", "list", "-seed", "3"}, &buf); err != nil {
+		t.Errorf("-sweep list -seed 3: %v", err)
+	}
+	if err := run([]string{"-list", "-seed", "3"}, &buf); err != nil {
+		t.Errorf("-list -seed 3: %v", err)
+	}
+}

@@ -5,20 +5,28 @@
 // places the harness in the stack, and EXPERIMENTS.md covers the sweep
 // engine that generalizes these tables.
 //
+// The experiments are clients of the public Job API: workloads come from
+// plurality.Biased and its siblings, and each grid point's trials from one
+// Job.Trials call seeded TrialSeed(Config.Seed, point). A run that ends
+// without consensus is counted in its table rather than aborting it. Only E8
+// (the sequential scheduler's cover time) and E10a (the Pólya urn) reach
+// below the API, to internal/sched and internal/urn, because they study the
+// model rather than a protocol run.
+//
 // Each experiment prints one or more tables (via trace.Table) followed by
 // "shape:" lines summarizing the fitted growth behaviour that the paper's
 // theory predicts. Experiments are deterministic given Config.Seed.
 package bench
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"io"
+	"sync"
 
-	"plurality/internal/core"
-	"plurality/internal/graph"
-	"plurality/internal/population"
-	"plurality/internal/protocols/dynamics"
-	"plurality/internal/rng"
-	"plurality/internal/sched"
+	"plurality"
+	"plurality/internal/stats"
 )
 
 // Config controls an experiment run.
@@ -141,77 +149,90 @@ func ByID(id string) (Experiment, bool) {
 
 // --- shared measurement helpers ------------------------------------------
 
-// trialPop instantiates a fresh population from counts.
-func trialPop(counts []int64) (*population.Population, error) {
-	return population.FromCounts(counts)
+// points runs an experiment's grid points as plurality Jobs, in order. The
+// i-th point's trials come from one Job.Trials call seeded
+// TrialSeed(Config.Seed, i), so every point draws streams of its own and a
+// table depends on the seed alone, not on the worker count.
+type points struct {
+	cfg  Config
+	next int
 }
 
-// runSync executes a sampling dynamic in the synchronous model and returns
-// the number of rounds to consensus and the winner.
-func runSync(rule dynamics.Rule, counts []int64, seed uint64, maxRounds int) (dynamics.SyncResult, error) {
-	pop, err := trialPop(counts)
+// trials runs the next grid point: trials runs of spec over counts. A run
+// that ends without consensus is a report for the table to count, not an
+// error.
+func (p *points) trials(spec string, counts []int64, trials int, opts ...plurality.Option) ([]plurality.Report, error) {
+	seed := plurality.TrialSeed(p.cfg.Seed, p.next)
+	p.next++
+	job, err := plurality.NewJob(spec, counts, append([]plurality.Option{plurality.WithSeed(seed)}, opts...)...)
 	if err != nil {
-		return dynamics.SyncResult{}, err
+		return nil, err
 	}
-	g, err := graph.NewComplete(pop.N())
-	if err != nil {
-		return dynamics.SyncResult{}, err
+	reps, err := job.Trials(context.TODO(), trials)
+	if errors.Is(err, plurality.ErrNoConsensus) || errors.Is(err, plurality.ErrTimeLimit) || errors.Is(err, plurality.ErrPhaseLimit) {
+		err = nil
 	}
-	return dynamics.RunSync(pop, rule, dynamics.SyncConfig{
-		Graph:     g,
-		Rand:      rng.At(seed, 0),
-		MaxRounds: maxRounds,
-	})
+	return reps, err
 }
 
-// runAsync executes a sampling dynamic in the asynchronous sequential model.
-func runAsync(rule dynamics.Rule, counts []int64, seed uint64, maxTime float64) (dynamics.AsyncResult, error) {
-	pop, err := trialPop(counts)
-	if err != nil {
-		return dynamics.AsyncResult{}, err
+// median returns the median of f over the reports keep accepts (NaN when
+// it accepts none). Consensus-time medians keep only converged runs.
+func median(reps []plurality.Report, keep func(plurality.Report) bool, f func(plurality.Report) float64) float64 {
+	var xs []float64
+	for _, r := range reps {
+		if keep(r) {
+			xs = append(xs, f(r))
+		}
 	}
-	g, err := graph.NewComplete(pop.N())
-	if err != nil {
-		return dynamics.AsyncResult{}, err
-	}
-	s, err := sched.NewSequential(pop.N(), rng.At(seed, 0))
-	if err != nil {
-		return dynamics.AsyncResult{}, err
-	}
-	return dynamics.RunAsync(pop, rule, dynamics.AsyncConfig{
-		Graph:     g,
-		Scheduler: s,
-		Rand:      rng.At(seed, 1),
-		MaxTime:   maxTime,
-	})
+	return stats.Median(xs)
 }
 
-// runCore executes the paper's asynchronous protocol. mutate, if non-nil,
-// adjusts the configuration before the run (scheduler swaps, ablations,
-// delays, endgame-only studies).
-func runCore(counts []int64, seed uint64, maxTime float64, mutate func(*core.Config)) (core.Result, error) {
-	pop, err := trialPop(counts)
-	if err != nil {
-		return core.Result{}, err
+// count returns how many of the reports ok accepts.
+func count(reps []plurality.Report, ok func(plurality.Report) bool) int {
+	n := 0
+	for _, r := range reps {
+		if ok(r) {
+			n++
+		}
 	}
-	g, err := graph.NewComplete(pop.N())
-	if err != nil {
-		return core.Result{}, err
+	return n
+}
+
+// share formats count(reps, ok) out of all reports, as "3/5".
+func share(reps []plurality.Report, ok func(plurality.Report) bool) string {
+	return fmt.Sprintf("%d/%d", count(reps, ok), len(reps))
+}
+
+func all(plurality.Report) bool            { return true }
+func converged(r plurality.Report) bool    { return r.Converged }
+func won(r plurality.Report) bool          { return r.Converged && r.Winner == 0 }
+func rounds(r plurality.Report) float64    { return float64(r.Rounds) }
+func consensus(r plurality.Report) float64 { return r.ConsensusTime }
+
+// coreResult returns a core report's full result.
+func coreResult(r plurality.Report) plurality.CoreResult {
+	res, _ := r.Core()
+	return res
+}
+
+// worstSync keeps the worst synchronization core probes report: the largest
+// poorly-synced fraction of the active nodes and the largest Spread90.
+// Job.Trials calls a probe from several workers at once, so it aggregates
+// under a lock.
+type worstSync struct {
+	mu     sync.Mutex
+	poor   float64
+	spread int64
+}
+
+func (w *worstSync) probe(p plurality.CoreProbe) {
+	if p.Active == 0 {
+		return
 	}
-	s, err := sched.NewSequential(pop.N(), rng.At(seed, 0))
-	if err != nil {
-		return core.Result{}, err
-	}
-	cfg := core.Config{
-		Graph:     g,
-		Scheduler: s,
-		Rand:      rng.At(seed, 1),
-		MaxTime:   maxTime,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return core.Run(pop, cfg)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.poor = max(w.poor, float64(p.PoorlySynced)/float64(p.Active))
+	w.spread = max(w.spread, p.Spread90)
 }
 
 // pick returns the quick or full variant of a parameter grid.

@@ -1,11 +1,10 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
+	"math"
 
-	"plurality/internal/core"
-	"plurality/internal/population"
+	"plurality"
 	"plurality/internal/trace"
 )
 
@@ -46,12 +45,13 @@ func runAB1(cfg Config) error {
 		n      = pick(cfg, 4000, 8000)
 		k      = 4
 		trials = pick(cfg, 3, 3)
+		pts    = points{cfg: cfg}
 	)
-	spec, err := core.Plan(core.Config{}, n)
+	spec, err := plurality.PlanCore(n)
 	if err != nil {
 		return err
 	}
-	counts, err := population.BiasedCounts(n, k, 0.5)
+	counts, err := plurality.Biased(n, k, 0.5)
 	if err != nil {
 		return err
 	}
@@ -63,49 +63,17 @@ func runAB1(cfg Config) error {
 		if delta < 2 {
 			continue
 		}
-		delta := delta
-		var worstPoor float64
-		ts, err := runTrials(trials, func(trial int) (measurement, error) {
-			var localWorst float64
-			res, runErr := runCore(counts, cfg.Seed+uint64(delta*100+trial), 1e6, func(c *core.Config) {
-				c.Delta = delta
-				c.ProbeInterval = 10
-				c.OnProbe = func(p core.Probe) {
-					if p.Active == 0 {
-						return
-					}
-					if f := float64(p.PoorlySynced) / float64(p.Active); f > localWorst {
-						localWorst = f
-					}
-				}
-			})
-			if runErr != nil && !errors.Is(runErr, core.ErrNoConsensus) {
-				return measurement{}, runErr
-			}
-			if localWorst > worstPoor {
-				worstPoor = localWorst
-			}
-			return measurement{
-				value: res.ConsensusTime,
-				win:   res.Done && res.Winner == 0,
-				aux:   boolTo01(res.Done),
-			}, nil
-		})
+		var worst worstSync
+		reps, err := pts.trials("core", counts, trials, plurality.WithDelta(delta), plurality.WithProbe(10, worst.probe))
 		if err != nil {
 			return err
 		}
-		converged := 0
-		for _, m := range ts {
-			if m.aux > 0 {
-				converged++
-			}
-		}
 		tbl.AddRow(
 			fmt.Sprintf("%d", delta),
-			fmt.Sprintf("%d/%d", converged, trials),
-			fmt.Sprintf("%d/%d", countWins(ts), trials),
-			fmt.Sprintf("%.0f", medianValue(ts)),
-			fmt.Sprintf("%.3f", worstPoor),
+			share(reps, converged),
+			share(reps, won),
+			fmt.Sprintf("%.0f", median(reps, converged, consensus)),
+			fmt.Sprintf("%.3f", worst.poor),
 		)
 	}
 	tbl.Fprint(cfg.Out)
@@ -118,14 +86,15 @@ func runAB1(cfg Config) error {
 // its error shrinks like 1/sqrt(L).
 func runAB2(cfg Config) error {
 	var (
-		n = pick(cfg, 4000, 8000)
-		k = 4
+		n   = pick(cfg, 4000, 8000)
+		k   = 4
+		pts = points{cfg: cfg}
 	)
-	spec, err := core.Plan(core.Config{}, n)
+	spec, err := plurality.PlanCore(n)
 	if err != nil {
 		return err
 	}
-	counts, err := population.BiasedCounts(n, k, 1)
+	counts, err := plurality.Biased(n, k, 1)
 	if err != nil {
 		return err
 	}
@@ -134,35 +103,18 @@ func runAB2(cfg Config) error {
 		fmt.Sprintf("AB2: gadget sample sweep, n=%d, Delta=%d (default L=%d)", n, spec.Delta, spec.GadgetSamples),
 		"L", "max spread90", "max poor fraction", "converged", "plurality won")
 	for _, l := range samples {
-		var (
-			worstSpread int64
-			worstPoor   float64
-		)
-		res, err := runCore(counts, cfg.Seed+uint64(l), 1e6, func(c *core.Config) {
-			c.GadgetSamples = l
-			c.Phases = 10
-			c.ProbeInterval = 10
-			c.OnProbe = func(p core.Probe) {
-				if p.Active == 0 {
-					return
-				}
-				if p.Spread90 > worstSpread {
-					worstSpread = p.Spread90
-				}
-				if f := float64(p.PoorlySynced) / float64(p.Active); f > worstPoor {
-					worstPoor = f
-				}
-			}
-		})
-		if err != nil && !errors.Is(err, core.ErrNoConsensus) {
+		var worst worstSync
+		reps, err := pts.trials("core", counts, 1,
+			plurality.WithGadgetSamples(l), plurality.WithPhases(10), plurality.WithProbe(10, worst.probe))
+		if err != nil {
 			return err
 		}
 		tbl.AddRow(
 			fmt.Sprintf("%d", l),
-			fmt.Sprintf("%d", worstSpread),
-			fmt.Sprintf("%.3f", worstPoor),
-			fmt.Sprintf("%v", res.Done),
-			fmt.Sprintf("%v", res.Done && res.Winner == 0),
+			fmt.Sprintf("%d", worst.spread),
+			fmt.Sprintf("%.3f", worst.poor),
+			fmt.Sprintf("%v", converged(reps[0])),
+			fmt.Sprintf("%v", won(reps[0])),
 		)
 	}
 	tbl.Fprint(cfg.Out)
@@ -178,8 +130,9 @@ func runAB3(cfg Config) error {
 		n       = pick(cfg, 10000, 20000)
 		trials  = pick(cfg, 3, 5)
 		factors = []float64{0.5, 1, 2, 4, 6}
+		pts     = points{cfg: cfg}
 	)
-	spec, err := core.Plan(core.Config{}, n)
+	spec, err := plurality.PlanCore(n)
 	if err != nil {
 		return err
 	}
@@ -187,54 +140,30 @@ func runAB3(cfg Config) error {
 	tbl := trace.NewTable(
 		fmt.Sprintf("AB3: endgame budget sweep, n=%d, start 90/10, default %d ticks, %d trials", n, spec.EndgameTicks, trials),
 		"ticks per node", "consensus reached", "endgame safe", "median margin")
-	for _, f := range factors {
-		ticks := int(f / core.DefaultEndgameFactor * float64(spec.EndgameTicks))
-		if ticks < 1 {
-			ticks = 1
+	// A run that never reached consensus has no margin; it counts as 0.
+	margin := func(r plurality.Report) float64 {
+		if !r.Converged {
+			return 0
 		}
-		ts, err := runTrials(trials, func(trial int) (measurement, error) {
-			res, runErr := runCore(counts, cfg.Seed+uint64(ticks*10+trial), 1e6, func(c *core.Config) {
-				c.SkipPart1 = true
-				c.RunToHalt = true
-				c.EndgameTicks = ticks
-			})
-			if runErr != nil && !errors.Is(runErr, core.ErrNoConsensus) {
-				return measurement{}, runErr
-			}
-			margin := res.FirstHaltTime - res.ConsensusTime
-			if !res.Done {
-				margin = 0
-			}
-			return measurement{
-				value: margin,
-				win:   res.EndgameSafe,
-				aux:   boolTo01(res.Done),
-			}, nil
-		})
+		return coreResult(r).FirstHaltTime - r.ConsensusTime
+	}
+	safe := func(r plurality.Report) bool { return coreResult(r).EndgameSafe }
+	for _, f := range factors {
+		// ⌈f·ln n⌉ is the core's own default budget at factor f.
+		ticks := int(math.Ceil(f * math.Log(float64(n))))
+		reps, err := pts.trials("core", counts, trials,
+			plurality.WithEndgameOnly(), plurality.WithRunToHalt(), plurality.WithEndgameTicks(ticks))
 		if err != nil {
 			return err
 		}
-		converged := 0
-		for _, m := range ts {
-			if m.aux > 0 {
-				converged++
-			}
-		}
 		tbl.AddRow(
 			fmt.Sprintf("%d (%.1f ln n)", ticks, f),
-			fmt.Sprintf("%d/%d", converged, trials),
-			fmt.Sprintf("%d/%d", countWins(ts), trials),
-			fmt.Sprintf("%.1f", medianValue(ts)),
+			share(reps, converged),
+			share(reps, safe),
+			fmt.Sprintf("%.1f", median(reps, all, margin)),
 		)
 	}
 	tbl.Fprint(cfg.Out)
 	fmt.Fprintf(cfg.Out, "shape: budgets below ~2 ln n halt nodes before consensus (unsafe); the default leaves a comfortable margin\n\n")
 	return nil
-}
-
-func boolTo01(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

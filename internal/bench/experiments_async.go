@@ -1,13 +1,12 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"slices"
 
-	"plurality/internal/core"
-	"plurality/internal/population"
-	"plurality/internal/protocols/twochoices"
+	"plurality"
+	"plurality/internal/par"
 	"plurality/internal/rng"
 	"plurality/internal/sched"
 	"plurality/internal/stats"
@@ -34,28 +33,23 @@ func runE6(cfg Config) error {
 		trials = pick(cfg, 3, 3)
 		eps    = 0.5
 		epsB   = 1.0
+		pts    = points{cfg: cfg}
 	)
 
 	tblA := trace.NewTable(
 		fmt.Sprintf("E6a: async protocol consensus time vs n, k=%d, c1=(1+%.1f)c2, %d trials", kA, eps, trials),
-		"n", "ln n", "median time", "time/ln n", "plurality wins")
+		"n", "ln n", "median time", "time/ln n", "converged", "plurality wins")
 	var lnns, times []float64
 	for _, n := range nsA {
-		counts, err := population.BiasedCounts(n, kA, eps)
+		counts, err := plurality.Biased(n, kA, eps)
 		if err != nil {
 			return err
 		}
-		ts, err := runTrials(trials, func(trial int) (measurement, error) {
-			res, err := runCore(counts, cfg.Seed+uint64(n*10+trial), 1e6, nil)
-			if err != nil {
-				return measurement{}, err
-			}
-			return measurement{value: res.ConsensusTime, win: res.Winner == 0}, nil
-		})
+		reps, err := pts.trials("core", counts, trials)
 		if err != nil {
 			return err
 		}
-		med := medianValue(ts)
+		med := median(reps, converged, consensus)
 		ln := math.Log(float64(n))
 		lnns = append(lnns, float64(n))
 		times = append(times, med)
@@ -64,7 +58,8 @@ func runE6(cfg Config) error {
 			fmt.Sprintf("%.1f", ln),
 			fmt.Sprintf("%.0f", med),
 			fmt.Sprintf("%.1f", med/ln),
-			fmt.Sprintf("%d/%d", countWins(ts), trials),
+			share(reps, converged),
+			share(reps, won),
 		)
 	}
 	tblA.Fprint(cfg.Out)
@@ -82,52 +77,34 @@ func runE6(cfg Config) error {
 	tblB := trace.NewTable(
 		fmt.Sprintf("E6b: async protocol vs async Two-Choices over k, n=%d, c1=(1+%.1f)c2, %d trials", nB, epsB, trials),
 		"k", "two-choices time", "core protocol time", "core converged", "ratio tc/core")
+	// Near the theorem's k ~ exp(ln n/lnln n) boundary the w.h.p.
+	// guarantee is genuinely marginal. A failed core run contributes its
+	// end time, which is far above any converged time, so the median stays
+	// meaningful while a minority of trials fail.
+	endTime := func(r plurality.Report) float64 {
+		if r.Converged {
+			return r.ConsensusTime
+		}
+		return r.Time
+	}
 	var ksX, tcTimes, coreTimes []float64
 	for _, k := range ksB {
-		counts, err := population.BiasedCounts(nB, k, epsB)
+		counts, err := plurality.Biased(nB, k, epsB)
 		if err != nil {
 			return err
 		}
-		tcTrials, err := runTrials(trials, func(trial int) (measurement, error) {
-			res, err := runAsync(twochoices.Rule{}, counts, cfg.Seed+uint64(k*17+trial), 1e6)
-			if err != nil {
-				return measurement{}, err
-			}
-			return measurement{value: res.Time, win: res.Winner == 0}, nil
-		})
+		tcReps, err := pts.trials("two-choices", counts, trials)
 		if err != nil {
 			return err
 		}
-		// Near the theorem's k ~ exp(ln n/lnln n) boundary the w.h.p.
-		// guarantee is genuinely marginal, so individual no-consensus
-		// trials are an outcome to report, not a harness error. A failed
-		// run contributes its wall-clock end time, which is far above
-		// any converged time, so the median stays meaningful while a
-		// minority of trials fail.
-		coreTrials, err := runTrials(trials, func(trial int) (measurement, error) {
-			res, err := runCore(counts, cfg.Seed+uint64(k*31+trial), 1e6, nil)
-			if err != nil && !errors.Is(err, core.ErrNoConsensus) {
-				return measurement{}, err
-			}
-			v := res.ConsensusTime
-			if !res.Done {
-				v = res.Time
-			}
-			return measurement{value: v, win: res.Done && res.Winner == 0, aux: boolTo01(res.Done)}, nil
-		})
+		coreReps, err := pts.trials("core", counts, trials)
 		if err != nil {
 			return err
 		}
-		converged := 0
-		for _, m := range coreTrials {
-			if m.aux > 0 {
-				converged++
-			}
-		}
-		tcMed, coreMed := medianValue(tcTrials), medianValue(coreTrials)
+		tcMed, coreMed := median(tcReps, converged, consensus), median(coreReps, all, endTime)
 		ksX = append(ksX, float64(k))
 		tcTimes = append(tcTimes, tcMed)
-		if converged > trials/2 {
+		if count(coreReps, converged) > trials/2 {
 			coreTimes = append(coreTimes, coreMed)
 		} else {
 			coreTimes = append(coreTimes, math.NaN())
@@ -136,7 +113,7 @@ func runE6(cfg Config) error {
 			fmt.Sprintf("%d", k),
 			fmt.Sprintf("%.0f", tcMed),
 			fmt.Sprintf("%.0f", coreMed),
-			fmt.Sprintf("%d/%d", converged, trials),
+			share(coreReps, converged),
 			fmt.Sprintf("%.2f", tcMed/coreMed),
 		)
 	}
@@ -203,58 +180,33 @@ func runE7(cfg Config) error {
 		ns  = pick(cfg, []int{4000}, []int{4000, 16000, 64000})
 		k   = 4
 		eps = 1.0
+		pts = points{cfg: cfg}
 	)
 	tbl := trace.NewTable(
 		fmt.Sprintf("E7: working-time synchronization, k=%d, eps=%.0f", k, eps),
 		"n", "Delta", "gadget", "max poor fraction", "max spread90", "jumps")
-	type obs struct {
-		poorFrac float64
-		spread   int64
-	}
-	measure := func(n int, disable bool, phases int, seed uint64) (obs, core.Result, error) {
-		counts, err := population.BiasedCounts(n, k, eps)
-		if err != nil {
-			return obs{}, core.Result{}, err
-		}
-		var worst obs
-		res, err := runCore(counts, seed, 1e6, func(c *core.Config) {
-			c.DisableSyncGadget = disable
-			c.Phases = phases
-			c.ProbeInterval = 5
-			c.OnProbe = func(p core.Probe) {
-				if p.Active == 0 {
-					return
-				}
-				if f := float64(p.PoorlySynced) / float64(p.Active); f > worst.poorFrac {
-					worst.poorFrac = f
-				}
-				if p.Spread90 > worst.spread {
-					worst.spread = p.Spread90
-				}
-			}
-		})
-		if err != nil && !errors.Is(err, core.ErrNoConsensus) {
-			return obs{}, core.Result{}, err
-		}
-		return worst, res, nil
-	}
 	for _, n := range ns {
-		spec, err := core.Plan(core.Config{}, n)
+		counts, err := plurality.Biased(n, k, eps)
 		if err != nil {
 			return err
 		}
-		on, resOn, err := measure(n, false, 12, cfg.Seed+uint64(n))
+		spec, err := plurality.PlanCore(n)
 		if err != nil {
 			return err
 		}
-		off, resOff, err := measure(n, true, 12, cfg.Seed+uint64(n)+1)
-		if err != nil {
-			return err
+		for _, gadget := range []string{"on", "off"} {
+			var worst worstSync
+			opts := []plurality.Option{plurality.WithPhases(12), plurality.WithProbe(5, worst.probe)}
+			if gadget == "off" {
+				opts = append(opts, plurality.WithoutSyncGadget())
+			}
+			reps, err := pts.trials("core", counts, 1, opts...)
+			if err != nil {
+				return err
+			}
+			tbl.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", spec.Delta), gadget,
+				fmt.Sprintf("%.3f", worst.poor), fmt.Sprintf("%d", worst.spread), fmt.Sprintf("%d", coreResult(reps[0]).Jumps))
 		}
-		tbl.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", spec.Delta), "on",
-			fmt.Sprintf("%.3f", on.poorFrac), fmt.Sprintf("%d", on.spread), fmt.Sprintf("%d", resOn.Jumps))
-		tbl.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", spec.Delta), "off",
-			fmt.Sprintf("%.3f", off.poorFrac), fmt.Sprintf("%d", off.spread), fmt.Sprintf("%d", resOff.Jumps))
 	}
 	tbl.Fprint(cfg.Out)
 	fmt.Fprintf(cfg.Out, "shape: with the gadget the poorly-synced fraction stays small and spread90 stays O(Delta); the ablation drifts upward\n\n")
@@ -274,16 +226,15 @@ func runE8(cfg Config) error {
 		"n", "ln n", "median time until all ticked", "ratio/ln n", "median tick spread at T=3 ln n")
 	var lnns, allTicked []float64
 	for _, n := range ns {
-		n := n
-		ts, err := runTrials(trials, func(trial int) (measurement, error) {
+		covers, spreads := make([]float64, trials), make([]float64, trials)
+		err := par.ForEach(0, trials, func(trial int) error {
 			s, err := sched.NewSequential(n, rng.At(cfg.Seed+uint64(trial), n))
 			if err != nil {
-				return measurement{}, err
+				return err
 			}
 			var (
 				seen      = make([]bool, n)
 				remaining = n
-				coverTime float64
 				counts    = make([]int32, n)
 				horizon   = 3 * math.Log(float64(n))
 			)
@@ -296,28 +247,20 @@ func runE8(cfg Config) error {
 					seen[t.Node] = true
 					remaining--
 					if remaining == 0 {
-						coverTime = t.Time
+						covers[trial] = t.Time
 					}
 				}
 				if remaining == 0 && t.Time > horizon {
 					break
 				}
 			}
-			minC, maxC := counts[0], counts[0]
-			for _, c := range counts {
-				if c < minC {
-					minC = c
-				}
-				if c > maxC {
-					maxC = c
-				}
-			}
-			return measurement{value: coverTime, aux: float64(maxC - minC)}, nil
+			spreads[trial] = float64(slices.Max(counts) - slices.Min(counts))
+			return nil
 		})
 		if err != nil {
 			return err
 		}
-		coverMed := medianValue(ts)
+		coverMed := stats.Median(covers)
 		ln := math.Log(float64(n))
 		lnns = append(lnns, float64(n))
 		allTicked = append(allTicked, coverMed)
@@ -326,7 +269,7 @@ func runE8(cfg Config) error {
 			fmt.Sprintf("%.1f", ln),
 			fmt.Sprintf("%.1f", coverMed),
 			fmt.Sprintf("%.2f", coverMed/ln),
-			fmt.Sprintf("%.0f", medianAux(ts)),
+			fmt.Sprintf("%.0f", stats.Median(spreads)),
 		)
 	}
 	tbl.Fprint(cfg.Out)
@@ -346,33 +289,23 @@ func runE9(cfg Config) error {
 		ns     = pick(cfg, []int{10000, 40000}, []int{10000, 40000, 160000})
 		trials = pick(cfg, 3, 5)
 		minorF = 0.10
+		pts    = points{cfg: cfg}
 	)
 	tbl := trace.NewTable(
 		fmt.Sprintf("E9: endgame from c1 = %.0f%% n (part 2 only), %d trials", 100*(1-minorF), trials),
 		"n", "median consensus time", "median first halt", "median margin", "safe")
+	firstHalt := func(r plurality.Report) float64 { return coreResult(r).FirstHaltTime }
+	safe := func(r plurality.Report) bool { return coreResult(r).EndgameSafe }
 	var lnns, consTimes []float64
 	for _, n := range ns {
 		counts := []int64{int64(float64(n) * (1 - minorF)), int64(float64(n) * minorF)}
 		counts[0] += int64(n) - counts[0] - counts[1]
-		ts, err := runTrials(trials, func(trial int) (measurement, error) {
-			res, err := runCore(counts, cfg.Seed+uint64(n+trial), 1e6, func(c *core.Config) {
-				c.SkipPart1 = true
-				c.RunToHalt = true
-			})
-			if err != nil {
-				return measurement{}, err
-			}
-			return measurement{
-				value: res.ConsensusTime,
-				win:   res.EndgameSafe,
-				aux:   res.FirstHaltTime,
-			}, nil
-		})
+		reps, err := pts.trials("core", counts, trials, plurality.WithEndgameOnly(), plurality.WithRunToHalt())
 		if err != nil {
 			return err
 		}
-		consMed := medianValue(ts)
-		haltMed := medianAux(ts)
+		consMed := median(reps, converged, consensus)
+		haltMed := median(reps, all, firstHalt)
 		lnns = append(lnns, float64(n))
 		consTimes = append(consTimes, consMed)
 		tbl.AddRow(
@@ -380,7 +313,7 @@ func runE9(cfg Config) error {
 			fmt.Sprintf("%.1f", consMed),
 			fmt.Sprintf("%.1f", haltMed),
 			fmt.Sprintf("%.1f", haltMed-consMed),
-			fmt.Sprintf("%d/%d", countWins(ts), trials),
+			share(reps, safe),
 		)
 	}
 	tbl.Fprint(cfg.Out)

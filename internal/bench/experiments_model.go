@@ -1,16 +1,11 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
-	"plurality/internal/core"
-	"plurality/internal/graph"
-	"plurality/internal/population"
-	"plurality/internal/protocols/onebit"
+	"plurality"
 	"plurality/internal/rng"
-	"plurality/internal/sched"
 	"plurality/internal/stats"
 	"plurality/internal/trace"
 	"plurality/internal/urn"
@@ -62,18 +57,11 @@ func runE10(cfg Config) error {
 	// Two-Choices step (c_j²-proportional) must survive propagation to the
 	// whole population.
 	var (
-		n = pick(cfg, 50000, 100000)
-		k = 8
+		n   = pick(cfg, 50000, 100000)
+		k   = 8
+		pts = points{cfg: cfg}
 	)
-	counts, err := population.BiasedCounts(n, k, 0.5)
-	if err != nil {
-		return err
-	}
-	pop, err := trialPop(counts)
-	if err != nil {
-		return err
-	}
-	g, err := graph.NewComplete(n)
+	counts, err := plurality.Biased(n, k, 0.5)
 	if err != nil {
 		return err
 	}
@@ -82,34 +70,30 @@ func runE10(cfg Config) error {
 		"phase", "pred c1 share", "measured c1 share", "rel err", "bits after TC", "bits after BP")
 	prev := counts
 	matches, total := 0, 0
-	_, err = onebit.Run(pop, onebit.Config{
-		Graph:     g,
-		Rand:      rng.At(cfg.Seed, 10),
-		MaxPhases: 6,
-		OnPhase: func(info onebit.PhaseInfo) {
-			var sumSq float64
-			for _, c := range prev {
-				sumSq += float64(c) * float64(c)
-			}
-			pred := float64(prev[0]) * float64(prev[0]) / sumSq
-			got := float64(info.Counts[0]) / float64(n)
-			rel := math.Abs(got-pred) / pred
-			total++
-			if rel < 0.1 {
-				matches++
-			}
-			tblB.AddRow(
-				fmt.Sprintf("%d", info.Phase),
-				fmt.Sprintf("%.3f", pred),
-				fmt.Sprintf("%.3f", got),
-				fmt.Sprintf("%.1f%%", 100*rel),
-				fmt.Sprintf("%d", info.BitsAfterTwoChoices),
-				fmt.Sprintf("%d", info.BitsAfterPropagation),
-			)
-			prev = info.Counts
-		},
-	})
-	if err != nil && !isPhaseLimit(err) {
+	// One run, so the phase observer is never called concurrently.
+	_, err = pts.trials("onebit", counts, 1, plurality.WithMaxPhases(6), plurality.WithPhaseObserver(func(info plurality.PhaseInfo) {
+		var sumSq float64
+		for _, c := range prev {
+			sumSq += float64(c) * float64(c)
+		}
+		pred := float64(prev[0]) * float64(prev[0]) / sumSq
+		got := float64(info.Counts[0]) / float64(n)
+		rel := math.Abs(got-pred) / pred
+		total++
+		if rel < 0.1 {
+			matches++
+		}
+		tblB.AddRow(
+			fmt.Sprintf("%d", info.Phase),
+			fmt.Sprintf("%.3f", pred),
+			fmt.Sprintf("%.3f", got),
+			fmt.Sprintf("%.1f%%", 100*rel),
+			fmt.Sprintf("%d", info.BitsAfterTwoChoices),
+			fmt.Sprintf("%d", info.BitsAfterPropagation),
+		)
+		prev = info.Counts
+	}))
+	if err != nil {
 		return err
 	}
 	tblB.Fprint(cfg.Out)
@@ -117,8 +101,6 @@ func runE10(cfg Config) error {
 		matches, total)
 	return nil
 }
-
-func isPhaseLimit(err error) bool { return errors.Is(err, onebit.ErrPhaseLimit) }
 
 // runE11 — the Mosk-Aoyama–Shah equivalence the paper builds on: the
 // sequential and continuous (Poisson-clock) schedulers yield the same
@@ -128,38 +110,25 @@ func runE11(cfg Config) error {
 		ns     = pick(cfg, []int{2000}, []int{2000, 8000})
 		trials = pick(cfg, 3, 5)
 		k      = 8
+		pts    = points{cfg: cfg}
 	)
 	tbl := trace.NewTable(
 		fmt.Sprintf("E11: async protocol under both schedulers, k=%d, %d trials", k, trials),
 		"n", "sequential time", "poisson time", "ratio")
 	for _, n := range ns {
-		counts, err := population.BiasedCounts(n, k, 1)
+		counts, err := plurality.Biased(n, k, 1)
 		if err != nil {
 			return err
 		}
-		seqTrials, err := runTrials(trials, func(trial int) (measurement, error) {
-			res, err := runCore(counts, cfg.Seed+uint64(n+trial), 1e6, nil)
-			if err != nil {
-				return measurement{}, err
-			}
-			return measurement{value: res.ConsensusTime, win: res.Winner == 0}, nil
-		})
+		seqReps, err := pts.trials("core", counts, trials)
 		if err != nil {
 			return err
 		}
-		poiTrials, err := runTrials(trials, func(trial int) (measurement, error) {
-			res, err := runCoreOn(counts, cfg.Seed+uint64(n+trial), func(nn int, r *rng.RNG) (sched.Scheduler, error) {
-				return sched.NewPoisson(nn, 1, r)
-			})
-			if err != nil {
-				return measurement{}, err
-			}
-			return measurement{value: res.ConsensusTime, win: res.Winner == 0}, nil
-		})
+		poiReps, err := pts.trials("core", counts, trials, plurality.WithModel(plurality.Poisson))
 		if err != nil {
 			return err
 		}
-		seqMed, poiMed := medianValue(seqTrials), medianValue(poiTrials)
+		seqMed, poiMed := median(seqReps, converged, consensus), median(poiReps, converged, consensus)
 		tbl.AddRow(
 			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.0f", seqMed),
@@ -172,28 +141,6 @@ func runE11(cfg Config) error {
 	return nil
 }
 
-// runCoreOn runs the core protocol with a custom scheduler factory.
-func runCoreOn(counts []int64, seed uint64, mk func(n int, r *rng.RNG) (sched.Scheduler, error)) (core.Result, error) {
-	pop, err := trialPop(counts)
-	if err != nil {
-		return core.Result{}, err
-	}
-	g, err := graph.NewComplete(pop.N())
-	if err != nil {
-		return core.Result{}, err
-	}
-	s, err := mk(pop.N(), rng.At(seed, 0))
-	if err != nil {
-		return core.Result{}, err
-	}
-	return core.Run(pop, core.Config{
-		Graph:     g,
-		Scheduler: s,
-		Rand:      rng.At(seed, 1),
-		MaxTime:   1e6,
-	})
-}
-
 // runE12 — §4's extension: exponential response delays slow the protocol by
 // a constant factor but preserve the Θ(log n) shape.
 func runE12(cfg Config) error {
@@ -202,31 +149,26 @@ func runE12(cfg Config) error {
 		k      = 4
 		trials = pick(cfg, 3, 3)
 		rates  = []float64{0, 2, 1, 0.5} // 0 = no delay; otherwise Exp(rate), mean 1/rate
+		pts    = points{cfg: cfg}
 	)
 	tbl := trace.NewTable(
 		fmt.Sprintf("E12a: async protocol with Exp response delays, n=%d, k=%d, %d trials", n, k, trials),
 		"mean delay", "median consensus time", "slowdown vs instant")
-	counts, err := population.BiasedCounts(n, k, 1)
+	counts, err := plurality.Biased(n, k, 1)
 	if err != nil {
 		return err
 	}
 	var instant float64
 	for _, rate := range rates {
-		ts, err := runTrials(trials, func(trial int) (measurement, error) {
-			res, err := runCore(counts, cfg.Seed+uint64(trial)+uint64(rate*1000), 1e6, func(c *core.Config) {
-				if rate > 0 {
-					c.Delay = sched.ExpDelay{Rate: rate}
-				}
-			})
-			if err != nil {
-				return measurement{}, err
-			}
-			return measurement{value: res.ConsensusTime, win: res.Winner == 0}, nil
-		})
+		var opts []plurality.Option
+		if rate > 0 {
+			opts = append(opts, plurality.WithResponseDelay(rate))
+		}
+		reps, err := pts.trials("core", counts, trials, opts...)
 		if err != nil {
 			return err
 		}
-		med := medianValue(ts)
+		med := median(reps, converged, consensus)
 		label := "0 (instant)"
 		slow := "1.00"
 		if rate == 0 {
@@ -246,23 +188,15 @@ func runE12(cfg Config) error {
 		"n", "ln n", "median time", "time/ln n")
 	var xs, ys []float64
 	for _, nn := range nsB {
-		countsB, err := population.BiasedCounts(nn, k, 1)
+		countsB, err := plurality.Biased(nn, k, 1)
 		if err != nil {
 			return err
 		}
-		ts, err := runTrials(trials, func(trial int) (measurement, error) {
-			res, err := runCore(countsB, cfg.Seed+uint64(nn+trial), 1e6, func(c *core.Config) {
-				c.Delay = sched.ExpDelay{Rate: 1}
-			})
-			if err != nil {
-				return measurement{}, err
-			}
-			return measurement{value: res.ConsensusTime, win: res.Winner == 0}, nil
-		})
+		reps, err := pts.trials("core", countsB, trials, plurality.WithResponseDelay(1))
 		if err != nil {
 			return err
 		}
-		med := medianValue(ts)
+		med := median(reps, converged, consensus)
 		ln := math.Log(float64(nn))
 		xs = append(xs, float64(nn))
 		ys = append(ys, med)

@@ -3,15 +3,18 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 
-	"plurality/internal/graph"
-	"plurality/internal/population"
-	"plurality/internal/protocols/onebit"
-	"plurality/internal/protocols/twochoices"
-	"plurality/internal/rng"
+	"plurality"
 	"plurality/internal/stats"
 	"plurality/internal/trace"
 )
+
+// syncTwoChoices is the option set of a synchronous Two-Choices run bounded
+// at maxRounds rounds.
+func syncTwoChoices(maxRounds int) []plurality.Option {
+	return []plurality.Option{plurality.WithModel(plurality.Synchronous), plurality.WithMaxRounds(maxRounds)}
+}
 
 // runE1 — Theorem 1.1 upper bound: synchronous Two-Choices converges within
 // O(n/c1 · log n) rounds under bias z·sqrt(n·ln n). We sweep n at fixed k
@@ -21,27 +24,22 @@ func runE1(cfg Config) error {
 		ns     = pick(cfg, []int{2000, 8000}, []int{2000, 4000, 8000, 16000, 32000})
 		trials = pick(cfg, 3, 5)
 		k      = 8
+		pts    = points{cfg: cfg}
 	)
 	tbl := trace.NewTable(
 		fmt.Sprintf("E1: sync Two-Choices rounds, k=%d, bias z*sqrt(n ln n), %d trials", k, trials),
 		"n", "c1", "predictor (n/c1)ln n", "median rounds", "plurality wins")
 	var xs, ys []float64
 	for _, n := range ns {
-		counts, err := population.GapSqrtCounts(n, k, 1)
+		counts, err := plurality.GapSqrt(n, k, 1)
 		if err != nil {
 			return err
 		}
-		ts, err := runTrials(trials, func(trial int) (measurement, error) {
-			res, err := runSync(twochoices.Rule{}, counts, cfg.Seed+uint64(n*100+trial), 1_000_000)
-			if err != nil {
-				return measurement{}, err
-			}
-			return measurement{value: float64(res.Rounds), win: res.Winner == 0}, nil
-		})
+		reps, err := pts.trials("two-choices", counts, trials, syncTwoChoices(1_000_000)...)
 		if err != nil {
 			return err
 		}
-		med := medianValue(ts)
+		med := median(reps, converged, rounds)
 		predictor := float64(n) / float64(counts[0]) * math.Log(float64(n))
 		xs = append(xs, predictor)
 		ys = append(ys, med)
@@ -50,7 +48,7 @@ func runE1(cfg Config) error {
 			fmt.Sprintf("%d", counts[0]),
 			fmt.Sprintf("%.1f", predictor),
 			fmt.Sprintf("%.0f", med),
-			fmt.Sprintf("%d/%d", countWins(ts), trials),
+			share(reps, won),
 		)
 	}
 	tbl.Fprint(cfg.Out)
@@ -71,27 +69,22 @@ func runE2(cfg Config) error {
 		n      = pick(cfg, 10000, 30000)
 		ks     = pick(cfg, []int{2, 8, 32}, []int{2, 4, 8, 16, 32, 64})
 		trials = pick(cfg, 3, 5)
+		pts    = points{cfg: cfg}
 	)
 	tbl := trace.NewTable(
 		fmt.Sprintf("E2: sync Two-Choices rounds vs k, n=%d, bias z*sqrt(n ln n), %d trials", n, trials),
 		"k", "n/c1", "median rounds", "rounds/(n/c1)")
 	var xs, ys []float64
 	for _, k := range ks {
-		counts, err := population.GapSqrtCounts(n, k, 1)
+		counts, err := plurality.GapSqrt(n, k, 1)
 		if err != nil {
 			return err
 		}
-		ts, err := runTrials(trials, func(trial int) (measurement, error) {
-			res, err := runSync(twochoices.Rule{}, counts, cfg.Seed+uint64(k*1000+trial), 2_000_000)
-			if err != nil {
-				return measurement{}, err
-			}
-			return measurement{value: float64(res.Rounds), win: res.Winner == 0}, nil
-		})
+		reps, err := pts.trials("two-choices", counts, trials, syncTwoChoices(2_000_000)...)
 		if err != nil {
 			return err
 		}
-		med := medianValue(ts)
+		med := median(reps, converged, rounds)
 		ratio := float64(n) / float64(counts[0])
 		xs = append(xs, ratio)
 		ys = append(ys, med)
@@ -120,33 +113,30 @@ func runE3(cfg Config) error {
 		n      = pick(cfg, 4000, 10000)
 		trials = pick(cfg, 40, 200)
 		k      = 2
+		pts    = points{cfg: cfg}
 	)
-	tiny, err := population.TinyGapCounts(n, k, 0.5)
+	tiny, err := plurality.TinyGap(n, k, 0.5)
 	if err != nil {
 		return err
 	}
-	strong, err := population.GapSqrtCounts(n, k, 1.5)
+	strong, err := plurality.GapSqrt(n, k, 1.5)
 	if err != nil {
 		return err
 	}
-	upsetRate := func(counts []int64, salt uint64) (float64, error) {
-		ts, err := runTrials(trials, func(trial int) (measurement, error) {
-			res, err := runSync(twochoices.Rule{}, counts, cfg.Seed+salt*1_000_000+uint64(trial), 1_000_000)
-			if err != nil {
-				return measurement{}, err
-			}
-			return measurement{win: res.Winner == 0}, nil
-		})
+	// A run that ends without consensus counts as an upset: the plurality
+	// did not win it.
+	upsetRate := func(counts []int64) (float64, error) {
+		reps, err := pts.trials("two-choices", counts, trials, syncTwoChoices(1_000_000)...)
 		if err != nil {
 			return 0, err
 		}
-		return float64(trials-countWins(ts)) / float64(trials), nil
+		return float64(trials-count(reps, won)) / float64(trials), nil
 	}
-	tinyRate, err := upsetRate(tiny, 1)
+	tinyRate, err := upsetRate(tiny)
 	if err != nil {
 		return err
 	}
-	strongRate, err := upsetRate(strong, 2)
+	strongRate, err := upsetRate(strong)
 	if err != nil {
 		return err
 	}
@@ -166,36 +156,16 @@ func runE3(cfg Config) error {
 // races both protocols over a k sweep on the same workload.
 func runE4(cfg Config) error {
 	var (
-		nsA     = pick(cfg, []int{4000, 16000}, []int{4000, 16000, 64000})
-		kA      = 16
-		nB      = pick(cfg, 50000, 200000)
-		ksB     = pick(cfg, []int{16, 64}, []int{16, 64, 256})
-		trials  = pick(cfg, 3, 3)
-		maxSync = 2_000_000
+		nsA    = pick(cfg, []int{4000, 16000}, []int{4000, 16000, 64000})
+		kA     = 16
+		nB     = pick(cfg, 50000, 200000)
+		ksB    = pick(cfg, []int{16, 64}, []int{16, 64, 256})
+		trials = pick(cfg, 3, 3)
+		pts    = points{cfg: cfg}
 	)
-
-	runOneBit := func(n int, counts []int64, seed uint64) (measurement, error) {
-		pop, err := trialPop(counts)
-		if err != nil {
-			return measurement{}, err
-		}
-		g, err := graph.NewComplete(n)
-		if err != nil {
-			return measurement{}, err
-		}
-		res, err := onebit.Run(pop, onebit.Config{
-			Graph:     g,
-			Rand:      rng.New(seed),
-			MaxPhases: 400,
-		})
-		if err != nil {
-			return measurement{}, err
-		}
-		return measurement{
-			value: float64(res.Rounds),
-			win:   res.Winner == 0,
-			aux:   float64(res.Phases),
-		}, nil
+	phases := func(r plurality.Report) float64 {
+		res, _ := r.Phases()
+		return float64(res.Phases)
 	}
 
 	tblA := trace.NewTable(
@@ -203,24 +173,22 @@ func runE4(cfg Config) error {
 		"n", "median rounds", "median phases", "plurality wins")
 	var rawNs, roundsA []float64
 	for _, n := range nsA {
-		counts, err := population.GapSqrtPolylogCounts(n, kA, 0.5)
+		counts, err := plurality.GapSqrtPolylog(n, kA, 0.5)
 		if err != nil {
 			return err
 		}
-		ts, err := runTrials(trials, func(trial int) (measurement, error) {
-			return runOneBit(n, counts, cfg.Seed+uint64(n*10+trial))
-		})
+		reps, err := pts.trials("onebit", counts, trials, plurality.WithMaxPhases(400))
 		if err != nil {
 			return err
 		}
-		med := medianValue(ts)
+		med := median(reps, converged, rounds)
 		rawNs = append(rawNs, float64(n))
 		roundsA = append(roundsA, med)
 		tblA.AddRow(
 			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.0f", med),
-			fmt.Sprintf("%.0f", medianAux(ts)),
-			fmt.Sprintf("%d/%d", countWins(ts), trials),
+			fmt.Sprintf("%.0f", median(reps, converged, phases)),
+			share(reps, won),
 		)
 	}
 	tblA.Fprint(cfg.Out)
@@ -233,27 +201,19 @@ func runE4(cfg Config) error {
 		fmt.Sprintf("E4b: OneExtraBit vs Two-Choices rounds over k, n=%d, bias sqrt(n ln n), %d trials", nB, trials),
 		"k", "n/c1", "two-choices rounds", "onebit rounds", "speedup")
 	for _, k := range ksB {
-		counts, err := population.GapSqrtCounts(nB, k, 1)
+		counts, err := plurality.GapSqrt(nB, k, 1)
 		if err != nil {
 			return err
 		}
-		tcTrials, err := runTrials(trials, func(trial int) (measurement, error) {
-			res, err := runSync(twochoices.Rule{}, counts, cfg.Seed+uint64(k*7+trial), maxSync)
-			if err != nil {
-				return measurement{}, err
-			}
-			return measurement{value: float64(res.Rounds), win: res.Winner == 0}, nil
-		})
+		tcReps, err := pts.trials("two-choices", counts, trials, syncTwoChoices(2_000_000)...)
 		if err != nil {
 			return err
 		}
-		obTrials, err := runTrials(trials, func(trial int) (measurement, error) {
-			return runOneBit(nB, counts, cfg.Seed+uint64(k*13+trial))
-		})
+		obReps, err := pts.trials("onebit", counts, trials, plurality.WithMaxPhases(400))
 		if err != nil {
 			return err
 		}
-		tcMed, obMed := medianValue(tcTrials), medianValue(obTrials)
+		tcMed, obMed := median(tcReps, converged, rounds), median(obReps, converged, rounds)
 		tblB.AddRow(
 			fmt.Sprintf("%d", k),
 			fmt.Sprintf("%.0f", float64(nB)/float64(counts[0])),
@@ -274,16 +234,9 @@ func runE5(cfg Config) error {
 		n   = pick(cfg, 50000, 200000)
 		k   = 4
 		eps = 0.5
+		pts = points{cfg: cfg}
 	)
-	counts, err := population.BiasedCounts(n, k, eps)
-	if err != nil {
-		return err
-	}
-	pop, err := trialPop(counts)
-	if err != nil {
-		return err
-	}
-	g, err := graph.NewComplete(n)
+	counts, err := plurality.Biased(n, k, eps)
 	if err != nil {
 		return err
 	}
@@ -291,27 +244,18 @@ func runE5(cfg Config) error {
 		phase int
 		ratio float64
 	}
+	// One run, so the phase observer is never called concurrently.
 	ratios := []phaseRatio{{phase: -1, ratio: float64(counts[0]) / float64(counts[1])}}
-	_, err = onebit.Run(pop, onebit.Config{
-		Graph:     g,
-		Rand:      rng.At(cfg.Seed, 5),
-		MaxPhases: 50,
-		OnPhase: func(info onebit.PhaseInfo) {
-			var runnerUp int64
-			for _, c := range info.Counts[1:] {
-				if c > runnerUp {
-					runnerUp = c
-				}
-			}
-			if runnerUp == 0 {
-				return
-			}
-			ratios = append(ratios, phaseRatio{
-				phase: info.Phase,
-				ratio: float64(info.Counts[0]) / float64(runnerUp),
-			})
-		},
-	})
+	_, err = pts.trials("onebit", counts, 1, plurality.WithMaxPhases(50), plurality.WithPhaseObserver(func(info plurality.PhaseInfo) {
+		runnerUp := slices.Max(info.Counts[1:])
+		if runnerUp == 0 {
+			return
+		}
+		ratios = append(ratios, phaseRatio{
+			phase: info.Phase,
+			ratio: float64(info.Counts[0]) / float64(runnerUp),
+		})
+	}))
 	if err != nil {
 		return err
 	}

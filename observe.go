@@ -149,9 +149,13 @@ func (o *options) newSyncObserver() *syncObserver {
 	if o.onSnapshot == nil {
 		return nil
 	}
-	every := int(o.observeInterval)
-	if every < 1 {
-		every = 1
+	// Compare as floats first: converting +Inf or 1e300 to int overflows.
+	// An interval at or past the round budget emits the closing round only.
+	every := 1
+	if iv := o.observeInterval; iv >= float64(o.maxRounds) {
+		every = o.maxRounds
+	} else if iv > 1 {
+		every = int(iv)
 	}
 	return &syncObserver{o: o, every: every, lastRound: -1}
 }

@@ -2,6 +2,7 @@ package plurality
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -169,6 +170,33 @@ func TestTrajectoryRecordsRun(t *testing.T) {
 	}
 	if spark := traj.Sparkline(30); len([]rune(spark)) != 30 {
 		t.Fatalf("sparkline %q, want width 30", spark)
+	}
+}
+
+// TestSyncObserverInterval: the synchronous engine snapshots every
+// max(1, ⌊interval⌋) rounds plus the closing round, so an interval at or
+// past the round budget, however large, emits the closing round only.
+func TestSyncObserverInterval(t *testing.T) {
+	for _, tc := range []struct {
+		interval float64
+		every    bool // one snapshot per round; else the closing round only
+	}{
+		{interval: 0, every: true},
+		{interval: 1, every: true},
+		{interval: 1e6},
+		{interval: math.Inf(1)},
+		{interval: 1e300},
+	} {
+		var snaps []Snapshot
+		rep, _ := runJob(t, "two-choices", []int64{600, 400},
+			WithModel(Synchronous), WithSeed(3), WithObserver(tc.interval, func(s Snapshot) { snaps = append(snaps, s) }))
+		want := 1
+		if tc.every {
+			want = rep.Rounds
+		}
+		if len(snaps) != want || snaps[len(snaps)-1].Rounds != rep.Rounds {
+			t.Errorf("interval %v: %d snapshots over %d rounds, want %d ending at the last round", tc.interval, len(snaps), rep.Rounds, want)
+		}
 	}
 }
 
