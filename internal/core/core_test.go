@@ -586,6 +586,36 @@ func TestActionTableMatchesSchedule(t *testing.T) {
 	}
 }
 
+// TestFastmodMatchesRemainder: the in-phase offset part1Tick takes by
+// fastmod equals the remainder at every phase length
+// TestActionTableMatchesSchedule plans, and at length 1, for working times
+// from 0 to MaxInt32.
+func TestFastmodMatchesRemainder(t *testing.T) {
+	lengths := []uint32{1}
+	for _, n := range []int{16, 1000, 100_000, 10_000_000} {
+		for _, cfg := range []Config{{}, {DisableSyncGadget: true}, {Delta: 2}, {Delta: 3, GadgetSamples: 3}, {DeltaFactor: 1}} {
+			spec, err := Plan(cfg, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lengths = append(lengths, uint32(spec.PhaseTicks))
+		}
+	}
+	r := rng.New(8)
+	for _, d := range lengths {
+		recip := fastmodRecip(d)
+		ws := []uint32{0, 1, d - 1, d, d + 1, 2*d - 1, 7 * d, math.MaxInt32 - 1, math.MaxInt32}
+		for i := 0; i < 1000; i++ {
+			ws = append(ws, uint32(r.Intn(math.MaxInt32+1)))
+		}
+		for _, w := range ws {
+			if got, want := fastmod(w, recip, d), w%d; got != want {
+				t.Fatalf("fastmod(%d) with length %d = %d, want %d", w, d, got, want)
+			}
+		}
+	}
+}
+
 // TestSelectKthMatchesSort: selection puts at every index k the value
 // sorting would, keeps smaller-or-equal values before it and
 // larger-or-equal ones after it, and only permutes the input — on inputs

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"plurality/internal/adversary"
@@ -193,6 +194,9 @@ type state struct {
 	// actions[pos] is the part-1 instruction at in-phase offset pos, one
 	// entry per tick of a phase, built once per run from the spec.
 	actions []uint8
+	// phaseRecip is len(actions)'s fastmod reciprocal, which turns a
+	// working time into its in-phase offset without a division.
+	phaseRecip uint64
 
 	// Per-node protocol state. Working and real time are int32: the
 	// schedule is O(log n) ticks (bound-checked in Plan) and real time is
@@ -274,6 +278,7 @@ func (st *state) reset(pop *population.Population, cfg Config, spec Spec) error 
 	st.sampleCount = grow(st.sampleCount, n)
 	st.medianBuf = grow(st.medianBuf, spec.GadgetSamples)
 	st.actions = buildActions(st.actions, spec, cfg.DisableSyncGadget)
+	st.phaseRecip = fastmodRecip(uint32(len(st.actions)))
 	st.liveCounts = grow(st.liveCounts, pop.K())
 	for u := range st.intermediate {
 		st.intermediate[u] = population.None
@@ -367,6 +372,17 @@ func buildActions(buf []uint8, spec Spec, noGadget bool) []uint8 {
 	buf[spec.CommitOffset] = actCommit
 	buf[0] = actTwoChoices
 	return buf
+}
+
+// fastmodRecip returns the reciprocal fastmod takes for divisor d > 0.
+func fastmodRecip(d uint32) uint64 { return ^uint64(0)/uint64(d) + 1 }
+
+// fastmod returns w mod d, given recip = fastmodRecip(d): Lemire, Kaser
+// and Kurz's direct remainder ("Faster Remainder by Direct Computation",
+// 2019), two multiplications that are exact for every 32-bit w and d.
+func fastmod(w uint32, recip uint64, d uint32) uint32 {
+	hi, _ := bits.Mul64(recip*uint64(w), uint64(d))
+	return uint32(hi)
 }
 
 // sample returns a uniformly random neighbor of u. On the clique it issues
@@ -617,7 +633,7 @@ func (st *state) keepGoing() bool {
 // Working times are never negative, so the 32-bit remainder is the in-phase
 // offset.
 func (st *state) part1Tick(u int, w int32, now float64) {
-	switch st.actions[uint32(w)%uint32(len(st.actions))] {
+	switch st.actions[fastmod(uint32(w), st.phaseRecip, uint32(len(st.actions)))] {
 	case actTwoChoices:
 		// Two-Choices step: sample two nodes with replacement.
 		va := st.sample(u)

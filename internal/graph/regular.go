@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"plurality/internal/rng"
 )
@@ -23,7 +24,13 @@ const maxRepairPasses = 200
 // ~42 at d = 4 and hopeless by d = 8 — while repair touches only the defect
 // set; mixing clean pairs into each re-match is what guarantees progress,
 // since e.g. two parallel (a,b) pairs can never untangle among themselves.)
-// The construction is deterministic given r.
+//
+// The O(n·d) work runs once: the repair scans every node's incidences
+// once, and after each re-match it rescans only the nodes whose rows the
+// re-match changed. Its incidence table keeps every row in pair order,
+// which is the CSR row order, so the arena is the table's neighbour column
+// and node u's row starts at u·d. The construction is deterministic given
+// r.
 func NewRandomRegular(n, d int, r *rng.RNG) (*Adjacency, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("graph: random regular graph needs n >= 2, got %d", n)
@@ -38,88 +45,183 @@ func NewRandomRegular(n, d int, r *rng.RNG) (*Adjacency, error) {
 		return nil, fmt.Errorf("graph: %d-regular graph on %d nodes overflows the 32-bit CSR offsets", d, n)
 	}
 	stubs := make([]int32, n*d)
-	for i := range stubs {
-		stubs[i] = int32(i / d)
+	for u := 0; u < n; u++ {
+		row := stubs[u*d : (u+1)*d]
+		for i := range row {
+			row[i] = int32(u)
+		}
 	}
-	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	if err := repairPairing(stubs, n, d, r); err != nil {
+	rng.Shuffle(r, stubs)
+	inc, err := repairPairing(stubs, n, d, r)
+	if err != nil {
 		return nil, err
 	}
-	return newCSRFromPairs(n, stubs)
+	// The pairing is spent, so its array takes the neighbour column.
+	for i, w := range inc {
+		stubs[i] = int32(w)
+	}
+	off := make([]uint32, n+1)
+	for u := range off {
+		off[u] = uint32(u * d)
+	}
+	return &Adjacency{arena: stubs, off: off}, nil
 }
 
 // repairPairing rewires the stub pairing (stubs[2i], stubs[2i+1]) in place
-// until it encodes a simple graph. Each pass scans every node's d
-// incidences (a tiny insertion sort makes duplicates adjacent), pools the
-// defective pairs — self-loops and all-but-one of each duplicate-edge
-// group — with an equal number of random clean pairs, and re-matches the
-// pooled stubs with a fresh shuffle.
-func repairPairing(stubs []int32, n, d int, r *rng.RNG) error {
+// until it encodes a simple graph, and returns its incidence table: node
+// u's d incidences at [u*d, (u+1)*d), each one word holding the pair index
+// in its high 32 bits and the neighbour in its low 32, in pair order.
+//
+// A pass pools the defective pairs — self-loops and all but the first of
+// each duplicate-edge group, found node by node in ascending order and,
+// within a row, in neighbour order — with an equal number of random clean
+// pairs, and re-matches the pooled stubs with a fresh shuffle. The first
+// pass scans every row. A re-match changes only the rows of the pooled
+// stubs' nodes: their pooled incidences are dropped, the re-matched ones
+// added and pair order restored, and the next pass rescans those rows
+// alone, in ascending node order. Every other row was clean when last
+// scanned and is unchanged, so each pass pools what a scan of the whole
+// table would, and every draw is the same.
+func repairPairing(stubs []int32, n, d int, r *rng.RNG) ([]uint64, error) {
 	m := len(stubs) / 2
-	var (
-		nbrAll = make([]int32, len(stubs)) // node u's incidences at [u*d, (u+1)*d)
-		pidAll = make([]int32, len(stubs)) // pair index of each incidence
-		fill   = make([]int32, n)
-		inPool = make([]bool, m)
-		pool   []int32 // pair indices queued for re-matching
-		loose  []int32 // their stubs
-	)
+	rp := repair{
+		d:      d,
+		inc:    make([]uint64, len(stubs)),
+		fill:   make([]int32, n),
+		inPool: make([]bool, m),
+	}
+	for i := 0; i < m; i++ {
+		rp.add(int32(i), stubs[2*i], stubs[2*i+1])
+	}
+	var touched, loose []int32
 	for pass := 0; pass < maxRepairPasses; pass++ {
-		for i := range fill {
-			fill[i] = 0
-		}
-		for i := 0; i < m; i++ {
-			a, b := stubs[2*i], stubs[2*i+1]
-			nbrAll[int(a)*d+int(fill[a])] = b
-			pidAll[int(a)*d+int(fill[a])] = int32(i)
-			fill[a]++
-			nbrAll[int(b)*d+int(fill[b])] = a
-			pidAll[int(b)*d+int(fill[b])] = int32(i)
-			fill[b]++
-		}
-		pool = pool[:0]
-		for u := 0; u < n; u++ {
-			base := u * d
-			for i := 1; i < d; i++ {
-				for j := base + i; j > base && nbrAll[j] < nbrAll[j-1]; j-- {
-					nbrAll[j], nbrAll[j-1] = nbrAll[j-1], nbrAll[j]
-					pidAll[j], pidAll[j-1] = pidAll[j-1], pidAll[j]
-				}
+		if pass == 0 {
+			for u := 0; u < n; u++ {
+				rp.scan(int32(u))
 			}
-			for i := 0; i < d; i++ {
-				p := pidAll[base+i]
-				bad := int(nbrAll[base+i]) == u ||
-					(i > 0 && nbrAll[base+i] == nbrAll[base+i-1])
-				if bad && !inPool[p] {
-					inPool[p] = true
-					pool = append(pool, p)
-				}
+		} else {
+			for _, u := range touched {
+				rp.scan(u)
 			}
 		}
-		if len(pool) == 0 {
-			return nil
+		if len(rp.pool) == 0 {
+			return rp.inc, nil
 		}
 		// Mix in as many random clean pairs as defective ones. The defect
 		// fraction is O(d/n), so rejection sampling against the pool flag
 		// terminates immediately in practice.
-		for extra := len(pool); extra > 0 && len(pool) < m; {
+		for extra := len(rp.pool); extra > 0 && len(rp.pool) < m; {
 			p := int32(r.Intn(m))
-			if !inPool[p] {
-				inPool[p] = true
-				pool = append(pool, p)
+			if !rp.inPool[p] {
+				rp.inPool[p] = true
+				rp.pool = append(rp.pool, p)
 				extra--
 			}
 		}
-		loose = loose[:0]
-		for _, p := range pool {
-			loose = append(loose, stubs[2*p], stubs[2*p+1])
+		touched, loose = touched[:0], loose[:0]
+		for _, p := range rp.pool {
+			a, b := stubs[2*p], stubs[2*p+1]
+			loose = append(loose, a, b)
+			touched = rp.drop(a, touched)
+			touched = rp.drop(b, touched)
 		}
-		r.Shuffle(len(loose), func(i, j int) { loose[i], loose[j] = loose[j], loose[i] })
-		for j, p := range pool {
-			stubs[2*p] = loose[2*j]
-			stubs[2*p+1] = loose[2*j+1]
-			inPool[p] = false
+		rng.Shuffle(r, loose)
+		for j, p := range rp.pool {
+			a, b := loose[2*j], loose[2*j+1]
+			stubs[2*p], stubs[2*p+1] = a, b
+			rp.add(p, a, b)
+			rp.inPool[p] = false
+		}
+		rp.pool = rp.pool[:0]
+		slices.Sort(touched)
+		for _, u := range touched {
+			slices.Sort(rp.row(u))
 		}
 	}
-	return fmt.Errorf("graph: random %d-regular pairing on %d nodes failed to simplify after %d repair passes", d, n, maxRepairPasses)
+	return nil, fmt.Errorf("graph: random %d-regular pairing on %d nodes failed to simplify after %d repair passes", d, n, maxRepairPasses)
+}
+
+// repair is repairPairing's state between passes.
+type repair struct {
+	d      int
+	inc    []uint64 // the incidence table repairPairing returns
+	fill   []int32  // how many incidences each row holds; d between passes
+	inPool []bool
+	pool   []int32  // pair indices queued for re-matching
+	keys   []uint64 // scan's scratch: a row in neighbour order
+}
+
+// row returns node u's incidences.
+func (rp *repair) row(u int32) []uint64 {
+	i := int(u) * rp.d
+	return rp.inc[i : i+rp.d]
+}
+
+// add appends pair p, joining a and b, to both endpoints' rows.
+func (rp *repair) add(p, a, b int32) {
+	w := uint64(p) << 32
+	rp.inc[int(a)*rp.d+int(rp.fill[a])] = w | uint64(uint32(b))
+	rp.fill[a]++
+	rp.inc[int(b)*rp.d+int(rp.fill[b])] = w | uint64(uint32(a))
+	rp.fill[b]++
+}
+
+// drop removes every pooled incidence from node u's row, keeping the rest
+// in order, and appends u to touched. A row already dropped this pass is
+// short of d, and is left alone.
+func (rp *repair) drop(u int32, touched []int32) []int32 {
+	if int(rp.fill[u]) < rp.d {
+		return touched
+	}
+	row := rp.row(u)
+	kept := row[:0]
+	for _, w := range row {
+		if !rp.inPool[w>>32] {
+			kept = append(kept, w)
+		}
+	}
+	rp.fill[u] = int32(len(kept))
+	return append(touched, u)
+}
+
+// scan pools the defective pairs of node u's row: a self-loop, and every
+// pair but the first to a neighbour the row repeats, visiting the row in
+// neighbour order with ties in pair order. A row with neither, by far the
+// common case, is checked without sorting.
+func (rp *repair) scan(u int32) {
+	row := rp.row(u)
+	if simple(row, u) {
+		return
+	}
+	keys := rp.keys[:0]
+	for _, w := range row {
+		keys = append(keys, w<<32|w>>32)
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		v, p := int32(k>>32), int32(k)
+		bad := v == u || (i > 0 && v == int32(keys[i-1]>>32))
+		if bad && !rp.inPool[p] {
+			rp.inPool[p] = true
+			rp.pool = append(rp.pool, p)
+		}
+	}
+	rp.keys = keys
+}
+
+// simple reports whether a row of node u's holds neither u nor a repeated
+// neighbour.
+func simple(row []uint64, u int32) bool {
+	for i, w := range row {
+		v := int32(w)
+		if v == u {
+			return false
+		}
+		for _, x := range row[:i] {
+			if int32(x) == v {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -238,9 +238,7 @@ func (p *Population) SetCountsUndecided(counts []int64, undecided int64) error {
 // Shuffle permutes which node holds which color, uniformly at random,
 // preserving the histogram. Needed when the topology is not the clique.
 func (p *Population) Shuffle(r *rng.RNG) {
-	r.Shuffle(len(p.colors), func(i, j int) {
-		p.colors[i], p.colors[j] = p.colors[j], p.colors[i]
-	})
+	rng.Shuffle(r, p.colors)
 }
 
 // Clone returns a deep copy.

@@ -35,6 +35,10 @@ type RNG struct {
 	// for NormFloat64.
 	spare    float64
 	hasSpare bool
+
+	// touched folds the loads of Shuffle's read-ahead pass, so that the
+	// compiler keeps them; nothing reads it.
+	touched int32
 }
 
 // New returns a generator deterministically seeded from seed.
@@ -304,12 +308,44 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle randomizes the order of n elements using the provided swap
-// function (Fisher-Yates).
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
+// shuffleBatch is how many swap targets Shuffle draws before it swaps.
+const shuffleBatch = 64
+
+// Shuffle permutes s uniformly at random (Fisher–Yates): for i from
+// len(s)-1 down to 1 it swaps s[i] with s[j], j = Intn(i+1), drawing
+// exactly what that loop of Intn calls would. It draws on a local copy of
+// the state with the bounded draw inlined, a batch of targets at a time,
+// and reads every target of a batch before it swaps, so that on a slice
+// larger than the caches the target misses overlap instead of waiting one
+// after another. Swaps within a batch still run in order.
+func Shuffle[E ~int32](r *RNG, s []E) {
+	x := r.Xoshiro
+	var (
+		targets [shuffleBatch]uint64
+		touched E
+	)
+	for hi := len(s) - 1; hi > 0; {
+		batch := targets[:min(hi, shuffleBatch)]
+		for b := range batch {
+			n := uint64(hi - b + 1)
+			w := x.Uint64()
+			j, ok := Bound(w, n)
+			if !ok {
+				j = x.Reject(w, n)
+			}
+			batch[b] = j
+		}
+		for _, j := range batch {
+			touched += s[j]
+		}
+		for b, j := range batch {
+			i := hi - b
+			s[i], s[j] = s[j], s[i]
+		}
+		hi -= len(batch)
 	}
+	r.Xoshiro = x
+	r.touched += int32(touched)
 }
 
 // Jump advances the generator by 2^128 steps, equivalent to 2^128 calls to

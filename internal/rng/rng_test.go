@@ -205,18 +205,46 @@ func TestPermIsPermutation(t *testing.T) {
 
 func TestShuffleKeepsMultiset(t *testing.T) {
 	r := New(4)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	var sum int
+	xs := []int32{1, 2, 3, 4, 5, 6, 7, 8}
+	var sum int32
 	for _, v := range xs {
 		sum += v
 	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	var got int
+	Shuffle(r, xs)
+	var got int32
 	for _, v := range xs {
 		got += v
 	}
 	if got != sum {
 		t.Fatalf("shuffle changed element sum: %d != %d", got, sum)
+	}
+}
+
+// TestShuffleMatchesIntnLoop: Shuffle swaps and draws exactly what the
+// plain Fisher–Yates loop over Intn does, on either side of its batch
+// boundaries, and leaves the generator in the same state.
+func TestShuffleMatchesIntnLoop(t *testing.T) {
+	for _, size := range []int{0, 1, 2, 3, shuffleBatch, shuffleBatch + 1, shuffleBatch + 2, 2*shuffleBatch + 1, 1000} {
+		got := make([]int32, size)
+		want := make([]int32, size)
+		for i := range got {
+			got[i] = int32(i % 7)
+			want[i] = int32(i % 7)
+		}
+		r, ref := New(uint64(size)+11), New(uint64(size)+11)
+		Shuffle(r, got)
+		for i := size - 1; i > 0; i-- {
+			j := ref.Intn(i + 1)
+			want[i], want[j] = want[j], want[i]
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("size %d: element %d is %d, want %d", size, i, got[i], want[i])
+			}
+		}
+		if r.State() != ref.State() {
+			t.Fatalf("size %d: generator state differs from the Intn loop's", size)
+		}
 	}
 }
 

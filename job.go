@@ -403,8 +403,8 @@ func (j *Job) newTrialState(base *Population) *trialState {
 //
 // ctx cancels the whole fan-out: trials that already ran keep their
 // reports, and the first canceled trial's context error is returned.
-// Observer callbacks (WithObserver, WithProbe) are invoked concurrently
-// from trial workers.
+// Observer callbacks (WithObserver, WithProbe, WithPhaseObserver) are
+// invoked concurrently from trial workers.
 func (j *Job) Trials(ctx context.Context, trials int) ([]Report, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("plurality: trials = %d, want > 0", trials)

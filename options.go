@@ -225,6 +225,8 @@ func WithProbe(interval float64, fn func(CoreProbe)) Option {
 }
 
 // WithPhaseObserver registers a per-phase observer on OneExtraBit runs.
+// The callback runs synchronously on the simulation goroutine; Job.Trials
+// may invoke it concurrently from different trial workers.
 func WithPhaseObserver(fn func(PhaseInfo)) Option {
 	return optionFunc(func(o *options) { o.mark(plan.PhaseObserver); o.onPhase = fn })
 }
