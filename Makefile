@@ -4,10 +4,12 @@
 GO ?= go
 
 # Minimum statement coverage over the packages `make cover` measures
-# (internal/exp, internal/sched, internal/plan and internal/rng: the sweep
-# engine, its scheduler substrate, the engine planner and the generator
-# whose rare draw paths no simulation reaches). Currently ~95%; the floor
-# leaves headroom for refactors while catching untested new code.
+# (internal/exp, internal/sched, internal/plan, internal/rng and
+# internal/population: the sweep engine, its scheduler substrate, the
+# engine planner, the generator whose rare draw paths no simulation
+# reaches, and the colour vector in both its one-byte and four-byte
+# layouts). Currently ~95%; the floor leaves headroom for refactors while
+# catching untested new code.
 COVER_MIN ?= 85
 
 .PHONY: build test test-short test-race cover bench bench-smoke examples-smoke \
@@ -39,18 +41,22 @@ test-short:
 # tick feed: a clique run under Poisson clocks draws its ticks on a second
 # goroutine and passes them to the engine through channels, so the feed's
 # own tests and the two engine equivalence tests that reach its producer
-# run again.
+# run again. Last, twenty race passes of the daemon's two tests that
+# resubmit a spec as soon as its job reads done: a job must be settled
+# (cached and counted) before its terminal state is published.
 test-race:
 	$(GO) test -race -shuffle=on -short ./...
 	$(GO) test -race -count=5 -short \
 		-run '^(TestFeed.*|TestStagedLoopMatchesGeneralPath|TestBatchedRunMatchesPerTick)$$' \
 		./internal/sched ./internal/protocols/dynamics ./internal/core
+	$(GO) test -race -count=20 -short \
+		-run '^(TestResubmitAfterDoneHitsCache|TestMetricsAndList)$$' ./internal/service
 
 # Statement coverage of the experiment engine, the scheduler, the engine
-# planner and the generator, with a minimum-coverage gate (override the
-# floor with COVER_MIN=nn).
+# planner, the generator and the population, with a minimum-coverage gate
+# (override the floor with COVER_MIN=nn).
 cover:
-	$(GO) test -coverprofile=cover.out ./internal/exp ./internal/sched ./internal/plan ./internal/rng
+	$(GO) test -coverprofile=cover.out ./internal/exp ./internal/sched ./internal/plan ./internal/rng ./internal/population
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 	echo "coverage: $$total% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v m="$(COVER_MIN)" 'BEGIN { exit (t + 0 < m + 0) ? 1 : 0 }' || \

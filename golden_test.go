@@ -49,7 +49,10 @@ func sameGolden(a, b goldenReport) bool {
 // goldenTable was captured from the Job API before the engine planner
 // existed (commit 2455bb8), on a 256-node start (leap: 10¹² nodes) in the
 // default Sequential model. The j-majority:5 rows were captured later, at
-// commit 8470b6b, before its kernel stopped re-evaluating its weights.
+// commit 8470b6b, before its kernel stopped re-evaluating its weights. The
+// rows of the "-k256" and "-k300" paths, whose colours do not all fit in
+// one byte, were captured at commit 585c228, while every population still
+// stored four bytes per node.
 var goldenTable = []struct {
 	path, spec string
 	seed       uint64
@@ -153,9 +156,28 @@ var goldenTable = []struct {
 	{"node", "3-majority", 3, goldenReport{Kind: plurality.KindDynamic, Protocol: "3-majority", Converged: true, Winner: 0, ConsensusTime: 7.6988553912027395, Time: 72.16216520562519, Rounds: 0, Ticks: 14866, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 44598}},
 	{"core", "core", 1, goldenReport{Kind: plurality.KindCore, Protocol: "core", Converged: true, Winner: 0, ConsensusTime: 1021.3203125, Time: 1021.3203125, Rounds: 0, Ticks: 261459, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
 	{"onebit", "onebit", 1, goldenReport{Kind: plurality.KindOneExtraBit, Protocol: "onebit", Converged: true, Winner: 0, ConsensusTime: 0, Time: 0, Rounds: 31, Ticks: 0, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"per-node-k256", "voter", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "voter", Converged: true, Winner: 110, ConsensusTime: 2135.6563333333334, Time: 2135.6563333333334, Rounds: 0, Ticks: 6406970, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"per-node-k256", "two-choices", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "two-choices", Converged: true, Winner: 0, ConsensusTime: 27.313, Time: 27.313, Rounds: 0, Ticks: 81940, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"per-node-k256", "usd", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "usd", Converged: true, Winner: 0, ConsensusTime: 53.876666666666665, Time: 53.876666666666665, Rounds: 0, Ticks: 161631, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"csr-k256", "voter", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "voter", Converged: true, Winner: 0, ConsensusTime: 3669.2946666666667, Time: 3669.2946666666667, Rounds: 0, Ticks: 11007885, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"csr-k256", "two-choices", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "two-choices", Converged: true, Winner: 0, ConsensusTime: 61.289, Time: 61.289, Rounds: 0, Ticks: 183868, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"csr-k256", "usd", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "usd", Converged: true, Winner: 0, ConsensusTime: 59.608, Time: 59.608, Rounds: 0, Ticks: 178825, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"sync-k256", "voter", 1, goldenReport{Kind: plurality.KindSyncDynamic, Protocol: "voter", Converged: true, Winner: 246, ConsensusTime: 0, Time: 0, Rounds: 2787, Ticks: 0, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"sync-k256", "two-choices", 1, goldenReport{Kind: plurality.KindSyncDynamic, Protocol: "two-choices", Converged: true, Winner: 0, ConsensusTime: 0, Time: 0, Rounds: 24, Ticks: 0, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"sync-k256", "usd", 1, goldenReport{Kind: plurality.KindSyncDynamic, Protocol: "usd", Converged: true, Winner: 0, ConsensusTime: 0, Time: 0, Rounds: 20, Ticks: 0, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"per-node-k300", "voter", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "voter", Converged: true, Winner: 139, ConsensusTime: 2135.6563333333334, Time: 2135.6563333333334, Rounds: 0, Ticks: 6406970, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"per-node-k300", "two-choices", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "two-choices", Converged: true, Winner: 58, ConsensusTime: 299.62466666666666, Time: 299.62466666666666, Rounds: 0, Ticks: 898875, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"per-node-k300", "usd", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "usd", Converged: true, Winner: 267, ConsensusTime: 70.49733333333333, Time: 70.49733333333333, Rounds: 0, Ticks: 211493, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"csr-k300", "voter", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "voter", Converged: true, Winner: 4, ConsensusTime: 3669.2946666666667, Time: 3669.2946666666667, Rounds: 0, Ticks: 11007885, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"csr-k300", "two-choices", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "two-choices", Converged: true, Winner: 25, ConsensusTime: 206.75433333333334, Time: 206.75433333333334, Rounds: 0, Ticks: 620264, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"csr-k300", "usd", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "usd", Converged: true, Winner: 150, ConsensusTime: 120.03366666666666, Time: 120.03366666666666, Rounds: 0, Ticks: 360102, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"sync-k300", "voter", 1, goldenReport{Kind: plurality.KindSyncDynamic, Protocol: "voter", Converged: true, Winner: 289, ConsensusTime: 0, Time: 0, Rounds: 2787, Ticks: 0, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"sync-k300", "two-choices", 1, goldenReport{Kind: plurality.KindSyncDynamic, Protocol: "two-choices", Converged: true, Winner: 24, ConsensusTime: 0, Time: 0, Rounds: 248, Ticks: 0, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"sync-k300", "usd", 1, goldenReport{Kind: plurality.KindSyncDynamic, Protocol: "usd", Converged: true, Winner: 172, ConsensusTime: 0, Time: 0, Rounds: 32, Ticks: 0, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
 }
 
-// goldenCounts is the three-colour start every path except leap runs from.
+// goldenCounts is the three-colour start every path except leap and the
+// wide-colour paths runs from.
 var goldenCounts = []int64{120, 70, 66}
 
 // goldenPath is one way a Job can be executed: the options that select it
@@ -168,7 +190,7 @@ type goldenPath struct {
 
 func goldenPaths() []goldenPath {
 	none := func(*testing.T) []plurality.Option { return nil }
-	return []goldenPath{
+	paths := []goldenPath{
 		{"per-node", goldenCounts, func(*testing.T) []plurality.Option {
 			return []plurality.Option{plurality.WithEngine(plurality.EnginePerNode)}
 		}},
@@ -214,14 +236,52 @@ func goldenPaths() []goldenPath {
 			return []plurality.Option{plurality.WithTransport(plurality.NewChanTransport())}
 		}},
 	}
+	for _, k := range []int{256, 300} {
+		counts := wideCounts(k)
+		paths = append(paths,
+			goldenPath{fmt.Sprintf("per-node-k%d", k), counts, func(*testing.T) []plurality.Option {
+				return []plurality.Option{plurality.WithEngine(plurality.EnginePerNode)}
+			}},
+			goldenPath{fmt.Sprintf("csr-k%d", k), counts, func(t *testing.T) []plurality.Option {
+				g, err := plurality.RandomRegularGraph(wideN, 6, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return []plurality.Option{plurality.WithEngine(plurality.EnginePerNode), plurality.WithGraph(g)}
+			}},
+			goldenPath{fmt.Sprintf("sync-k%d", k), counts, func(*testing.T) []plurality.Option {
+				return []plurality.Option{plurality.WithModel(plurality.Synchronous)}
+			}},
+		)
+	}
+	return paths
+}
+
+// wideN is the size of the wide-colour starts.
+const wideN = 3000
+
+// wideCounts is Uniform(wideN, k) with colour 0 three nodes further ahead,
+// taken one each from colours 1–3: a start whose colours do not all fit in
+// one byte once k > 255.
+func wideCounts(k int) []int64 {
+	counts, err := plurality.Uniform(wideN, k)
+	if err != nil {
+		panic(err)
+	}
+	for c := 1; c <= 3; c++ {
+		counts[c]--
+		counts[0]++
+	}
+	return counts
 }
 
 // TestJobGoldenAcrossEngines pins the full Report of fixed-seed jobs along
 // every execution path the Job API dispatches to: the dynamics engines
 // (forced per-node, occupancy and lumped picked automatically, the per-node
 // fallback under edge latency, the counts and leap histogram paths, the
-// adversarial tick mode), the synchronous engine, the node runtime, and one
-// run each of core and OneExtraBit. Which path runs a job is decided by the
+// adversarial tick mode), the synchronous engine, the node runtime, one
+// run each of core and OneExtraBit, and per-node (clique and CSR) and
+// synchronous runs from starts with more colours than one byte holds. Which path runs a job is decided by the
 // engine planner; moving that decision must not change a single bit of any
 // of these runs.
 func TestJobGoldenAcrossEngines(t *testing.T) {
@@ -269,18 +329,19 @@ const scaleGraphStream = 1 << 10
 var scaleGrid = []struct {
 	engine, topology string
 	n                int
-	// bytesPerNode is trial 0's allocation per node when the grid was
-	// first recorded; the run may allocate at most 1.5× that plus one
+	// bytesPerNode is trial 0's allocation per node when the cell was
+	// last recorded (the per-node cells after the colour vector moved to
+	// one byte per node); the run may allocate at most 1.5× that plus one
 	// byte per node.
 	bytesPerNode float64
 	want         []goldenReport
 }{
-	{"per-node", "complete", 100_000, 4.14336, []goldenReport{
+	{"per-node", "complete", 100_000, 3.2535, []goldenReport{
 		twoChoicesRun(1469642, 14.677732663008793),
 		twoChoicesRun(1559889, 15.620651334042932),
 		twoChoicesRun(1481519, 14.820303904118743),
 	}},
-	{"per-node", "regular8", 100_000, 148.33256, []goldenReport{
+	{"per-node", "regular8", 100_000, 109.43, []goldenReport{
 		twoChoicesRun(2312531, 23.124117019767805),
 		twoChoicesRun(2160548, 21.613740445797742),
 	}},

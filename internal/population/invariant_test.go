@@ -37,12 +37,14 @@ func countsEqual(a, b []int64) bool {
 // package's central invariant: after any sequence of SetColor mutations the
 // cached counts must equal the histogram of the color vector. The
 // count-collapsed engine leans on this — pop.Counts() is assumed to *be*
-// the configuration.
+// the configuration. k is drawn from 1–6 and from either side of the
+// one-byte layout's limit, 255 and 256.
 func TestSetColorPreservesHistogramInvariant(t *testing.T) {
 	r := rng.New(91)
-	for trial := 0; trial < 50; trial++ {
+	ks := []int{1, 2, 3, 4, 5, 6, narrowK, narrowK + 1}
+	for trial := 0; trial < 80; trial++ {
 		n := 2 + r.Intn(60)
-		k := 1 + r.Intn(6)
+		k := ks[r.Intn(len(ks))]
 		initial := make([]int64, k)
 		initial[r.Intn(k)] = int64(n) // all nodes start on one random color
 		p, err := FromCounts(initial)

@@ -13,11 +13,17 @@
 // Nodes may also hold no opinion at all — the undecided state of
 // Undecided-State Dynamics, stored as None and tracked in a separate
 // undecided bucket so that holders + undecided always equals n.
+//
+// The color vector takes one byte per node whenever k ≤ 255, which every
+// paper workload satisfies, and four bytes per node above that. The layout
+// follows from k when the population is built, and no method's result
+// depends on it.
 package population
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"plurality/internal/rng"
 )
@@ -30,12 +36,32 @@ type Color int32
 // None is the absence of a color.
 const None Color = -1
 
+// narrowK is the largest k whose colors, together with None, fit in one
+// byte per node.
+const narrowK = math.MaxUint8
+
 // Population is the opinion state of n nodes over k colors, plus the
-// number of nodes currently undecided (holding None).
+// number of nodes currently undecided (holding None). When k ≤ 255 it
+// stores each node's color in one byte, color+1 with 0 for None; above
+// that, as a four-byte Color.
 type Population struct {
-	colors    []Color
+	// Exactly one of narrow (k ≤ narrowK) and wide holds the n colors.
+	narrow    []uint8
+	wide      []Color
 	counts    []int64
 	undecided int64
+}
+
+// alloc returns a population of n nodes over k colors whose counts are all
+// zero and whose color vector, laid out for k, is not yet filled.
+func alloc(n int64, k int) *Population {
+	p := &Population{counts: make([]int64, k)}
+	if k <= narrowK {
+		p.narrow = make([]uint8, n)
+	} else {
+		p.wide = make([]Color, n)
+	}
+	return p
 }
 
 // New creates a population of n nodes over k colors, all initially holding
@@ -47,11 +73,9 @@ func New(n, k int) (*Population, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("population: k = %d, want > 0", k)
 	}
-	p := &Population{
-		colors: make([]Color, n),
-		counts: make([]int64, k),
-	}
+	p := alloc(int64(n), k)
 	p.counts[0] = int64(n)
+	p.place(p.counts)
 	return p, nil
 }
 
@@ -72,50 +96,81 @@ func FromCounts(counts []int64) (*Population, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("population: zero total count")
 	}
-	p := &Population{
-		colors: make([]Color, n),
-		counts: make([]int64, len(counts)),
-	}
+	p := alloc(n, len(counts))
 	copy(p.counts, counts)
-	i := 0
-	for c, v := range counts {
-		for j := int64(0); j < v; j++ {
-			p.colors[i] = Color(c)
-			i++
-		}
-	}
+	p.place(counts)
 	return p, nil
 }
 
+// place assigns colors to node indices in contiguous blocks, counts[c]
+// nodes to color c in color order, and None to every node after them. It
+// leaves the counts alone.
+func (p *Population) place(counts []int64) {
+	u := 0
+	for c, v := range counts {
+		for end := u + int(v); u < end; u++ {
+			p.store(u, Color(c))
+		}
+	}
+	for ; u < p.N(); u++ {
+		p.store(u, None)
+	}
+}
+
+// store writes c into node u's slot of the color vector, leaving the counts
+// alone.
+func (p *Population) store(u int, c Color) {
+	if p.narrow != nil {
+		p.narrow[u] = uint8(c + 1)
+	} else {
+		p.wide[u] = c
+	}
+}
+
 // N returns the number of nodes.
-func (p *Population) N() int { return len(p.colors) }
+func (p *Population) N() int { return len(p.narrow) + len(p.wide) }
 
 // K returns the number of colors.
 func (p *Population) K() int { return len(p.counts) }
 
 // ColorOf returns node u's current color.
-func (p *Population) ColorOf(u int) Color { return p.colors[u] }
+func (p *Population) ColorOf(u int) Color {
+	if p.narrow != nil {
+		return Color(p.narrow[u]) - 1
+	}
+	return p.wide[u]
+}
 
 // SetColor changes node u's color to c, maintaining the invariant that
 // counts plus the undecided bucket always equal the histogram of the color
 // vector. c may be None: the node moves to the undecided state
 // (Undecided-State Dynamics), leaving every per-color count untouched.
+//
+// A color outside 0 … K()-1 other than None panics before SetColor changes
+// anything: the new color's count is updated first.
 func (p *Population) SetColor(u int, c Color) {
-	old := p.colors[u]
+	old := p.ColorOf(u)
 	if old == c {
 		return
-	}
-	if old == None {
-		p.undecided--
-	} else {
-		p.counts[old]--
 	}
 	if c == None {
 		p.undecided++
 	} else {
 		p.counts[c]++
 	}
-	p.colors[u] = c
+	if old == None {
+		p.undecided--
+	} else {
+		p.counts[old]--
+	}
+	// The write is store's body, spelled out: calling store would put
+	// SetColor past the inliner's budget, and the engines' loops call it
+	// per activation.
+	if p.narrow != nil {
+		p.narrow[u] = uint8(c + 1)
+	} else {
+		p.wide[u] = c
+	}
 }
 
 // Count returns the number of nodes holding color c; Count(None) returns
@@ -146,7 +201,7 @@ func (p *Population) CountsView() []int64 { return p.counts }
 
 // Fraction returns the fraction of nodes holding color c.
 func (p *Population) Fraction(c Color) float64 {
-	return float64(p.counts[c]) / float64(len(p.colors))
+	return float64(p.counts[c]) / float64(p.N())
 }
 
 // TopTwo returns the colors with the largest and second-largest support and
@@ -182,12 +237,12 @@ func (p *Population) Bias() int64 {
 // IsUnanimous reports whether every node holds the same color.
 func (p *Population) IsUnanimous() bool {
 	_, c1, _, _ := p.TopTwo()
-	return c1 == int64(len(p.colors))
+	return c1 == int64(p.N())
 }
 
 // ConsensusOn reports whether every node holds color c.
 func (p *Population) ConsensusOn(c Color) bool {
-	return p.counts[c] == int64(len(p.colors))
+	return p.counts[c] == int64(p.N())
 }
 
 // SetCounts overwrites the population in place so its histogram equals
@@ -217,49 +272,45 @@ func (p *Population) SetCountsUndecided(counts []int64, undecided int64) error {
 		}
 		n += v
 	}
-	if n != int64(len(p.colors)) {
-		return fmt.Errorf("population: SetCounts total %d, want %d", n, len(p.colors))
+	if n != int64(p.N()) {
+		return fmt.Errorf("population: SetCounts total %d, want %d", n, p.N())
 	}
 	copy(p.counts, counts)
 	p.undecided = undecided
-	i := 0
-	for c, v := range counts {
-		for j := int64(0); j < v; j++ {
-			p.colors[i] = Color(c)
-			i++
-		}
-	}
-	for ; i < len(p.colors); i++ {
-		p.colors[i] = None
-	}
+	p.place(counts)
 	return nil
 }
 
 // Shuffle permutes which node holds which color, uniformly at random,
 // preserving the histogram. Needed when the topology is not the clique.
+// The permutation depends only on r and n, not on the layout.
 func (p *Population) Shuffle(r *rng.RNG) {
-	rng.Shuffle(r, p.colors)
+	if p.narrow != nil {
+		rng.Shuffle(r, p.narrow)
+	} else {
+		rng.Shuffle(r, p.wide)
+	}
 }
 
 // Clone returns a deep copy.
 func (p *Population) Clone() *Population {
-	cp := &Population{
-		colors:    make([]Color, len(p.colors)),
-		counts:    make([]int64, len(p.counts)),
+	return &Population{
+		narrow:    slices.Clone(p.narrow),
+		wide:      slices.Clone(p.wide),
+		counts:    slices.Clone(p.counts),
 		undecided: p.undecided,
 	}
-	copy(cp.colors, p.colors)
-	copy(cp.counts, p.counts)
-	return cp
 }
 
 // Reset overwrites this population's state from src, which must have the
-// same n and k. It lets trial loops reuse allocations.
+// same n and k (and so the same layout). It lets trial loops reuse
+// allocations.
 func (p *Population) Reset(src *Population) error {
-	if len(p.colors) != len(src.colors) || len(p.counts) != len(src.counts) {
+	if p.N() != src.N() || len(p.counts) != len(src.counts) {
 		return fmt.Errorf("population: Reset shape mismatch")
 	}
-	copy(p.colors, src.colors)
+	copy(p.narrow, src.narrow)
+	copy(p.wide, src.wide)
 	copy(p.counts, src.counts)
 	p.undecided = src.undecided
 	return nil

@@ -250,6 +250,98 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestLayoutsAgree holds a one-byte population (k = 4) and a four-byte one
+// (k = 256, colors 0–3 filled) to the same colors at every node, from
+// construction through SetColor, Shuffle from one seed, Clone, Reset and
+// SetCountsUndecided.
+func TestLayoutsAgree(t *testing.T) {
+	counts := []int64{40, 25, 20, 15}
+	narrow, err := FromCounts(counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := FromCounts(append(append([]int64(nil), counts...), make([]int64, 252)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if narrow.narrow == nil || wide.wide == nil {
+		t.Fatal("k = 4 should store one byte per node and k = 256 four")
+	}
+	same := func(step string, a, b *Population) {
+		t.Helper()
+		for u := 0; u < a.N(); u++ {
+			if a.ColorOf(u) != b.ColorOf(u) {
+				t.Fatalf("after %s: node %d reads %d and %d", step, u, a.ColorOf(u), b.ColorOf(u))
+			}
+		}
+		if a.N() != b.N() || a.Undecided() != b.Undecided() || !countsEqual(a.Counts(), b.Counts()[:a.K()]) {
+			t.Fatalf("after %s: n %d/%d, undecided %d/%d, counts %v vs %v",
+				step, a.N(), b.N(), a.Undecided(), b.Undecided(), a.Counts(), b.Counts()[:a.K()])
+		}
+	}
+	same("FromCounts", narrow, wide)
+	for _, p := range []*Population{narrow, wide} {
+		p.SetColor(0, 3)
+		p.SetColor(1, None)
+		p.SetColor(99, 1)
+	}
+	same("SetColor", narrow, wide)
+	narrow.Shuffle(rng.New(7))
+	wide.Shuffle(rng.New(7))
+	same("Shuffle", narrow, wide)
+	nc, wc := narrow.Clone(), wide.Clone()
+	same("Clone", nc, wc)
+	if nc.narrow == nil || wc.wide == nil {
+		t.Fatal("Clone changed the layout")
+	}
+	if err := nc.SetCountsUndecided([]int64{30, 30, 20, 5}, 15); err != nil {
+		t.Fatal(err)
+	}
+	if err := wc.SetCountsUndecided(append([]int64{30, 30, 20, 5}, make([]int64, 252)...), 15); err != nil {
+		t.Fatal(err)
+	}
+	same("SetCountsUndecided", nc, wc)
+	if nc.ColorOf(nc.N()-1) != None {
+		t.Fatalf("SetCountsUndecided left the last node on %d, want None", nc.ColorOf(nc.N()-1))
+	}
+	if err := nc.Reset(narrow); err != nil {
+		t.Fatal(err)
+	}
+	if err := wc.Reset(wide); err != nil {
+		t.Fatal(err)
+	}
+	same("Reset", nc, wc)
+	same("Reset, against its source", nc, narrow)
+}
+
+// TestSetColorOutOfRangePanics: a color at or past k panics in either
+// layout, and leaves the population as it was. In the one-byte layout
+// color 255 would wrap to the stored form of None, so k = 255 is checked at
+// exactly that color.
+func TestSetColorOutOfRangePanics(t *testing.T) {
+	for _, tc := range []struct {
+		k int
+		c Color
+	}{{4, 4}, {narrowK, narrowK}, {narrowK + 1, narrowK + 1}} {
+		p, err := New(3, tc.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("k = %d: SetColor(0, %d) did not panic; node 0 now reads %d", tc.k, tc.c, p.ColorOf(0))
+				}
+			}()
+			p.SetColor(0, tc.c)
+		}()
+		if p.ColorOf(0) != 0 || p.Count(0) != 3 || p.Undecided() != 0 {
+			t.Errorf("k = %d: after the panic node 0 reads %d, Count(0) = %d, undecided %d; want 0, 3, 0",
+				tc.k, p.ColorOf(0), p.Count(0), p.Undecided())
+		}
+	}
+}
+
 func TestBiasedCounts(t *testing.T) {
 	tests := []struct {
 		name string

@@ -317,8 +317,10 @@ const shuffleBatch = 64
 // the state with the bounded draw inlined, a batch of targets at a time,
 // and reads every target of a batch before it swaps, so that on a slice
 // larger than the caches the target misses overlap instead of waiting one
-// after another. Swaps within a batch still run in order.
-func Shuffle[E ~int32](r *RNG, s []E) {
+// after another. Swaps within a batch still run in order. The draws depend
+// only on len(s), so slices of either element type of the same length are
+// permuted alike.
+func Shuffle[E ~int32 | ~uint8](r *RNG, s []E) {
 	x := r.Xoshiro
 	var (
 		targets [shuffleBatch]uint64

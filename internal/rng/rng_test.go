@@ -222,27 +222,31 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 
 // TestShuffleMatchesIntnLoop: Shuffle swaps and draws exactly what the
 // plain Fisher–Yates loop over Intn does, on either side of its batch
-// boundaries, and leaves the generator in the same state.
+// boundaries, on int32 and byte slices alike, and leaves the generator in
+// the same state.
 func TestShuffleMatchesIntnLoop(t *testing.T) {
 	for _, size := range []int{0, 1, 2, 3, shuffleBatch, shuffleBatch + 1, shuffleBatch + 2, 2*shuffleBatch + 1, 1000} {
 		got := make([]int32, size)
 		want := make([]int32, size)
+		narrow := make([]uint8, size)
 		for i := range got {
 			got[i] = int32(i % 7)
 			want[i] = int32(i % 7)
+			narrow[i] = uint8(i % 7)
 		}
-		r, ref := New(uint64(size)+11), New(uint64(size)+11)
+		r, rb, ref := New(uint64(size)+11), New(uint64(size)+11), New(uint64(size)+11)
 		Shuffle(r, got)
+		Shuffle(rb, narrow)
 		for i := size - 1; i > 0; i-- {
 			j := ref.Intn(i + 1)
 			want[i], want[j] = want[j], want[i]
 		}
 		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("size %d: element %d is %d, want %d", size, i, got[i], want[i])
+			if got[i] != want[i] || int32(narrow[i]) != want[i] {
+				t.Fatalf("size %d: element %d is %d (byte slice: %d), want %d", size, i, got[i], narrow[i], want[i])
 			}
 		}
-		if r.State() != ref.State() {
+		if r.State() != ref.State() || rb.State() != ref.State() {
 			t.Fatalf("size %d: generator state differs from the Intn loop's", size)
 		}
 	}

@@ -107,8 +107,7 @@ func (s *Server) worker() {
 			for {
 				select {
 				case t := <-s.queue:
-					t.finish(StateCanceled, nil, errShutdown.Error())
-					s.settle(t, StateCanceled)
+					s.complete(t, StateCanceled, nil, errShutdown.Error())
 				default:
 					return
 				}
@@ -125,8 +124,7 @@ func (s *Server) worker() {
 func (s *Server) runTask(t *task) {
 	if t.ctx.Err() != nil {
 		// Canceled while still queued (DELETE or disconnect).
-		t.finish(StateCanceled, nil, context.Cause(t.ctx).Error())
-		s.settle(t, StateCanceled)
+		s.complete(t, StateCanceled, nil, context.Cause(t.ctx).Error())
 		return
 	}
 	start := time.Now()
@@ -173,23 +171,33 @@ func (s *Server) runTask(t *task) {
 	}
 	s.metrics.running.Add(-1)
 	s.metrics.observeLatency(time.Since(start))
-	t.finish(state, bodies, errText)
-	s.settle(t, state)
+	s.complete(t, state, bodies, errText)
 	s.log.Info("job finished",
 		"id", t.id, "state", string(state), "protocol", t.spec.Protocol,
 		"n", t.job.N(), "trials", t.spec.Trials,
 		"seconds", time.Since(start).Seconds(), "err", errText)
 }
 
+// complete ends a task in a terminal state. It seals the terminal body,
+// settles the task, and only then publishes the state. In that order a
+// client that sees the job finished and at once resubmits its spec hits
+// the cache instead of joining the finished task, and the metrics already
+// count the job.
+func (s *Server) complete(t *task, state JobState, reports []ReportBody, errText string) {
+	body := t.seal(state, reports, errText)
+	s.settle(t, state, body)
+	t.finish(state, reports, errText, body)
+}
+
 // settle moves a terminal task out of the in-flight dedupe table, caches
-// done results and bumps the lifecycle counters.
-func (s *Server) settle(t *task, state JobState) {
+// a done task's body and bumps the lifecycle counters.
+func (s *Server) settle(t *task, state JobState, body []byte) {
 	s.mu.Lock()
 	if s.byKey[t.key] == t {
 		delete(s.byKey, t.key)
 	}
 	if state == StateDone {
-		s.cache.Add(t.key, t.terminalBody())
+		s.cache.Add(t.key, body)
 	}
 	s.mu.Unlock()
 	switch state {

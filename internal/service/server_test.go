@@ -447,6 +447,42 @@ func TestMetricsAndList(t *testing.T) {
 	}
 }
 
+// TestResubmitAfterDoneHitsCache: a job is settled (out of the dedupe
+// table, into the cache and the counters) before its terminal state is
+// published. So a client that polls a fresh job until done and resubmits
+// its spec at once hits the cache every time, and /v1/metrics already
+// counts the job as completed.
+func TestResubmitAfterDoneHitsCache(t *testing.T) {
+	const rounds = 60
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+	for i := range rounds {
+		spec := fastSpec(uint64(5000 + i))
+		resp, body := post(t, ts, spec)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("round %d: submit status %d: %s", i, resp.StatusCode, body)
+		}
+		var st JobStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, ts, st.ID, StateDone, 30*time.Second)
+		resp, body = post(t, ts, spec)
+		if h := resp.Header.Get("X-Cache"); resp.StatusCode != http.StatusOK || h != "hit" {
+			t.Fatalf("round %d: resubmit after done got status %d, X-Cache %q; want 200, hit: %s",
+				i, resp.StatusCode, h, body)
+		}
+		_, body = get(t, ts, "/v1/metrics")
+		var m MetricsSnapshot
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		if done := int64(i + 1); m.Jobs.Completed != done || m.Cache.Hits != done {
+			t.Fatalf("round %d: %d jobs done, metrics count %d completed and %d cache hits: %s",
+				i, done, m.Jobs.Completed, m.Cache.Hits, body)
+		}
+	}
+}
+
 // TestDistinctJobsAllComplete: a burst of distinct jobs on the default
 // worker pool all finish, and the metrics count every completion.
 func TestDistinctJobsAllComplete(t *testing.T) {

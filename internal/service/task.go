@@ -200,11 +200,25 @@ func (t *task) publish(s plurality.Snapshot) {
 	t.mu.Unlock()
 }
 
-// finish moves the task to a terminal state, stores its deterministic body
-// and closes every subscriber channel (the SSE handlers then emit the
-// terminal "report" event from the stored body, so a stuck client can never
-// block the worker). It is idempotent; only the first call wins.
-func (t *task) finish(state JobState, reports []ReportBody, errText string) {
+// seal returns the deterministic terminal body the task will publish in
+// state, without publishing it.
+func (t *task) seal(state JobState, reports []ReportBody, errText string) []byte {
+	st := t.status()
+	st.State, st.Reports, st.Error = state, reports, errText
+	body, err := marshalJSON(st)
+	if err != nil {
+		// JobStatus marshals plain structs; this cannot fail, but fall
+		// back to an explicit error body rather than a nil cache entry.
+		body = []byte(`{"error":{"code":"internal","message":"status marshal failed"}}`)
+	}
+	return body
+}
+
+// finish publishes a terminal state and its sealed body, and closes every
+// subscriber channel (the SSE handlers then emit the terminal "report"
+// event from the stored body, so a stuck client can never block the
+// worker). It is idempotent; only the first call wins.
+func (t *task) finish(state JobState, reports []ReportBody, errText string, body []byte) {
 	t.mu.Lock()
 	if t.state.terminal() {
 		t.mu.Unlock()
@@ -213,12 +227,6 @@ func (t *task) finish(state JobState, reports []ReportBody, errText string) {
 	t.state = state
 	t.reports = reports
 	t.errText = errText
-	body, err := marshalJSON(t.statusLocked())
-	if err != nil {
-		// statusLocked marshals plain structs; this cannot fail, but fall
-		// back to an explicit error body rather than a nil cache entry.
-		body = []byte(`{"error":{"code":"internal","message":"status marshal failed"}}`)
-	}
 	t.body = body
 	subs := make([]chan streamEvent, 0, len(t.subs))
 	for ch := range t.subs {

@@ -58,6 +58,7 @@ type (
 	// Color identifies an opinion (0 … k-1); None marks its absence.
 	Color = population.Color
 	// Population is the mutable opinion state of n nodes over k colors.
+	// It stores one byte per node whenever k ≤ 255, and four above that.
 	Population = population.Population
 	// Graph is a communication topology; the default is the complete
 	// graph the paper analyzes.
