@@ -53,10 +53,11 @@ test-race:
 		-run '^(TestResubmitAfterDoneHitsCache|TestMetricsAndList)$$' ./internal/service
 
 # Statement coverage of the experiment engine, the scheduler, the engine
-# planner, the generator and the population, with a minimum-coverage gate
-# (override the floor with COVER_MIN=nn).
+# planner, the generator, the population and the graphs (both CSR layouts,
+# the dense random-regular path and the topology grammar), with a
+# minimum-coverage gate (override the floor with COVER_MIN=nn).
 cover:
-	$(GO) test -coverprofile=cover.out ./internal/exp ./internal/sched ./internal/plan ./internal/rng ./internal/population
+	$(GO) test -coverprofile=cover.out ./internal/exp ./internal/sched ./internal/plan ./internal/rng ./internal/population ./internal/graph
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 	echo "coverage: $$total% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v m="$(COVER_MIN)" 'BEGIN { exit (t + 0 < m + 0) ? 1 : 0 }' || \

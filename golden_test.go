@@ -52,7 +52,9 @@ func sameGolden(a, b goldenReport) bool {
 // commit 8470b6b, before its kernel stopped re-evaluating its weights. The
 // rows of the "-k256" and "-k300" paths, whose colours do not all fit in
 // one byte, were captured at commit 585c228, while every population still
-// stored four bytes per node.
+// stored four bytes per node. The "per-node-gnp" rows, per-node runs on an
+// irregular CSR graph, were captured at commit d10cc6e, while every CSR
+// graph still kept its row offsets.
 var goldenTable = []struct {
 	path, spec string
 	seed       uint64
@@ -67,6 +69,15 @@ var goldenTable = []struct {
 	{"per-node", "3-majority", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "3-majority", Converged: true, Winner: 0, ConsensusTime: 6.6796875, Time: 6.6796875, Rounds: 0, Ticks: 1711, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
 	{"per-node", "3-majority", 2, goldenReport{Kind: plurality.KindDynamic, Protocol: "3-majority", Converged: true, Winner: 0, ConsensusTime: 7.4765625, Time: 7.4765625, Rounds: 0, Ticks: 1915, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
 	{"per-node", "3-majority", 3, goldenReport{Kind: plurality.KindDynamic, Protocol: "3-majority", Converged: true, Winner: 0, ConsensusTime: 8.96875, Time: 8.96875, Rounds: 0, Ticks: 2297, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"per-node-gnp", "two-choices", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "two-choices", Converged: true, Winner: 0, ConsensusTime: 15.44921875, Time: 15.44921875, Rounds: 0, Ticks: 3956, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"per-node-gnp", "two-choices", 2, goldenReport{Kind: plurality.KindDynamic, Protocol: "two-choices", Converged: true, Winner: 0, ConsensusTime: 9.1953125, Time: 9.1953125, Rounds: 0, Ticks: 2355, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"per-node-gnp", "two-choices", 3, goldenReport{Kind: plurality.KindDynamic, Protocol: "two-choices", Converged: true, Winner: 0, ConsensusTime: 10.21484375, Time: 10.21484375, Rounds: 0, Ticks: 2616, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"per-node-gnp", "usd", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "usd", Converged: true, Winner: 0, ConsensusTime: 19.03515625, Time: 19.03515625, Rounds: 0, Ticks: 4874, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"per-node-gnp", "usd", 2, goldenReport{Kind: plurality.KindDynamic, Protocol: "usd", Converged: true, Winner: 0, ConsensusTime: 16.80859375, Time: 16.80859375, Rounds: 0, Ticks: 4304, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"per-node-gnp", "usd", 3, goldenReport{Kind: plurality.KindDynamic, Protocol: "usd", Converged: true, Winner: 0, ConsensusTime: 17.7734375, Time: 17.7734375, Rounds: 0, Ticks: 4551, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"per-node-gnp", "3-majority", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "3-majority", Converged: true, Winner: 0, ConsensusTime: 11.62890625, Time: 11.62890625, Rounds: 0, Ticks: 2978, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"per-node-gnp", "3-majority", 2, goldenReport{Kind: plurality.KindDynamic, Protocol: "3-majority", Converged: true, Winner: 0, ConsensusTime: 7.4765625, Time: 7.4765625, Rounds: 0, Ticks: 1915, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
+	{"per-node-gnp", "3-majority", 3, goldenReport{Kind: plurality.KindDynamic, Protocol: "3-majority", Converged: true, Winner: 0, ConsensusTime: 9.5859375, Time: 9.5859375, Rounds: 0, Ticks: 2455, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
 	{"auto-clique", "two-choices", 1, goldenReport{Kind: plurality.KindDynamic, Protocol: "two-choices", Converged: true, Winner: 0, ConsensusTime: 8.359375, Time: 8.359375, Rounds: 0, Ticks: 2141, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
 	{"auto-clique", "two-choices", 2, goldenReport{Kind: plurality.KindDynamic, Protocol: "two-choices", Converged: true, Winner: 0, ConsensusTime: 10, Time: 10, Rounds: 0, Ticks: 2561, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
 	{"auto-clique", "two-choices", 3, goldenReport{Kind: plurality.KindDynamic, Protocol: "two-choices", Converged: true, Winner: 0, ConsensusTime: 12.765625, Time: 12.765625, Rounds: 0, Ticks: 3269, Undecided: 0, Churns: 0, Corruptions: 0, Biased: 0, Messages: 0}},
@@ -194,6 +205,13 @@ func goldenPaths() []goldenPath {
 		{"per-node", goldenCounts, func(*testing.T) []plurality.Option {
 			return []plurality.Option{plurality.WithEngine(plurality.EnginePerNode)}
 		}},
+		{"per-node-gnp", goldenCounts, func(t *testing.T) []plurality.Option {
+			g, err := plurality.RandomGraph(256, 0.05, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []plurality.Option{plurality.WithEngine(plurality.EnginePerNode), plurality.WithGraph(g)}
+		}},
 		{"auto-clique", goldenCounts, none},
 		{"auto-annealed", goldenCounts, func(t *testing.T) []plurality.Option {
 			g, err := plurality.AnnealedRegularGraph(256, 4)
@@ -280,8 +298,9 @@ func wideCounts(k int) []int64 {
 // (forced per-node, occupancy and lumped picked automatically, the per-node
 // fallback under edge latency, the counts and leap histogram paths, the
 // adversarial tick mode), the synchronous engine, the node runtime, one
-// run each of core and OneExtraBit, and per-node (clique and CSR) and
-// synchronous runs from starts with more colours than one byte holds. Which path runs a job is decided by the
+// run each of core and OneExtraBit, per-node runs on a G(n,p) graph, and
+// per-node (clique and CSR) and synchronous runs from starts with more
+// colours than one byte holds. Which path runs a job is decided by the
 // engine planner; moving that decision must not change a single bit of any
 // of these runs.
 func TestJobGoldenAcrossEngines(t *testing.T) {
@@ -331,7 +350,8 @@ var scaleGrid = []struct {
 	n                int
 	// bytesPerNode is trial 0's allocation per node when the cell was
 	// last recorded (the per-node cells after the colour vector moved to
-	// one byte per node); the run may allocate at most 1.5× that plus one
+	// one byte per node, regular8 again after regular CSR graphs dropped
+	// their row offsets); the run may allocate at most 1.5× that plus one
 	// byte per node.
 	bytesPerNode float64
 	want         []goldenReport
@@ -341,7 +361,7 @@ var scaleGrid = []struct {
 		twoChoicesRun(1559889, 15.620651334042932),
 		twoChoicesRun(1481519, 14.820303904118743),
 	}},
-	{"per-node", "regular8", 100_000, 109.43, []goldenReport{
+	{"per-node", "regular8", 100_000, 105.42, []goldenReport{
 		twoChoicesRun(2312531, 23.124117019767805),
 		twoChoicesRun(2160548, 21.613740445797742),
 	}},

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -31,17 +32,46 @@ func randomJagged(seed uint64) [][]int32 {
 	return adj
 }
 
+// regularJagged returns the rows of a random regular graph drawn from a
+// seed, copied out of the arena into the jagged reference representation.
+func regularJagged(seed uint64) [][]int32 {
+	r := rng.New(seed)
+	n := 2 + r.Intn(40)
+	d := 1 + r.Intn(min(n-1, 8))
+	if n*d%2 != 0 {
+		d++ // n is odd, so d < n-1
+	}
+	g, err := NewRandomRegular(n, d, r)
+	if err != nil {
+		panic(err)
+	}
+	adj := make([][]int32, n)
+	for u := range adj {
+		adj[u] = append([]int32(nil), g.Neighbors(u)...)
+	}
+	return adj
+}
+
 // TestCSRMatchesJaggedProperty: over random graphs, the CSR representation
 // must agree with the jagged reference on N, Degree and Neighbors, and
 // Sample must be distribution-identical — it consumes the RNG exactly as
 // the jagged form did (one Intn(degree) draw indexing the neighbor list),
-// so identically seeded draws must return identical nodes.
+// so identically seeded draws must return identical nodes. Every other
+// check takes the rows of a random regular graph, which NewAdjacency packs
+// without row offsets, so both layouts are compared with the reference.
 func TestCSRMatchesJaggedProperty(t *testing.T) {
+	var calls, regular int
 	check := func(seed uint64) bool {
 		adj := randomJagged(seed)
+		if calls++; calls%2 == 0 {
+			adj = regularJagged(seed)
+		}
 		g, err := NewAdjacency(adj)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if _, d := g.Regular(); d > 0 {
+			regular++
 		}
 		if g.N() != len(adj) {
 			return false
@@ -50,11 +80,8 @@ func TestCSRMatchesJaggedProperty(t *testing.T) {
 			if g.Degree(u) != len(nbrs) {
 				return false
 			}
-			row := g.Neighbors(u)
-			for i := range nbrs {
-				if row[i] != nbrs[i] {
-					return false
-				}
+			if !slices.Equal(g.Neighbors(u), nbrs) {
+				return false
 			}
 		}
 		// Identical RNG streams must produce identical samples: the CSR
@@ -72,8 +99,75 @@ func TestCSRMatchesJaggedProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+	if regular < calls/2 {
+		t.Fatalf("%d of %d graphs kept no row offsets; want at least the %d regular ones", regular, calls, calls/2)
+	}
+}
+
+// TestLayoutFollowsRows: every constructor keeps no row offsets exactly
+// when all rows have one length, and Regular reports that length.
+func TestLayoutFollowsRows(t *testing.T) {
+	regular := func(g *Adjacency) bool {
+		arena, d := g.Regular()
+		if (g.off == nil) != (d > 0) {
+			t.Fatalf("Regular reports d = %d with %d offsets", d, len(g.off))
+		}
+		if d > 0 && (len(arena) != g.N()*d || &arena[0] != &g.arena[0]) {
+			t.Fatalf("Regular returns %d entries of a %d-node %d-regular arena", len(arena), g.N(), d)
+		}
+		return d > 0
+	}
+	rows := [][]int32{{1, 2}, {0, 2}, {0, 1}, {1, 2}}
+	g, err := NewAdjacency(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regular(g) || g.Degree(3) != 2 {
+		t.Fatal("NewAdjacency kept row offsets for rows of one length")
+	}
+	// One row of another length, first, inside or last, keeps offsets.
+	for u := range rows {
+		odd := slices.Clone(rows)
+		odd[u] = append(slices.Clone(odd[u]), 3)
+		if g, err = NewAdjacency(odd); err != nil {
+			t.Fatal(err)
+		}
+		if regular(g) {
+			t.Fatalf("NewAdjacency dropped the row offsets with row %d longer", u)
+		}
+	}
+	for _, sh := range []struct{ n, d int }{{2, 1}, {3, 2}, {8, 3}, {10, 5}, {10, 6}, {30, 20}, {500, 8}} {
+		g, err := NewRandomRegular(sh.n, sh.d, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !regular(g) || g.Degree(sh.n-1) != sh.d {
+			t.Fatalf("NewRandomRegular(%d, %d) kept row offsets", sh.n, sh.d)
+		}
+	}
+	// newCSRFromPairs: the 4-cycle's edges, then one chord more.
+	square := []int32{0, 1, 1, 2, 2, 3, 3, 0}
+	if g, err = newCSRFromPairs(4, square); err != nil {
+		t.Fatal(err)
+	}
+	if !regular(g) {
+		t.Fatal("newCSRFromPairs kept row offsets for the 4-cycle")
+	}
+	if g, err = newCSRFromPairs(4, append(square, 0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if regular(g) || g.Degree(0) != 3 || g.Degree(1) != 2 {
+		t.Fatal("newCSRFromPairs dropped the row offsets of the 4-cycle with a chord")
+	}
+	// G(n,p) at p = 1 is K_n.
+	if g, err = NewGNP(6, 1, rng.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	if !regular(g) || g.Degree(0) != 5 {
+		t.Fatal("NewGNP kept row offsets for K_6")
 	}
 }
 

@@ -126,14 +126,37 @@ func (g Torus) Sample(r *rng.RNG, u int) int {
 
 // Adjacency is an explicit-edge graph in compressed sparse row (CSR) form,
 // used for G(n,p), random regular graphs and any custom topology: all
-// neighbor lists live in one contiguous int32 arena with per-node row
-// offsets, so the sampling hot path is two sequential loads from
-// cache-packed arrays instead of chasing a jagged [][]int32. Every node has
-// at least one neighbor (enforced by the constructors), which is what keeps
-// Sample total.
+// neighbor lists live in one contiguous int32 arena, so the sampling hot
+// path reads cache-packed arrays instead of chasing a jagged [][]int32.
+// The layout follows from the rows, once, at construction: when every row
+// has one length d the graph keeps d and no offsets, and node u's row is
+// arena[u·d : (u+1)·d]; otherwise n+1 row offsets delimit the rows. Every
+// node has at least one neighbor (enforced by the constructors), which is
+// what keeps Sample total.
 type Adjacency struct {
 	arena []int32
-	off   []uint32
+	off   []uint32 // row offsets; nil when every row has length d
+	d     int      // the common row length when off is nil
+	n     int
+}
+
+// newCSR returns the graph on n nodes whose rows lie end to end in arena,
+// node u's holding deg(u) entries. It is the one place a layout is chosen:
+// it reads the row lengths up to the first that differs from row 0's, and
+// keeps offsets only when it finds one.
+func newCSR(arena []int32, n int, deg func(u int) int) *Adjacency {
+	d, u := deg(0), 1
+	for u < n && deg(u) == d {
+		u++
+	}
+	if u == n {
+		return &Adjacency{arena: arena, d: d, n: n}
+	}
+	off := make([]uint32, n+1)
+	for v := 0; v < n; v++ {
+		off[v+1] = off[v] + uint32(deg(v))
+	}
+	return &Adjacency{arena: arena, off: off, n: n}
 }
 
 // NewAdjacency packs the given adjacency lists into CSR form. Every node
@@ -159,10 +182,9 @@ func NewAdjacency(adj [][]int32) (*Adjacency, error) {
 	if total > math.MaxUint32 {
 		return nil, fmt.Errorf("graph: %d half-edges overflow the 32-bit CSR offsets", total)
 	}
-	g := &Adjacency{arena: make([]int32, 0, total), off: make([]uint32, n+1)}
-	for u, nbrs := range adj {
+	g := newCSR(make([]int32, 0, total), n, func(u int) int { return len(adj[u]) })
+	for _, nbrs := range adj {
 		g.arena = append(g.arena, nbrs...)
-		g.off[u+1] = uint32(len(g.arena))
 	}
 	return g, nil
 }
@@ -174,27 +196,28 @@ func newCSRFromPairs(n int, pairs []int32) (*Adjacency, error) {
 	if uint64(len(pairs)) > math.MaxUint32 {
 		return nil, fmt.Errorf("graph: %d half-edges overflow the 32-bit CSR offsets", len(pairs))
 	}
-	off := make([]uint32, n+1)
+	cur := make([]uint32, n)
 	for _, v := range pairs {
-		off[v+1]++
+		cur[v]++
 	}
-	for u := 0; u < n; u++ {
-		if off[u+1] == 0 {
+	for u, k := range cur {
+		if k == 0 {
 			return nil, fmt.Errorf("graph: node %d has no neighbors", u)
 		}
-		off[u+1] += off[u]
 	}
-	arena := make([]int32, len(pairs))
-	cur := make([]uint32, n)
-	copy(cur, off[:n])
+	g := newCSR(make([]int32, len(pairs)), n, func(u int) int { return int(cur[u]) })
+	// The degrees are spent, so cur becomes each row's fill cursor.
+	for u := range cur {
+		cur[u] = uint32(g.start(u))
+	}
 	for i := 0; i < len(pairs); i += 2 {
 		a, b := pairs[i], pairs[i+1]
-		arena[cur[a]] = b
+		g.arena[cur[a]] = b
 		cur[a]++
-		arena[cur[b]] = a
+		g.arena[cur[b]] = a
 		cur[b]++
 	}
-	return &Adjacency{arena: arena, off: off}, nil
+	return g, nil
 }
 
 // NewGNP samples an Erdős–Rényi graph G(n, p), patching isolated nodes by
@@ -254,15 +277,23 @@ func (g geometricSkip) next(r *rng.RNG) int {
 }
 
 // N implements Graph.
-func (g *Adjacency) N() int { return len(g.off) - 1 }
+func (g *Adjacency) N() int { return g.n }
 
 // Degree implements Graph.
-func (g *Adjacency) Degree(u int) int { return int(g.off[u+1] - g.off[u]) }
+func (g *Adjacency) Degree(u int) int {
+	if g.off == nil {
+		return g.d
+	}
+	return int(g.off[u+1] - g.off[u])
+}
 
 // Sample implements Graph. It is allocation-free and draws exactly as the
 // jagged representation did (same RNG consumption), so trajectories are
-// bit-identical across the CSR conversion.
+// bit-identical across the CSR conversion and across both layouts.
 func (g *Adjacency) Sample(r *rng.RNG, u int) int {
+	if g.off == nil {
+		return int(g.arena[u*g.d+r.Intn(g.d)])
+	}
 	o := g.off[u]
 	d := int(g.off[u+1] - o)
 	return int(g.arena[o+uint32(r.Intn(d))])
@@ -270,4 +301,25 @@ func (g *Adjacency) Sample(r *rng.RNG, u int) int {
 
 // Neighbors returns node u's adjacency row (a view into the CSR arena, not
 // a copy; callers must not mutate it).
-func (g *Adjacency) Neighbors(u int) []int32 { return g.arena[g.off[u]:g.off[u+1]] }
+func (g *Adjacency) Neighbors(u int) []int32 {
+	i := g.start(u)
+	return g.arena[i : i+g.Degree(u)]
+}
+
+// Regular returns the arena and the common row length d of a graph that
+// keeps no row offsets, so that node u's row is arena[u·d : (u+1)·d], for
+// a batch loop to index directly; d is 0 when the rows' lengths differ.
+func (g *Adjacency) Regular() (arena []int32, d int) {
+	if g.off != nil {
+		return nil, 0
+	}
+	return g.arena, g.d
+}
+
+// start returns where node u's row begins in the arena.
+func (g *Adjacency) start(u int) int {
+	if g.off == nil {
+		return u * g.d
+	}
+	return int(g.off[u])
+}

@@ -11,8 +11,9 @@ import (
 // maxRepairPasses bounds the pairing-repair loop in NewRandomRegular. The
 // defect count shrinks geometrically per pass (each re-pairing is a fresh
 // uniform matching over a pool that is mostly clean stubs), so real runs
-// finish in a handful of passes; the cap only guards degenerate inputs like
-// d close to n.
+// finish in a handful of passes. Near the complete graph they would not,
+// which is why NewRandomRegular repairs only d <= (n-1)/2 and draws a
+// denser graph as a complement; the cap only guards against a stalled run.
 const maxRepairPasses = 200
 
 // NewRandomRegular samples a simple random d-regular graph on n nodes via
@@ -25,12 +26,19 @@ const maxRepairPasses = 200
 // set; mixing clean pairs into each re-match is what guarantees progress,
 // since e.g. two parallel (a,b) pairs can never untangle among themselves.)
 //
+// Near the complete graph a re-match almost never comes out simple, so a
+// dense graph, d > (n-1)/2, is drawn as the complement of a random
+// (n-1-d)-regular graph from the same generator, K_n when d = n-1, with
+// every row ascending. Complementing is a bijection between the simple
+// d-regular and (n-1-d)-regular graphs on n nodes, so the dense graph is
+// as uniform as the sparse one.
+//
 // The O(n·d) work runs once: the repair scans every node's incidences
 // once, and after each re-match it rescans only the nodes whose rows the
 // re-match changed. Its incidence table keeps every row in pair order,
 // which is the CSR row order, so the arena is the table's neighbour column
-// and node u's row starts at u·d. The construction is deterministic given
-// r.
+// and node u's row starts at u·d; the graph keeps no row offsets. The
+// construction is deterministic given r.
 func NewRandomRegular(n, d int, r *rng.RNG) (*Adjacency, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("graph: random regular graph needs n >= 2, got %d", n)
@@ -42,8 +50,22 @@ func NewRandomRegular(n, d int, r *rng.RNG) (*Adjacency, error) {
 		return nil, fmt.Errorf("graph: random %d-regular graph on %d nodes needs n·d even", d, n)
 	}
 	if int64(n)*int64(d) > math.MaxUint32 {
-		return nil, fmt.Errorf("graph: %d-regular graph on %d nodes overflows the 32-bit CSR offsets", d, n)
+		return nil, fmt.Errorf("graph: %d-regular graph on %d nodes overflows the repair's 32-bit pair indices", d, n)
 	}
+	rows := pairedRows
+	if 2*d > n-1 {
+		rows = complementRows
+	}
+	arena, err := rows(n, d, r)
+	if err != nil {
+		return nil, err
+	}
+	return newCSR(arena, n, func(int) int { return d }), nil
+}
+
+// pairedRows draws the configuration model's d-regular graph on n nodes,
+// for 0 <= d, and returns its rows end to end, node u's at [u·d, (u+1)·d).
+func pairedRows(n, d int, r *rng.RNG) ([]int32, error) {
 	stubs := make([]int32, n*d)
 	for u := 0; u < n; u++ {
 		row := stubs[u*d : (u+1)*d]
@@ -60,11 +82,36 @@ func NewRandomRegular(n, d int, r *rng.RNG) (*Adjacency, error) {
 	for i, w := range inc {
 		stubs[i] = int32(w)
 	}
-	off := make([]uint32, n+1)
-	for u := range off {
-		off[u] = uint32(u * d)
+	return stubs, nil
+}
+
+// complementRows returns the rows of the complement of pairedRows' random
+// (n-1-d)-regular graph on n nodes, each ascending.
+func complementRows(n, d int, r *rng.RNG) ([]int32, error) {
+	c := n - 1 - d
+	sparse, err := pairedRows(n, c, r)
+	if err != nil {
+		return nil, err
 	}
-	return &Adjacency{arena: stubs, off: off}, nil
+	arena := make([]int32, 0, n*d)
+	excluded := make([]bool, n)
+	for u := 0; u < n; u++ {
+		row := sparse[u*c : (u+1)*c]
+		excluded[u] = true
+		for _, v := range row {
+			excluded[v] = true
+		}
+		for v, x := range excluded {
+			if !x {
+				arena = append(arena, int32(v))
+			}
+		}
+		excluded[u] = false
+		for _, v := range row {
+			excluded[v] = false
+		}
+	}
+	return arena, nil
 }
 
 // repairPairing rewires the stub pairing (stubs[2i], stubs[2i+1]) in place

@@ -708,8 +708,11 @@ func (rn *Runner) runPerNode(pop *population.Population, rule Rule, cfg AsyncCon
 // dominant topologies, draw from a local copy of r's state with the
 // bounded draw inlined, and write it back before returning, so before any
 // rule's Next can draw from r; every other graph samples through the
-// interface. It returns the sum of the CSR row degrees it reads ahead of
-// the draws, for the caller's touch pass.
+// interface. Ahead of the draws a CSR batch touches what each row's first
+// load needs, so the batch's cache misses overlap: a regular graph, which
+// keeps no row offsets, the first entry of every row, at u·d; any other
+// CSR graph every row's degree, which reads its offsets. drawPeers returns
+// the sum of what it touched, for the caller's touch pass.
 func drawPeers(g graph.Graph, r *rng.RNG, ticks []sched.Tick, s int, peers []int) (touched int) {
 	switch g := g.(type) {
 	case graph.Complete:
@@ -741,8 +744,9 @@ func drawPeers(g graph.Graph, r *rng.RNG, ticks []sched.Tick, s int, peers []int
 		}
 		r.Xoshiro = x
 	case *graph.Adjacency:
-		// Read every row's degree first, so the row-offset misses overlap
-		// before the draws need them.
+		if arena, d := g.Regular(); d > 0 {
+			return drawRegular(arena, d, r, ticks, s, peers)
+		}
 		for _, t := range ticks {
 			touched += g.Degree(t.Node)
 		}
@@ -770,6 +774,31 @@ func drawPeers(g graph.Graph, r *rng.RNG, ticks []sched.Tick, s int, peers []int
 			}
 		}
 	}
+	return touched
+}
+
+// drawRegular is drawPeers on a regular CSR graph, whose node u's row is
+// arena[u·d : (u+1)·d]: it touches the first entry of every tick's row,
+// then draws each neighbor as Adjacency.Sample does, the row entry at
+// Intn(d).
+func drawRegular(arena []int32, d int, r *rng.RNG, ticks []sched.Tick, s int, peers []int) (touched int) {
+	for _, t := range ticks {
+		touched += int(arena[t.Node*d])
+	}
+	x, bound := r.Xoshiro, uint64(d)
+	for i, t := range ticks {
+		row := arena[t.Node*d : (t.Node+1)*d]
+		dst := peers[i*s : (i+1)*s]
+		for j := range dst {
+			w := x.Uint64()
+			v, ok := rng.Bound(w, bound)
+			if !ok {
+				v = x.Reject(w, bound)
+			}
+			dst[j] = int(row[v])
+		}
+	}
+	r.Xoshiro = x
 	return touched
 }
 

@@ -21,9 +21,10 @@ import (
 // a no-op OnTick forces, bit for bit: same result, same error, same final
 // colour of every node. It covers every rule whose Next draws nothing, on
 // the clique with and without self-sampling, the cycle (the interface
-// Sample path) and a random regular CSR graph, under both clocks. The small
-// populations make every batch dense with nodes written and then read
-// within the batch; a few longer clique runs reach the feed's producer.
+// Sample path) and a CSR graph in each layout, random regular and G(n,p),
+// under both clocks. The small populations make every batch dense with
+// nodes written and then read within the batch; a few longer clique runs
+// reach the feed's producer.
 func TestStagedLoopMatchesGeneralPath(t *testing.T) {
 	rules := []dynamics.Rule{twochoices.Rule{}, voter.Rule{}, threemajority.Rule{}, usd.Rule{}, jmajority.Rule{J: 1}}
 	seeds := uint64(6)
@@ -101,7 +102,9 @@ type namedGraph struct {
 }
 
 // stagedGraphs returns the topologies of TestStagedLoopMatchesGeneralPath
-// on n nodes; the CSR graph is 4-regular where n allows it.
+// on n nodes. It has a CSR graph in each layout: a random regular graph,
+// 4-regular where n allows it, which keeps no row offsets, and a G(n,p)
+// graph of mean degree about 4 and rows of several lengths, which does.
 func stagedGraphs(t *testing.T, n int) []namedGraph {
 	t.Helper()
 	cycle, err := graph.NewCycle(n)
@@ -112,11 +115,22 @@ func stagedGraphs(t *testing.T, n int) []namedGraph {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gnp, err := graph.NewGNP(n, min(0.5, 4/float64(n-1)), rng.New(uint64(n)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, d := csr.Regular(); d == 0 {
+		t.Fatalf("n=%d: the random regular graph keeps row offsets", n)
+	}
+	if _, d := gnp.Regular(); d != 0 {
+		t.Fatalf("n=%d: the G(n,p) graph came out regular", n)
+	}
 	return []namedGraph{
 		{"clique", graph.Complete{Nodes: n}},
 		{"clique+self", graph.Complete{Nodes: n, WithSelf: true}},
 		{"cycle", cycle},
 		{"csr", csr},
+		{"gnp", gnp},
 	}
 }
 

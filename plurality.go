@@ -188,7 +188,9 @@ func RandomGraph(n int, p float64, seed uint64) (Graph, error) {
 
 // RandomRegularGraph returns a deterministic simple random d-regular graph
 // on n nodes sampled from seed via the configuration model (n·d must be
-// even). Like every quenched topology it runs per node; see
+// even). A dense graph, d > (n-1)/2, is the complement of a random
+// (n-1-d)-regular graph drawn the same way, and the complete graph when
+// d = n-1. Like every quenched topology it runs per node; see
 // AnnealedRegularGraph for the lumpable mean-field counterpart.
 func RandomRegularGraph(n, d int, seed uint64) (Graph, error) {
 	return graph.NewRandomRegular(n, d, rng.New(seed))
